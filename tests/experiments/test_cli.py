@@ -647,3 +647,169 @@ class TestStoreSubcommand:
         assert capsys.readouterr().err.startswith(
             "repro-mac: error: no results store"
         )
+
+
+#: The full option surface of every ``build_*_parser``: per parser, one
+#: ``dest -> (option strings, default, required, choices)`` entry for each
+#: argument.  Refactors of the CLI must leave this table untouched.
+_PAPER = "BMW,BSMA,BMMM,LAMM"
+_FIGURES = (
+    "figure10a", "figure10b", "figure6a", "figure6b",
+    "figure7", "figure8", "figure9a", "figure9b",
+)
+CLI_SURFACE = {
+    "build_parser": {
+        "experiment": (
+            (), None, True,
+            ("figure2", "figure5", "table1") + _FIGURES + ("all", "report"),
+        ),
+        "seeds": (("--seeds",), 3, False, None),
+        "out": (("--out",), None, False, None),
+        "chart": (("--chart",), False, False, None),
+        "jobs": (("--jobs",), 1, False, None),
+        "profile": (("--profile",), False, False, None),
+    },
+    "build_trace_parser": {
+        "figure": ((), None, True, _FIGURES),
+        "seed": (("--seed",), 0, False, None),
+        "protocol": (("--protocol",), "BMMM", False, None),
+        "out": (("--out",), "results", False, None),
+        "nodes": (("--nodes",), None, False, None),
+        "horizon": (("--horizon",), None, False, None),
+        "rate": (("--rate",), None, False, None),
+        "lane_width": (("--lane-width",), 120, False, None),
+        "profile": (("--profile",), False, False, None),
+    },
+    "build_sweep_parser": {
+        "axis": (("--axis",), "nodes", False, ("nodes", "rate", "timeout")),
+        "values": (("--values",), None, False, None),
+        "protocols": (("--protocols",), _PAPER, False, None),
+        "seeds": (("--seeds",), 3, False, None),
+        "jobs": (("--jobs",), 0, False, None),
+        "chunksize": (("--chunksize",), None, False, None),
+        "horizon": (("--horizon",), None, False, None),
+        "name": (("--name",), "sweep", False, None),
+        "out": (("--out",), "results", False, None),
+        "store": (("--store",), None, False, None),
+        "telemetry": (("--telemetry",), None, False, None),
+        "mac_profile": (("--mac-profile",), False, False, None),
+    },
+    "build_rate_sweep_parser": {
+        "profiles": (("--profiles",), "single,mild,aggressive", False, None),
+        "protocols": (("--protocols",), "LAMM,RAM", False, None),
+        "seeds": (("--seeds",), 3, False, None),
+        "jobs": (("--jobs",), 0, False, None),
+        "nodes": (("--nodes",), None, False, None),
+        "horizon": (("--horizon",), None, False, None),
+        "name": (("--name",), "rate", False, None),
+        "out": (("--out",), "results", False, None),
+        "store": (("--store",), None, False, None),
+        "telemetry": (("--telemetry",), None, False, None),
+        "mac_profile": (("--mac-profile",), False, False, None),
+    },
+    "build_faults_parser": {
+        "axis": (("--axis",), "burst", False, ("burst", "churn", "sigma")),
+        "values": (("--values",), None, False, None),
+        "burst_loss": (("--burst-loss",), 0.2, False, None),
+        "base_burst": (("--base-burst",), 0.0, False, None),
+        "downtime": (("--downtime",), 200.0, False, None),
+        "give_up": (("--give-up",), 0, False, None),
+        "protocols": (("--protocols",), _PAPER, False, None),
+        "seeds": (("--seeds",), 3, False, None),
+        "jobs": (("--jobs",), 0, False, None),
+        "nodes": (("--nodes",), None, False, None),
+        "rate": (("--rate",), None, False, None),
+        "horizon": (("--horizon",), None, False, None),
+        "name": (("--name",), "faults", False, None),
+        "out": (("--out",), "results", False, None),
+        "store": (("--store",), None, False, None),
+        "telemetry": (("--telemetry",), None, False, None),
+        "mac_profile": (("--mac-profile",), False, False, None),
+    },
+    "build_gate_parser": {
+        "baseline": (("--baseline",), None, True, None),
+        "store": (("--store",), None, False, None),
+        "jobs": (("--jobs",), 0, False, None),
+        "metric_tol": (("--metric-tol",), 0.0, False, None),
+        "bench_tol": (("--bench-tol",), 0.25, False, None),
+        "no_counters": (("--no-counters",), False, False, None),
+        "name": (("--name",), "gate", False, None),
+        "out": (("--out",), "results", False, None),
+    },
+    "build_bench_kernel_parser": {
+        "churn_events": (("--churn-events",), 200_000, False, None),
+        "protocol": (("--protocol",), "BMMM", False, None),
+        "name": (("--name",), "kernel", False, None),
+        "repeat": (("--repeat",), 1, False, None),
+        "out": (("--out",), "results", False, None),
+    },
+    "build_watch_parser": {
+        "stream": ((), None, True, None),
+        "once": (("--once",), False, False, None),
+        "interval": (("--interval",), 1.0, False, None),
+    },
+    "build_serve_parser": {
+        "store": (("--store",), None, True, None),
+        "axis": (("--axis",), "nodes", False, ("nodes", "rate", "timeout")),
+        "values": (("--values",), None, False, None),
+        "protocols": (("--protocols",), _PAPER, False, None),
+        "seeds": (("--seeds",), 3, False, None),
+        "horizon": (("--horizon",), None, False, None),
+        "workers": (("--workers",), 0, False, None),
+        "campaign": (("--campaign",), None, False, None),
+        "lease_ttl": (("--lease-ttl",), 30.0, False, None),
+        "poll": (("--poll",), 0.5, False, None),
+        "wait_timeout": (("--wait-timeout",), None, False, None),
+        "worker_dir": (("--worker-dir",), None, False, None),
+        "name": (("--name",), "serve", False, None),
+        "out": (("--out",), "results", False, None),
+        "telemetry": (("--telemetry",), None, False, None),
+        "mac_profile": (("--mac-profile",), False, False, None),
+    },
+    "build_work_parser": {
+        "store": (("--store",), None, True, None),
+        "campaign": (("--campaign",), None, True, None),
+        "id": (("--id",), None, False, None),
+        "batch": (("--batch",), 0, False, None),
+        "lease_ttl": (("--lease-ttl",), 30.0, False, None),
+        "poll": (("--poll",), 0.2, False, None),
+        "max_cells": (("--max-cells",), None, False, None),
+        "idle_timeout": (("--idle-timeout",), None, False, None),
+        "commit_every": (("--commit-every",), 1, False, None),
+        "telemetry_dir": (("--telemetry-dir",), None, False, None),
+    },
+    "build_store_parser": {
+        "action": ((), None, True, ("stats", "prune", "vacuum")),
+        "store": ((), None, True, None),
+        "json": (("--json",), False, False, None),
+        "keep_fingerprint": (("--keep-fingerprint",), None, False, None),
+        "also_vacuum": (("--vacuum",), False, False, None),
+    },
+}
+
+
+@pytest.mark.parametrize("builder", sorted(CLI_SURFACE))
+def test_cli_surface_is_pinned(builder):
+    """Every flag, default, ``required=`` setting and choice list of every
+    parser, compared against the literal table above."""
+    import repro.cli
+
+    parser = getattr(repro.cli, builder)()
+    surface = {
+        action.dest: (
+            tuple(action.option_strings),
+            action.default,
+            action.required,
+            tuple(action.choices) if action.choices is not None else None,
+        )
+        for action in parser._actions
+        if action.dest != "help"
+    }
+    assert surface == CLI_SURFACE[builder]
+
+
+def test_cli_surface_covers_every_parser():
+    import repro.cli
+
+    builders = {n for n in repro.cli.__all__ if n.startswith("build_")}
+    assert builders == set(CLI_SURFACE)
