@@ -5,8 +5,8 @@ the average number of contention phases in Figure 9(a) very well'.
 
 Also home of the *figure-5-sized grid* engine benchmark: 4 protocols x 5
 sweep points x ``REPRO_BENCH_RUNS`` seeds through the sweep engine vs the
-legacy per-protocol ``compare_parallel`` loop, asserting bit-identical
-metrics and recording the speedup in ``results/BENCH_sweep.json``."""
+serial per-point ``run(Scenario)`` loop, asserting bit-identical metrics
+and recording the speedup in ``results/BENCH_sweep.json``."""
 
 import json
 import os
@@ -43,18 +43,18 @@ def test_figure5(benchmark):
 
 
 def test_figure5_sized_grid_through_sweep_engine():
-    """4 protocols x 5 points x N seeds: engine vs legacy compare_parallel.
+    """4 protocols x 5 points x N seeds: engine vs serial ``run`` per point.
 
-    Same worker count both ways; the engine must return bit-identical
-    ``MeanMetrics`` and counter totals while amortizing topology builds
-    and pool startup.  Wall clocks and the speedup land in
+    The engine must return bit-identical ``MeanMetrics`` and counter
+    totals while sharing topology builds and fanning cells out over
+    ``REPRO_BENCH_JOBS`` workers.  Wall clocks and the speedup land in
     ``results/BENCH_sweep.json`` -- the sweep perf trajectory.
     Environment knobs (``REPRO_BENCH_RUNS``, ``REPRO_BENCH_HORIZON``,
     ``REPRO_BENCH_JOBS``) scale it up to the acceptance grid
     (20 seeds, Table 2 horizon).
     """
     from repro.experiments.config import SIMULATED_PROTOCOLS
-    from repro.experiments.parallel import compare_parallel
+    from repro.experiments.runner import run
     from repro.experiments.scenario import Scenario
     from repro.experiments.sweep import run_sweep, save_bench
 
@@ -63,29 +63,29 @@ def test_figure5_sized_grid_through_sweep_engine():
     seeds = list(range(n_runs()))
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or (os.cpu_count() or 1)
 
-    t0 = time.perf_counter()
-    legacy = [compare_parallel(protocols, st, seeds, processes=jobs) for st in points]
-    legacy_s = time.perf_counter() - t0
-
     scenario = Scenario(settings=points[0], protocols=tuple(protocols), seeds=tuple(seeds))
+    t0 = time.perf_counter()
+    serial = [run(scenario.with_(settings=st)) for st in points]
+    serial_s = time.perf_counter() - t0
+
     t0 = time.perf_counter()
     result = run_sweep(scenario, points, processes=jobs)
     engine_s = time.perf_counter() - t0
 
     for idx in range(len(points)):
         for proto in protocols:
-            assert result.mean(idx, proto) == legacy[idx][proto]
+            assert result.mean(idx, proto) == serial[idx][proto]
 
-    speedup = legacy_s / engine_s if engine_s > 0 else float("inf")
+    speedup = serial_s / engine_s if engine_s > 0 else float("inf")
     bench_path = save_bench(result, "sweep", RESULTS_DIR)
     payload = json.loads(bench_path.read_text())
-    payload["legacy_compare_parallel_s"] = legacy_s
+    payload["serial_run_s"] = serial_s
     payload["engine_s"] = engine_s
-    payload["speedup_vs_legacy"] = speedup
+    payload["speedup_vs_serial"] = speedup
     bench_path.write_text(json.dumps(payload, indent=2))
     print(
         f"\nfigure-5-sized grid ({len(points)} points x {len(seeds)} seeds x "
         f"{len(protocols)} protocols, {jobs} workers): "
-        f"legacy {legacy_s:.2f}s, engine {engine_s:.2f}s, {speedup:.2f}x; "
+        f"serial {serial_s:.2f}s, engine {engine_s:.2f}s, {speedup:.2f}x; "
         f"cache {result.cache_hits}/{result.n_jobs} hits; saved {bench_path}"
     )

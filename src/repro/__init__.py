@@ -43,7 +43,6 @@ from repro.experiments import (
     PROTOCOLS,
     Scenario,
     SimulationSettings,
-    compare,
     run,
     run_once,
     run_protocol,
@@ -120,7 +119,6 @@ __all__ = [
     "sweep",
     "run_once",
     "run_protocol",
-    "compare",
     # the results store (durable memoisation + regression gate)
     "ResultStore",
     "scenario_digest",

@@ -24,22 +24,21 @@ provenance record (settings, seeds, package version, wall-clock) next to
 the JSON result; ``--profile`` prints per-phase wall-clock timings.  The
 ``trace`` subcommand runs one scenario with the observability bus recording
 and dumps the JSONL trace plus a lane diagram (see
-``docs/observability.md``).  The ``sweep`` subcommand runs a protocols x
-points x seeds grid through the sweep engine
-(:mod:`repro.experiments.sweep`) and writes per-point metrics, a
-sweep-level manifest and a ``BENCH_<name>.json`` perf record; with
-``--store PATH`` the grid runs against the content-addressed results
-store (already-computed cells are skipped, interrupted campaigns resume
--- see ``docs/store.md``).  The ``faults`` subcommand is the degradation
-study: the same grid machinery sweeping one fault axis (burst / churn /
-sigma -- see ``docs/faults.md``) instead of a workload axis.  The
-``gate`` subcommand is the regression gate: rerun the campaign described
-by a previous sweep's results JSON and fail (exit 1) if metrics,
-counters or throughput drifted beyond tolerance, writing a
-machine-readable ``GATE_<name>.json`` report.
+``docs/observability.md``).
+
+The grid subcommands -- ``sweep`` (a workload axis), ``faults`` (the
+degradation study's fault axis, ``docs/faults.md``), ``rate-sweep`` (PHY
+rate profiles) and ``serve`` (below) -- share one flag spec, one run path
+(:func:`~repro.experiments.sweep.run_sweep`) and one output tail: the
+per-point table, then ``<name>.json``, ``<name>.manifest.json`` and
+``BENCH_<name>.json``.  With ``--store PATH`` a grid runs against the
+content-addressed results store (computed cells are skipped, interrupted
+campaigns resume -- ``docs/store.md``).  ``gate`` reruns the campaign
+described by a previous sweep's results JSON and fails (exit 1) if
+metrics, counters or throughput drifted, writing ``GATE_<name>.json``.
 
 Campaign observability (``docs/telemetry.md``): ``--telemetry PATH`` on
-``sweep`` / ``faults`` streams live progress (cells done/pending,
+any grid subcommand streams live progress (cells done/pending,
 per-worker heartbeats, rolling slots/sec, ETA, per-cell phase spans) as
 append-only JSONL; ``repro-mac watch PATH`` tails and renders it (or
 ``--once`` for a post-hoc snapshot).  ``--mac-profile`` attaches the
@@ -218,15 +217,133 @@ def _run_one(name: str, args_ns) -> None:
 
 
 # --------------------------------------------------------------------------
-# `repro-mac sweep` -- run a protocols x points x seeds grid
+# The grid subcommands (`sweep`, `rate-sweep`, `faults`, `serve`): one spec
 # --------------------------------------------------------------------------
 
-#: Sweep axes: flag value -> (settings field, value parser).
+#: Sweep axes: flag value -> (settings field, value parser, paper's values).
 _SWEEP_AXES = {
-    "nodes": ("n_nodes", int),
-    "rate": ("message_rate", float),
-    "timeout": ("timeout_slots", float),
+    "nodes": ("n_nodes", int, F.DENSITY_SWEEP_NODES),
+    "rate": ("message_rate", float, F.RATE_SWEEP),
+    "timeout": ("timeout_slots", float, F.TIMEOUT_SWEEP),
 }
+
+#: Per-run override flags (where a subcommand has them) -> settings field.
+_OVERRIDES = {"nodes": "n_nodes", "rate": "message_rate", "horizon": "horizon"}
+
+#: Counters worth a per-point summary line (when nonzero).
+_FAULT_COUNTER_KEYS = (
+    "faults.burst_losses",
+    "faults.crashes",
+    "faults.recoveries",
+    "faults.rx_dropped",
+    "faults.tx_suppressed",
+    "faults.receiver_give_ups",
+    "lamm.coverage_violations",
+)
+
+
+def _csv(text: str, parse=str) -> list:
+    """A comma-separated flag value, empty items dropped."""
+    return [parse(v) for v in text.split(",") if v]
+
+
+def _base_settings(args) -> SimulationSettings:
+    """Table-2 defaults plus whichever ``--nodes/--rate/--horizon`` overrides
+    the subcommand has and the user set."""
+    return SimulationSettings(
+        **{
+            field: getattr(args, flag)
+            for flag, field in _OVERRIDES.items()
+            if getattr(args, flag, None) is not None
+        }
+    )
+
+
+def _axis_grid(args) -> tuple[list, list[SimulationSettings]]:
+    """``--axis``/``--values`` of ``sweep``/``serve``: (values, points)."""
+    field, parse, paper_values = _SWEEP_AXES[args.axis]
+    values = _csv(args.values, parse) if args.values else list(paper_values)
+    base = _base_settings(args)
+    return values, [base.with_(**{field: v}) for v in values]
+
+
+def _grid_scenario(args):
+    """The ``--protocols``/``--seeds`` half of a grid (the points carry the
+    settings)."""
+    from repro.experiments.scenario import Scenario
+
+    return Scenario(protocols=tuple(_csv(args.protocols)), seeds=tuple(range(args.seeds)))
+
+
+def _grid_kwargs(args) -> dict:
+    """The :func:`~repro.experiments.sweep.run_sweep` keywords the shared
+    grid flags set."""
+    kwargs = {
+        "store": args.store,
+        "telemetry": args.telemetry,
+        "profile": args.mac_profile,
+        "campaign": args.name,
+    }
+    if "jobs" in args:
+        kwargs["processes"] = args.jobs or None
+    return kwargs
+
+
+def _add_grid_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    name: str,
+    protocols: tuple[str, ...] | None = None,
+    jobs: bool = True,
+    store: bool = True,
+) -> None:
+    """The flags every grid subcommand shares."""
+    protocols = ",".join(protocols or paper_protocols())
+    parser.add_argument(
+        "--protocols", default=protocols, metavar="P1,P2,...",
+        help=f"protocols to run (default: {protocols})",
+    )
+    parser.add_argument(
+        "--seeds", type=int, default=3, metavar="N",
+        help="seeded runs per (point, protocol) cell (paper: 100; default 3)",
+    )
+    if jobs:
+        parser.add_argument(
+            "--jobs", type=int, default=0, metavar="N",
+            help="worker processes (0 = one per CPU core, 1 = in-process; default 0)",
+        )
+    parser.add_argument(
+        "--horizon", type=int, default=None, metavar="SLOTS",
+        help="override simulation horizon at every point (smoke/CI runs)",
+    )
+    parser.add_argument(
+        "--name", default=name, metavar="NAME",
+        help=f"basename for the result/manifest/BENCH files (default: {name})",
+    )
+    parser.add_argument(
+        "--out", default="results", metavar="DIR",
+        help="output directory (default results/)",
+    )
+    if store:
+        parser.add_argument(
+            "--store", default=None, metavar="PATH",
+            help="content-addressed results store (SQLite): skip cells already "
+            "computed under this settings digest + code fingerprint, commit "
+            "fresh cells as they finish so an interrupted campaign resumes",
+        )
+    parser.add_argument(
+        "--telemetry", default=None, metavar="PATH",
+        help="stream live campaign telemetry (append-only JSONL: progress, "
+        "worker heartbeats, per-cell phase spans) to PATH; follow it from "
+        "another terminal with 'repro-mac watch PATH'",
+    )
+    parser.add_argument(
+        "--mac-profile", action="store_true",
+        help="attach the kernel phase profiler to every fresh run: simulate "
+        "wall clock attributed to MAC phases (DIFS/backoff, DATA, ACK "
+        "collection, ...), aggregated per protocol into the manifest; "
+        "results stay bit-identical",
+    )
 
 
 def _print_execution(result) -> None:
@@ -249,6 +366,87 @@ def _print_execution(result) -> None:
         )
 
 
+def _finish_grid(
+    args,
+    result,
+    axis: str,
+    values: list,
+    *,
+    extra: dict | None = None,
+    payload: dict | None = None,
+    save_bench=None,
+) -> int:
+    """The shared tail of every grid subcommand.
+
+    Prints the per-point table, phase timings, the execution line and the
+    ``--mac-profile``/``--telemetry`` report; then writes
+    ``<name>.json`` (plus *payload* keys), ``<name>.manifest.json`` (plus
+    *extra*) and ``BENCH_<name>.json`` through *save_bench(out_dir)*
+    (default: the sweep engine's record).
+    """
+    from pathlib import Path
+
+    from repro.experiments.sweep import save_bench as save_sweep_bench, sweep_manifest
+    from repro.obs.counters import merge_counter_dicts
+    from repro.obs.profiler import format_phase_profile
+
+    for idx, value in enumerate(values):
+        degrees = result.point_degrees(idx)
+        print(f"== {axis} = {value} (mean degree {sum(degrees) / len(degrees):.2f}) ==")
+        means = [result.mean(idx, proto) for proto in result.protocols]
+        for proto, mm in zip(result.protocols, means):
+            print(
+                f"  {proto:<10} delivery {mm.delivery_rate:6.3f}"
+                f"  phases {mm.avg_contention_phases:7.2f}"
+                f"  completion {mm.avg_completion_time:8.1f}"
+                f"  ({mm.n_runs} runs, {mm.n_requests} requests)"
+            )
+        counters = merge_counter_dicts(mm.counters for mm in means)
+        hits = {k: counters[k] for k in _FAULT_COUNTER_KEYS if counters.get(k)}
+        if hits:
+            print("  faults: " + "  ".join(f"{k.split('.', 1)[1]}={n}" for k, n in hits.items()))
+    print()
+    print(format_timings(result.timings, title=f"{args.name} phases"))
+    _print_execution(result)
+    for proto, phases in (result.mac_profile or {}).items():
+        if phases:
+            print(format_phase_profile(phases, title=f"{proto} MAC phase profile"))
+    if result.telemetry_path is not None:
+        print(f"[telemetry {result.telemetry_path}]")
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result_path = out_dir / f"{args.name}.json"
+    result_path.write_text(
+        json.dumps({**result.as_dict(), **(payload or {})}, indent=2, default=str)
+    )
+    manifest = sweep_manifest(result, name=args.name)
+    manifest.extra.update(extra or {})
+    manifest_path = manifest.save(out_dir / f"{args.name}.manifest.json")
+    if save_bench is None:
+        bench_path = save_sweep_bench(result, args.name, out_dir)
+    else:
+        bench_path = save_bench(out_dir)
+    print(format_counters(manifest.counters, title="grid counter totals"))
+    print(f"[results {result_path}]")
+    print(f"[manifest {manifest_path}]")
+    print(f"[bench {bench_path}]")
+    return 0
+
+
+def _add_axis_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--axis``/``--values``, shared by ``sweep`` and ``serve``."""
+    parser.add_argument(
+        "--axis", choices=sorted(_SWEEP_AXES), default="nodes",
+        help="which Table-2 parameter the points sweep (default: nodes)",
+    )
+    parser.add_argument(
+        "--values", default=None, metavar="V1,V2,...",
+        help="comma-separated sweep values (defaults: the paper's sweep "
+        "for the chosen axis)",
+    )
+
+
 def build_sweep_parser() -> argparse.ArgumentParser:
     """Argument parser for the ``repro-mac sweep`` subcommand."""
     parser = argparse.ArgumentParser(
@@ -259,151 +457,24 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "(point, seed) cell, bit-identical metrics to serial runs."
         ),
     )
-    parser.add_argument(
-        "--axis",
-        choices=sorted(_SWEEP_AXES),
-        default="nodes",
-        help="which Table-2 parameter the points sweep (default: nodes)",
-    )
-    parser.add_argument(
-        "--values",
-        default=None,
-        metavar="V1,V2,...",
-        help="comma-separated sweep values (defaults: the paper's sweep "
-        "for the chosen axis)",
-    )
-    parser.add_argument(
-        "--protocols",
-        default=",".join(paper_protocols()),
-        metavar="P1,P2,...",
-        help=f"protocols to run (default: {','.join(paper_protocols())})",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=3, metavar="N",
-        help="seeded runs per (point, protocol) cell (paper: 100; default 3)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes (0 = one per CPU core, 1 = in-process; default 0)",
-    )
+    _add_axis_arguments(parser)
     parser.add_argument(
         "--chunksize", type=int, default=None, metavar="N",
         help="jobs per pool chunk (default: whole (point, seed) cells)",
     )
-    parser.add_argument(
-        "--horizon", type=int, default=None, metavar="SLOTS",
-        help="override simulation horizon at every point (smoke/CI runs)",
-    )
-    parser.add_argument(
-        "--name", default="sweep", metavar="NAME",
-        help="basename for the result/manifest/BENCH files (default: sweep)",
-    )
-    parser.add_argument(
-        "--out", default="results", metavar="DIR",
-        help="output directory (default results/)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="content-addressed results store (SQLite): skip cells already "
-        "computed under this settings digest + code fingerprint, commit "
-        "fresh cells as they finish so an interrupted campaign resumes",
-    )
-    _add_telemetry_arguments(parser)
+    _add_grid_arguments(parser, name="sweep")
     return parser
 
 
-def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
-    """The campaign-observability flags shared by ``sweep`` and ``faults``."""
-    parser.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="stream live campaign telemetry (append-only JSONL: progress, "
-        "worker heartbeats, per-cell phase spans) to PATH; follow it from "
-        "another terminal with 'repro-mac watch PATH'",
-    )
-    parser.add_argument(
-        "--mac-profile", action="store_true",
-        help="attach the kernel phase profiler to every fresh run: simulate "
-        "wall clock attributed to MAC phases (DIFS/backoff, DATA, ACK "
-        "collection, ...), aggregated per protocol into the manifest; "
-        "results stay bit-identical",
-    )
-
-
-def _print_campaign_observability(result) -> None:
-    """Post-grid report of the ``--telemetry`` / ``--mac-profile`` flags."""
-    from repro.obs.profiler import format_phase_profile
-
-    if result.mac_profile:
-        for proto in result.protocols:
-            phases = result.mac_profile.get(proto)
-            if phases:
-                print(format_phase_profile(phases, title=f"{proto} MAC phase profile"))
-    if result.telemetry_path is not None:
-        print(f"[telemetry {result.telemetry_path}]")
-
-
 def _sweep_main(argv: list[str]) -> int:
-    from pathlib import Path
-
-    from repro.experiments.figures import DENSITY_SWEEP_NODES, RATE_SWEEP, TIMEOUT_SWEEP
-    from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep, save_bench, sweep_manifest
+    from repro.experiments.sweep import run_sweep
 
     args = build_sweep_parser().parse_args(argv)
-    field, parse = _SWEEP_AXES[args.axis]
-    defaults = {"nodes": DENSITY_SWEEP_NODES, "rate": RATE_SWEEP, "timeout": TIMEOUT_SWEEP}
-    values = (
-        [parse(v) for v in args.values.split(",") if v]
-        if args.values
-        else list(defaults[args.axis])
-    )
-    base = SimulationSettings()
-    if args.horizon is not None:
-        base = base.with_(horizon=args.horizon)
-    points = [base.with_(**{field: v}) for v in values]
-    protocols = [p for p in args.protocols.split(",") if p]
-
-    scenario = Scenario(
-        settings=base, protocols=tuple(protocols), seeds=tuple(range(args.seeds))
-    )
+    values, points = _axis_grid(args)
     result = run_sweep(
-        scenario,
-        points,
-        processes=args.jobs or None,
-        chunksize=args.chunksize,
-        store=args.store,
-        telemetry=args.telemetry,
-        profile=args.mac_profile,
-        campaign=args.name,
+        _grid_scenario(args), points, chunksize=args.chunksize, **_grid_kwargs(args)
     )
-
-    for idx, value in enumerate(values):
-        print(f"== {args.axis} = {value} (mean degree {sum(result.point_degrees(idx)) / len(result.point_degrees(idx)):.2f}) ==")
-        for proto in protocols:
-            mm = result.mean(idx, proto)
-            print(
-                f"  {proto:<10} delivery {mm.delivery_rate:6.3f}"
-                f"  phases {mm.avg_contention_phases:7.2f}"
-                f"  completion {mm.avg_completion_time:8.1f}"
-                f"  ({mm.n_runs} runs, {mm.n_requests} requests)"
-            )
-    print()
-    print(format_timings(result.timings, title=f"{args.name} phases"))
-    _print_execution(result)
-    _print_campaign_observability(result)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result_path = out_dir / f"{args.name}.json"
-    result_path.write_text(json.dumps(result.as_dict(), indent=2, default=str))
-    manifest = sweep_manifest(result, name=args.name)
-    manifest_path = manifest.save(out_dir / f"{args.name}.manifest.json")
-    bench_path = save_bench(result, args.name, out_dir)
-    print(format_counters(manifest.counters, title="grid counter totals"))
-    print(f"[results {result_path}]")
-    print(f"[manifest {manifest_path}]")
-    print(f"[bench {bench_path}]")
-    return 0
+    return _finish_grid(args, result, args.axis, values)
 
 
 # --------------------------------------------------------------------------
@@ -430,109 +501,37 @@ def build_rate_sweep_parser() -> argparse.ArgumentParser:
         metavar="P1,P2,...",
         help=f"rate profiles to sweep (default: {','.join(RATE_PROFILES)})",
     )
-    parser.add_argument(
-        "--protocols",
-        default=",".join(RATE_SWEEP_PROTOCOLS),
-        metavar="P1,P2,...",
-        help=f"protocols to run (default: {','.join(RATE_SWEEP_PROTOCOLS)})",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=3, metavar="N",
-        help="seeded runs per (profile, protocol) cell (default 3)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes (0 = one per CPU core, 1 = in-process; default 0)",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=None, metavar="N", help="override node count"
-    )
-    parser.add_argument(
-        "--horizon", type=int, default=None, metavar="SLOTS",
-        help="override simulation horizon at every point (smoke/CI runs)",
-    )
-    parser.add_argument(
-        "--name", default="rate", metavar="NAME",
-        help="basename for the result/manifest/BENCH files (default: rate)",
-    )
-    parser.add_argument(
-        "--out", default="results", metavar="DIR",
-        help="output directory (default results/)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="content-addressed results store (SQLite); same semantics as "
-        "'repro-mac sweep --store'",
-    )
-    _add_telemetry_arguments(parser)
+    parser.add_argument("--nodes", type=int, default=None, metavar="N", help="override node count")
+    _add_grid_arguments(parser, name="rate", protocols=RATE_SWEEP_PROTOCOLS)
     return parser
 
 
 def _rate_sweep_main(argv: list[str]) -> int:
-    from pathlib import Path
-
-    from repro.experiments.ratesweep import (
-        RATE_PROFILES,
-        rate_bench_record,
-        run_rate_sweep,
-        save_rate_bench,
-    )
-    from repro.experiments.sweep import sweep_manifest
+    from repro.experiments.ratesweep import RATE_PROFILES, run_rate_sweep, save_rate_bench
 
     args = build_rate_sweep_parser().parse_args(argv)
-    profile_names = [p for p in args.profiles.split(",") if p]
+    profile_names = _csv(args.profiles)
     unknown = [p for p in profile_names if p not in RATE_PROFILES]
     if unknown:
         raise KeyError(
             f"unknown rate profile(s) {unknown}; choose from {sorted(RATE_PROFILES)}"
         )
-    overrides = {}
-    if args.nodes is not None:
-        overrides["n_nodes"] = args.nodes
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    base = SimulationSettings(**overrides)
-    protocols = [p for p in args.protocols.split(",") if p]
     result, names = run_rate_sweep(
-        base,
-        protocols=protocols,
+        _base_settings(args),
+        protocols=_csv(args.protocols),
         profiles={n: RATE_PROFILES[n] for n in profile_names},
         seeds=tuple(range(args.seeds)),
-        processes=args.jobs or None,
-        store=args.store,
-        telemetry=args.telemetry,
-        profile=args.mac_profile,
-        campaign=args.name,
+        **_grid_kwargs(args),
     )
-
-    record = rate_bench_record(result, names, name=args.name)
-    for cell in record["cells"]:
-        print(
-            f"== {cell['profile']:<10} {cell['protocol']:<6}"
-            f"  delivery {cell['delivery_rate']:6.3f}"
-            f"  thru {cell['delivered_per_kslot']:6.2f}/kslot"
-            f"  completion {cell['avg_completion_time']:8.1f}"
-            f"  ({cell['n_runs']} runs)"
-        )
-    print()
-    print(format_timings(result.timings, title=f"{args.name} phases"))
-    _print_execution(result)
-    _print_campaign_observability(result)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = result.as_dict()
-    payload["rate_profiles"] = names
-    result_path = out_dir / f"{args.name}.json"
-    result_path.write_text(json.dumps(payload, indent=2, default=str))
-    manifest = sweep_manifest(result, name=args.name)
-    manifest.extra.update({"kind": "rate-sweep", "rate_profiles": names})
-    manifest_path = manifest.save(out_dir / f"{args.name}.manifest.json")
-    bench_path = save_rate_bench(result, names, out_dir, name=args.name)
-    print(f"[results {result_path}]")
-    print(f"[manifest {manifest_path}]")
-    print(f"[bench {bench_path}]")
-    return 0
+    return _finish_grid(
+        args,
+        result,
+        "profile",
+        names,
+        extra={"kind": "rate-sweep", "rate_profiles": names},
+        payload={"rate_profiles": names},
+        save_bench=lambda out_dir: save_rate_bench(result, names, out_dir, name=args.name),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -583,87 +582,27 @@ def build_faults_parser() -> argparse.ArgumentParser:
         "--give-up", type=int, default=0, metavar="N",
         help="per-receiver retry cap at every point (0 = never; default 0)",
     )
+    parser.add_argument("--nodes", type=int, default=None, metavar="N", help="override node count")
     parser.add_argument(
-        "--protocols",
-        default=",".join(paper_protocols()),
-        metavar="P1,P2,...",
-        help=f"protocols to run (default: {','.join(paper_protocols())})",
+        "--rate", type=float, default=None, metavar="R", help="override message generation rate"
     )
-    parser.add_argument(
-        "--seeds", type=int, default=3, metavar="N",
-        help="seeded runs per (point, protocol) cell (default 3)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes (0 = one per CPU core, 1 = in-process; default 0)",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=None, metavar="N", help="override node count"
-    )
-    parser.add_argument(
-        "--rate", type=float, default=None, metavar="R",
-        help="override message generation rate",
-    )
-    parser.add_argument(
-        "--horizon", type=int, default=None, metavar="SLOTS",
-        help="override simulation horizon at every point (smoke/CI runs)",
-    )
-    parser.add_argument(
-        "--name", default="faults", metavar="NAME",
-        help="basename for the result/manifest/BENCH files (default: faults)",
-    )
-    parser.add_argument(
-        "--out", default="results", metavar="DIR",
-        help="output directory (default results/)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="content-addressed results store (SQLite); same semantics as "
-        "'repro-mac sweep --store'",
-    )
-    _add_telemetry_arguments(parser)
+    _add_grid_arguments(parser, name="faults")
     return parser
 
 
-#: Fault counters worth a per-point summary line (when nonzero).
-_FAULT_COUNTER_KEYS = (
-    "faults.burst_losses",
-    "faults.crashes",
-    "faults.recoveries",
-    "faults.rx_dropped",
-    "faults.tx_suppressed",
-    "faults.receiver_give_ups",
-    "lamm.coverage_violations",
-)
-
-
 def _faults_main(argv: list[str]) -> int:
-    from pathlib import Path
-
     from repro.experiments.degradation import FAULT_AXES, degradation_points, fault_plan_for
-    from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep, save_bench, sweep_manifest
+    from repro.experiments.sweep import run_sweep
     from repro.faults import FaultPlan
 
     args = build_faults_parser().parse_args(argv)
-    values = (
-        [float(v) for v in args.values.split(",") if v]
-        if args.values
-        else list(FAULT_AXES[args.axis])
-    )
-    overrides = {}
-    if args.nodes is not None:
-        overrides["n_nodes"] = args.nodes
-    if args.rate is not None:
-        overrides["message_rate"] = args.rate
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
+    values = _csv(args.values, float) if args.values else list(FAULT_AXES[args.axis])
     base_plan = FaultPlan(receiver_give_up=args.give_up)
     if args.base_burst > 0:
         base_plan = fault_plan_for(
             "burst", args.base_burst, stationary_loss=args.burst_loss, base=base_plan
         )
-    base = SimulationSettings(**overrides).with_(faults=base_plan)
+    base = _base_settings(args).with_(faults=base_plan)
     points = degradation_points(
         base,
         args.axis,
@@ -671,56 +610,15 @@ def _faults_main(argv: list[str]) -> int:
         stationary_loss=args.burst_loss,
         mean_downtime=args.downtime,
     )
-    protocols = [p for p in args.protocols.split(",") if p]
-    scenario = Scenario(
-        settings=base, protocols=tuple(protocols), seeds=tuple(range(args.seeds))
+    result = run_sweep(_grid_scenario(args), points, **_grid_kwargs(args))
+    return _finish_grid(
+        args,
+        result,
+        args.axis,
+        values,
+        extra={"kind": "faults", "fault_axis": args.axis, "fault_values": values},
+        payload={"fault_axis": {"axis": args.axis, "values": values}},
     )
-    result = run_sweep(
-        scenario,
-        points,
-        processes=args.jobs or None,
-        store=args.store,
-        telemetry=args.telemetry,
-        profile=args.mac_profile,
-        campaign=args.name,
-    )
-
-    for idx, value in enumerate(values):
-        print(f"== {args.axis} = {value:g} ==")
-        point_counters: dict[str, int] = {}
-        for proto in protocols:
-            mm = result.mean(idx, proto)
-            print(
-                f"  {proto:<10} delivery {mm.delivery_rate:6.3f}"
-                f"  phases {mm.avg_contention_phases:7.2f}"
-                f"  completion {mm.avg_completion_time:8.1f}"
-                f"  ({mm.n_runs} runs, {mm.n_requests} requests)"
-            )
-            for key, n in mm.counters.items():
-                point_counters[key] = point_counters.get(key, 0) + n
-        hits = {k: point_counters[k] for k in _FAULT_COUNTER_KEYS if point_counters.get(k)}
-        if hits:
-            print("  faults: " + "  ".join(f"{k.split('.', 1)[1]}={n}" for k, n in hits.items()))
-    print()
-    print(format_timings(result.timings, title=f"{args.name} phases"))
-    _print_execution(result)
-    _print_campaign_observability(result)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = result.as_dict()
-    payload["fault_axis"] = {"axis": args.axis, "values": values}
-    result_path = out_dir / f"{args.name}.json"
-    result_path.write_text(json.dumps(payload, indent=2, default=str))
-    manifest = sweep_manifest(result, name=args.name)
-    manifest.extra.update({"kind": "faults", "fault_axis": args.axis, "fault_values": values})
-    manifest_path = manifest.save(out_dir / f"{args.name}.manifest.json")
-    bench_path = save_bench(result, args.name, out_dir)
-    print(format_counters(manifest.counters, title="grid counter totals"))
-    print(f"[results {result_path}]")
-    print(f"[manifest {manifest_path}]")
-    print(f"[bench {bench_path}]")
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -929,25 +827,18 @@ def build_trace_parser() -> argparse.ArgumentParser:
 def _trace_main(argv: list[str]) -> int:
     from pathlib import Path
 
-    from repro.experiments.config import SimulationSettings, protocol_class
+    from repro.experiments.config import protocol_class
     from repro.experiments.runner import run_raw
     from repro.obs.trace import (
         JsonlTraceWriter,
         frame_type_counts,
+        lane_diagram,
         load_trace,
         transmissions_from_trace,
     )
-    from repro.sim.trace import lane_diagram
 
     args = build_trace_parser().parse_args(argv)
-    overrides = {}
-    if args.nodes is not None:
-        overrides["n_nodes"] = args.nodes
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.rate is not None:
-        overrides["message_rate"] = args.rate
-    settings = SimulationSettings().with_(**overrides) if overrides else SimulationSettings()
+    settings = _base_settings(args)
     mac_cls, kwargs = protocol_class(args.protocol)
 
     out_dir = Path(args.out)
@@ -1063,33 +954,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="the results store (SQLite): coordination substrate and "
         "result sink; workers must point at the same file",
     )
-    parser.add_argument(
-        "--axis",
-        choices=sorted(_SWEEP_AXES),
-        default="nodes",
-        help="which Table-2 parameter the points sweep (default: nodes)",
-    )
-    parser.add_argument(
-        "--values",
-        default=None,
-        metavar="V1,V2,...",
-        help="comma-separated sweep values (defaults: the paper's sweep "
-        "for the chosen axis)",
-    )
-    parser.add_argument(
-        "--protocols",
-        default=",".join(paper_protocols()),
-        metavar="P1,P2,...",
-        help=f"protocols to run (default: {','.join(paper_protocols())})",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=3, metavar="N",
-        help="seeded runs per (point, protocol) cell (default 3)",
-    )
-    parser.add_argument(
-        "--horizon", type=int, default=None, metavar="SLOTS",
-        help="override simulation horizon at every point (smoke/CI runs)",
-    )
+    _add_axis_arguments(parser)
     parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="spawn N local 'repro-mac work' processes for the campaign "
@@ -1120,44 +985,17 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="directory for per-worker telemetry streams (default: "
         "<store>.workers/)",
     )
-    parser.add_argument(
-        "--name", default="serve", metavar="NAME",
-        help="basename for the result/manifest/BENCH files (default: serve)",
-    )
-    parser.add_argument(
-        "--out", default="results", metavar="DIR",
-        help="output directory (default results/)",
-    )
-    _add_telemetry_arguments(parser)
+    _add_grid_arguments(parser, name="serve", jobs=False, store=False)
     return parser
 
 
 def _serve_main(argv: list[str]) -> int:
-    from pathlib import Path
-
-    from repro.experiments.figures import DENSITY_SWEEP_NODES, RATE_SWEEP, TIMEOUT_SWEEP
-    from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep, save_bench, sweep_manifest
+    from repro.experiments.sweep import run_sweep
     from repro.serve.service import ServeBackend
 
     args = build_serve_parser().parse_args(argv)
-    field, parse = _SWEEP_AXES[args.axis]
-    defaults = {"nodes": DENSITY_SWEEP_NODES, "rate": RATE_SWEEP, "timeout": TIMEOUT_SWEEP}
-    values = (
-        [parse(v) for v in args.values.split(",") if v]
-        if args.values
-        else list(defaults[args.axis])
-    )
-    base = SimulationSettings()
-    if args.horizon is not None:
-        base = base.with_(horizon=args.horizon)
-    points = [base.with_(**{field: v}) for v in values]
-    protocols = [p for p in args.protocols.split(",") if p]
+    values, points = _axis_grid(args)
     campaign = args.campaign or args.name
-
-    scenario = Scenario(
-        settings=base, protocols=tuple(protocols), seeds=tuple(range(args.seeds))
-    )
     backend = ServeBackend(
         campaign=campaign,
         lease_ttl=args.lease_ttl,
@@ -1166,55 +1004,24 @@ def _serve_main(argv: list[str]) -> int:
         wait_timeout=args.wait_timeout,
         worker_dir=args.worker_dir,
     )
-    result = run_sweep(
-        scenario,
-        points,
-        store=args.store,
-        telemetry=args.telemetry,
-        profile=args.mac_profile,
-        campaign=campaign,
-        backend=backend,
-    )
-
-    for idx, value in enumerate(values):
-        print(f"== {args.axis} = {value} (mean degree {sum(result.point_degrees(idx)) / len(result.point_degrees(idx)):.2f}) ==")
-        for proto in protocols:
-            mm = result.mean(idx, proto)
-            print(
-                f"  {proto:<10} delivery {mm.delivery_rate:6.3f}"
-                f"  phases {mm.avg_contention_phases:7.2f}"
-                f"  completion {mm.avg_completion_time:8.1f}"
-                f"  ({mm.n_runs} runs, {mm.n_requests} requests)"
-            )
-    print()
-    print(format_timings(result.timings, title=f"{args.name} phases"))
-    _print_execution(result)
+    kwargs = {**_grid_kwargs(args), "campaign": campaign}
+    result = run_sweep(_grid_scenario(args), points, backend=backend, **kwargs)
     print(
         f"[campaign {campaign}: {backend.workers_seen} workers, "
         f"{backend.reclaimed} leases reclaimed]"
     )
-    _print_campaign_observability(result)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result_path = out_dir / f"{args.name}.json"
-    result_path.write_text(json.dumps(result.as_dict(), indent=2, default=str))
-    manifest = sweep_manifest(result, name=args.name)
-    manifest.extra.update(
-        {
+    return _finish_grid(
+        args,
+        result,
+        args.axis,
+        values,
+        extra={
             "kind": "serve",
             "campaign": campaign,
             "workers_seen": backend.workers_seen,
             "leases_reclaimed": backend.reclaimed,
-        }
+        },
     )
-    manifest_path = manifest.save(out_dir / f"{args.name}.manifest.json")
-    bench_path = save_bench(result, args.name, out_dir)
-    print(format_counters(manifest.counters, title="grid counter totals"))
-    print(f"[results {result_path}]")
-    print(f"[manifest {manifest_path}]")
-    print(f"[bench {bench_path}]")
-    return 0
 
 
 def build_work_parser() -> argparse.ArgumentParser:
@@ -1441,11 +1248,12 @@ _SUBCOMMANDS = {
 def _run_subcommand(func, argv: list[str]) -> int:
     """Run a subcommand, turning user errors into one-line messages.
 
-    Unknown protocol names (:func:`protocol_class` raises ``KeyError``),
-    missing or malformed baseline / telemetry / trace files, schema
-    mismatches and stalled / misaddressed campaigns (``StoreError``) all
-    surface as ``repro-mac: error: ...`` on stderr with exit code 2 -- a
-    traceback here means a bug, not a typo.
+    Unknown protocol or rate-profile names (``KeyError`` from the
+    registry, :class:`~repro.experiments.scenario.Scenario` validation or
+    ``rate-sweep``), missing or malformed baseline / telemetry / trace
+    files, schema mismatches and stalled / misaddressed campaigns
+    (``StoreError``) all surface as ``repro-mac: error: ...`` on stderr
+    with exit code 2 -- a traceback here means a bug, not a typo.
     """
     from repro.store.db import StoreError
 

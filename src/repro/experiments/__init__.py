@@ -5,7 +5,6 @@ from repro.experiments.degradation import degradation_points, degradation_study
 from repro.experiments.runner import (
     MeanMetrics,
     RawRun,
-    compare,
     run,
     run_once,
     run_protocol,
@@ -40,7 +39,6 @@ __all__ = [
     "run",
     "run_once",
     "run_protocol",
-    "compare",
     "SweepResult",
     "run_sweep",
     "sweep",

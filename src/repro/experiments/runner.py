@@ -9,7 +9,6 @@ record how many in their output).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from statistics import mean, pstdev
 from typing import Any, Iterable, Sequence, Type
@@ -38,17 +37,12 @@ __all__ = [
     "run",
     "run_once",
     "run_protocol",
-    "compare",
 ]
 
 
-def _warn_legacy(func: str, hint: str) -> None:
-    warnings.warn(
-        f"{func}(...) with positional settings/seeds is deprecated; "
-        f"pass a repro.Scenario instead, e.g. {func}({hint})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+def _require_scenario(func: str, scenario) -> None:
+    if not isinstance(scenario, Scenario):
+        raise TypeError(f"{func}() needs a Scenario, got {type(scenario).__name__}")
 
 
 @dataclass
@@ -246,27 +240,13 @@ def run_raw(
     )
 
 
-def run_once(
-    mac_cls: "Type[MacBase] | Scenario",
-    settings: SimulationSettings | None = None,
-    seed: int | None = None,
-    mac_kwargs: dict[str, Any] | None = None,
-) -> RunMetrics:
-    """One run, scored at the scenario's threshold.
-
-    Canonical form: ``run_once(Scenario(settings=..., protocols="BMMM",
-    seeds=7))`` — exactly one protocol and one seed.  The legacy
-    ``run_once(mac_cls, settings, seed)`` signature is deprecated.
-    """
-    if isinstance(mac_cls, Scenario):
-        sc = mac_cls
-        if settings is not None or seed is not None or mac_kwargs is not None:
-            raise TypeError("run_once(Scenario) takes no further arguments")
-        cls, kwargs = protocol_class(sc.protocol)
-        return run_raw(cls, sc.settings, sc.seed, kwargs).metrics(sc.threshold)
-    _warn_legacy("run_once", 'Scenario(settings=s, protocols="BMMM", seeds=0)')
-    assert settings is not None and seed is not None
-    return run_raw(mac_cls, settings, seed, mac_kwargs).metrics()
+def run_once(scenario: Scenario) -> RunMetrics:
+    """One run of a single-protocol, single-seed scenario, e.g.
+    ``run_once(Scenario(settings=..., protocols="BMMM", seeds=7))``,
+    scored at the scenario's threshold."""
+    _require_scenario("run_once", scenario)
+    cls, kwargs = protocol_class(scenario.protocol)
+    return run_raw(cls, scenario.settings, scenario.seed, kwargs).metrics(scenario.threshold)
 
 
 def _mean_metrics(
@@ -285,24 +265,13 @@ def _mean_metrics(
     return MeanMetrics.from_runs(runs, degrees)
 
 
-def run_protocol(
-    name: "str | Scenario",
-    settings: SimulationSettings | None = None,
-    seeds: Iterable[int] | None = None,
-) -> MeanMetrics:
-    """Seed-averaged metrics for a single registered protocol.
-
-    Canonical form: ``run_protocol(Scenario(protocols="LAMM",
-    seeds=range(100)))``.  The legacy ``run_protocol(name, settings,
-    seeds)`` signature is deprecated.
-    """
-    if isinstance(name, Scenario):
-        if settings is not None or seeds is not None:
-            raise TypeError("run_protocol(Scenario) takes no further arguments")
-        return _mean_metrics(name.protocol, name.settings, name.seeds, name.threshold)
-    _warn_legacy("run_protocol", 'Scenario(settings=s, protocols="LAMM", seeds=range(20))')
-    assert settings is not None and seeds is not None
-    return _mean_metrics(name, settings, list(seeds))
+def run_protocol(scenario: Scenario) -> MeanMetrics:
+    """Seed-averaged metrics of a single-protocol scenario, e.g.
+    ``run_protocol(Scenario(protocols="LAMM", seeds=range(100)))``."""
+    _require_scenario("run_protocol", scenario)
+    return _mean_metrics(
+        scenario.protocol, scenario.settings, scenario.seeds, scenario.threshold
+    )
 
 
 def run(scenario: Scenario) -> dict[str, MeanMetrics]:
@@ -313,28 +282,9 @@ def run(scenario: Scenario) -> dict[str, MeanMetrics]:
     protocol order.  Topology and traffic depend only on (settings, seed),
     so all protocols face the same workloads.
     """
+    _require_scenario("run", scenario)
     return {
         name: _mean_metrics(name, scenario.settings, scenario.seeds, scenario.threshold)
         for name in scenario.protocols
     }
 
-
-def compare(
-    names: "Sequence[str] | Scenario",
-    settings: SimulationSettings | None = None,
-    seeds: Iterable[int] | None = None,
-) -> dict[str, MeanMetrics]:
-    """Run several protocols on identical workloads.
-
-    Canonical form: ``compare(Scenario(...))`` — equivalent to
-    :func:`run`.  The legacy ``compare(names, settings, seeds)``
-    signature is deprecated.
-    """
-    if isinstance(names, Scenario):
-        if settings is not None or seeds is not None:
-            raise TypeError("compare(Scenario) takes no further arguments")
-        return run(names)
-    _warn_legacy("compare", "Scenario(settings=s, protocols=names, seeds=range(20))")
-    assert settings is not None and seeds is not None
-    seeds = list(seeds)
-    return {name: _mean_metrics(name, settings, seeds) for name in names}

@@ -1,13 +1,12 @@
 """The unified experiment surface: one frozen :class:`Scenario` object.
 
-Historically ``run_once`` / ``run_protocol`` / ``compare`` / ``run_sweep``
-each grew their own positional/keyword mix (MAC classes here, registry
-names there, seeds as an int, an iterable, or implied).  A
-:class:`Scenario` bundles the three things every entry point actually
-needs — settings (including the fault plan), protocol names and seeds —
-and is accepted uniformly by all of them, plus the canonical
-:func:`repro.run` / :func:`repro.sweep` wrappers.  The old signatures
-still work for one release behind :class:`DeprecationWarning` shims.
+A :class:`Scenario` bundles the three things every entry point needs --
+settings (including the fault plan), protocol names and seeds -- and is
+the one argument :func:`~repro.experiments.runner.run_once`,
+:func:`~repro.experiments.runner.run_protocol`, :func:`repro.run`,
+:func:`~repro.experiments.sweep.run_sweep` and :func:`repro.sweep` take
+(grids add a list of per-point settings).  Anything else raises
+``TypeError``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,9 @@
 """The sweep engine: protocols x points x seeds through one process pool.
 
 The paper's evaluation (Section 7) is a grid -- four protocols, several
-sweep points, 100 seeds per point -- yet the legacy entry points
-(:func:`~repro.experiments.runner.compare` /
-:func:`~repro.experiments.parallel.compare_parallel`) rebuild the O(n^2)
-unit-disk topology and the traffic schedule per protocol and historically
-spun up a fresh process pool per protocol per point.  This module is the
-grid-shaped replacement:
+sweep points, 100 seeds per point -- and :func:`run_sweep` is the one
+path every campaign runs through (figures, degradation study, rate
+sweep, regression gate, the distributed service and the CLI):
 
 * the whole grid is flattened into one job list and dispatched through a
   **single long-lived** :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -39,18 +36,17 @@ campaign therefore resumes with only its missing cells -- see
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import mean
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.experiments.config import SimulationSettings, protocol_class
-from repro.experiments.parallel import auto_chunksize
-from repro.experiments.runner import MeanMetrics, run_raw
+from repro.experiments.runner import MeanMetrics, _require_scenario, run_raw
 from repro.experiments.scenario import Scenario
 from repro.metrics.aggregate import RunMetrics
 from repro.obs.manifest import RunManifest, settings_to_dict
@@ -61,6 +57,7 @@ from repro.store.digests import code_fingerprint, git_commit, settings_digest
 from repro.workload.cache import WorldCache
 
 __all__ = [
+    "auto_chunksize",
     "SweepJob",
     "JobResult",
     "SweepCell",
@@ -76,6 +73,19 @@ __all__ = [
     "bench_record",
     "save_bench",
 ]
+
+
+def auto_chunksize(n_jobs: int, workers: int) -> int:
+    """A ``pool.map`` chunksize balancing IPC overhead against stragglers.
+
+    The default ``chunksize=1`` pays one pickle/unpickle round-trip per
+    job; one giant chunk per worker serializes badly when run times vary.
+    Four chunks per worker keeps the IPC count at ``O(workers)`` while
+    leaving enough slack for rebalancing.
+    """
+    if n_jobs <= 0 or workers <= 0:
+        return 1
+    return max(1, math.ceil(n_jobs / (workers * 4)))
 
 
 @dataclass(frozen=True)
@@ -397,9 +407,8 @@ class SweepResult:
 
 
 def run_sweep(
-    protocols: "Sequence[str] | Scenario",
+    scenario: Scenario,
     points: Sequence[SimulationSettings] | None = None,
-    seeds: Iterable[int] | None = None,
     *,
     processes: int | None = None,
     chunksize: int | None = None,
@@ -412,11 +421,10 @@ def run_sweep(
 ) -> SweepResult:
     """Run the full protocols x points x seeds grid.
 
-    Canonical form: ``run_sweep(Scenario(...), points=[...])`` -- the
-    scenario supplies protocols, seeds and scoring threshold; *points*
-    lists the per-point settings (defaulting to the scenario's own
-    settings as a single point).  The legacy
-    ``run_sweep(protocols, points, seeds)`` signature is deprecated.
+    ``run_sweep(Scenario(...), points=[...])``: the scenario supplies
+    protocols, seeds and scoring threshold; *points* lists the per-point
+    settings (defaulting to the scenario's own settings as a single
+    point).  Anything but a :class:`Scenario` raises ``TypeError``.
 
     ``processes=None`` uses ``os.cpu_count()``; ``processes=1`` runs
     in-process (with the same world cache, still bit-identical).  The
@@ -453,29 +461,14 @@ def run_sweep(
     identical either way -- that is why a distributed campaign is
     bit-identical to a serial one.
     """
-    if isinstance(protocols, Scenario):
-        sc = protocols
-        if seeds is not None:
-            raise TypeError("run_sweep(Scenario) takes seeds from the scenario")
-        protocols = list(sc.protocols)
-        points = list(points) if points is not None else [sc.settings]
-        seeds = list(sc.seeds)
-        if threshold is None:
-            threshold = sc.threshold
-    else:
-        warnings.warn(
-            "run_sweep(protocols, points, seeds) is deprecated; pass a "
-            "repro.Scenario (plus points=[...] for a grid) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if points is None or seeds is None:
-            raise TypeError("legacy run_sweep needs explicit points and seeds")
-        protocols = list(protocols)
-        points = list(points)
-        seeds = list(seeds)
-    if not protocols or not points or not seeds:
-        raise ValueError("sweep needs at least one protocol, one point and one seed")
+    _require_scenario("run_sweep", scenario)
+    protocols = list(scenario.protocols)
+    points = list(points) if points is not None else [scenario.settings]
+    seeds = list(scenario.seeds)
+    if threshold is None:
+        threshold = scenario.threshold
+    if not points:
+        raise ValueError("sweep needs at least one point")
     timer = PhaseTimer()
     jobs = plan_jobs(protocols, points, seeds, threshold, profile=profile)
     point_digests = [settings_digest(st, threshold) for st in points]
@@ -669,8 +662,6 @@ def sweep(
     ``scenario.settings.with_(...)``), and *store* (path or
     :class:`~repro.store.db.ResultStore`) to memoise/resume the campaign.
     """
-    if not isinstance(scenario, Scenario):
-        raise TypeError(f"sweep() needs a Scenario, got {type(scenario).__name__}")
     return run_sweep(
         scenario,
         points,

@@ -1,4 +1,4 @@
-"""JSONL trace persistence: schema, writer, loader, and renderers' feed.
+"""JSONL trace persistence: schema, writer, loader, and renderers.
 
 Trace file format (schema version 1)
 ------------------------------------
@@ -16,11 +16,12 @@ Payload keys per event type are documented in ``docs/observability.md``.
 The format is append-only and newline-delimited so traces from long runs
 can be streamed and grepped; the writer flushes on close only.
 
-The lane diagram (:func:`repro.sim.trace.lane_diagram`) is now *one
-renderer over this trace*: :func:`transmissions_from_trace` rebuilds the
-channel's ``Transmission`` objects from ``frame_tx`` events, so a recorded
-JSONL file replays into the same ASCII lanes (and any future renderer)
-without re-running the simulation.
+The renderers -- :func:`lane_diagram` (the paper's Figure 2 lanes: one
+row per station, one column per slot) and :func:`format_timeline` -- take
+channel ``Transmission`` objects: a live channel's ``tx_log`` (recorded
+with ``record_transmissions=True``) or :func:`transmissions_from_trace`,
+which rebuilds them from ``frame_tx`` events, so a recorded JSONL file
+replays into the same ASCII lanes without re-running the simulation.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ __all__ = [
     "load_trace",
     "frame_type_counts",
     "transmissions_from_trace",
+    "format_timeline",
+    "lane_diagram",
 ]
 
 #: Bump when the record layout changes incompatibly.
@@ -229,8 +232,8 @@ def frame_type_counts(events: Iterable[SimEvent], etype: str = "frame_tx") -> di
 
 def transmissions_from_trace(events: Iterable[SimEvent]):
     """Rebuild channel ``Transmission`` objects from ``frame_tx`` events,
-    feeding :func:`repro.sim.trace.lane_diagram` and
-    :func:`repro.sim.trace.format_timeline` from a recorded trace."""
+    feeding :func:`lane_diagram` and :func:`format_timeline` from a
+    recorded trace."""
     from repro.sim.channel import Transmission
     from repro.sim.frames import Frame, FrameType
 
@@ -250,3 +253,59 @@ def transmissions_from_trace(events: Iterable[SimEvent]):
         )
         out.append(Transmission(frame, sender=event.node, start=event.time, end=d["end"]))
     return out
+
+
+#: One-character codes per frame type for the lane diagram.
+_CODE = {
+    "RTS": "R",
+    "CTS": "C",
+    "DATA": "D",
+    "ACK": "A",
+    "NAK": "N",
+    "RAK": "K",
+    "BEACON": "B",
+}
+
+
+def format_timeline(transmissions: Iterable) -> str:
+    """One line per transmission: ``start-end  FRAME``."""
+    lines = []
+    for tx in sorted(transmissions, key=lambda t: (t.start, t.sender)):
+        lines.append(f"{tx.start:6.0f}-{tx.end:<6.0f} node {tx.sender:<3} {tx.frame}")
+    return "\n".join(lines)
+
+
+def lane_diagram(
+    transmissions: Iterable,
+    start: float | None = None,
+    end: float | None = None,
+    max_width: int = 120,
+) -> str:
+    """Figure-2-style lanes: rows are stations, columns are slots.
+
+    ``R``/``C``/``D``/``A``/``K``/``N``/``B`` mark RTS/CTS/DATA/ACK/RAK/
+    NAK/BEACON airtime; ``.`` is idle.  Long windows are truncated to
+    *max_width* slots, with an explicit ``… (+N slots truncated)`` trailer
+    so a cut-off diagram can never be mistaken for the whole run.
+    """
+    txs = sorted(transmissions, key=lambda t: t.start)
+    if not txs:
+        return "(no transmissions)"
+    lo = int(txs[0].start if start is None else start)
+    full_hi = int(max(t.end for t in txs) if end is None else end)
+    hi = min(full_hi, lo + max_width)
+    width = hi - lo
+    senders = sorted({t.sender for t in txs})
+    lanes = {s: ["."] * width for s in senders}
+    for tx in txs:
+        code = _CODE.get(tx.frame.ftype.value, "?")
+        for slot in range(int(tx.start), int(tx.end)):
+            if lo <= slot < hi:
+                lanes[tx.sender][slot - lo] = code
+    header = f"slots {lo}..{hi}  (R=RTS C=CTS D=DATA A=ACK K=RAK N=NAK B=BEACON)"
+    rows = [header]
+    for s in senders:
+        rows.append(f"node {s:>3} |{''.join(lanes[s])}|")
+    if full_hi > hi:
+        rows.append(f"… (+{full_hi - hi} slots truncated)")
+    return "\n".join(rows)

@@ -21,11 +21,6 @@ def __getattr__(name):
         from repro.sim.network import Network
 
         return Network
-    if name in ("SIGNAL_SLOTS", "DATA_SLOTS"):
-        # Deprecated re-export; the frames module issues the warning.
-        from repro.sim import frames
-
-        return getattr(frames, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
@@ -39,8 +34,6 @@ __all__ = [
     "Frame",
     "FrameType",
     "GROUP_ADDR",
-    "SIGNAL_SLOTS",
-    "DATA_SLOTS",
     "Channel",
     "ChannelStats",
     "Transmission",

@@ -33,7 +33,6 @@ historical Table 2 values, so legacy construction sites are untouched.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -42,8 +41,6 @@ __all__ = [
     "FrameType",
     "Frame",
     "GROUP_ADDR",
-    "SIGNAL_SLOTS",
-    "DATA_SLOTS",
 ]
 
 #: Receiver-address value meaning "multicast/broadcast" (cf. the 802.11
@@ -52,30 +49,9 @@ GROUP_ADDR = -1
 
 # The historical single-rate airtimes (Table 2).  These are exactly the
 # default PhyProfile's values; simulator code reads them through
-# MacConfig.t_signal / t_data (profile lookups) and the deprecated
-# module-level SIGNAL_SLOTS / DATA_SLOTS names below only remain for
-# external importers, for one release.
+# MacConfig.t_signal / t_data (profile lookups).
 _SIGNAL_SLOTS = 1
 _DATA_SLOTS = 5
-
-_DEPRECATED_CONSTANTS = {
-    "SIGNAL_SLOTS": _SIGNAL_SLOTS,
-    "DATA_SLOTS": _DATA_SLOTS,
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_CONSTANTS:
-        warnings.warn(
-            f"repro.sim.frames.{name} is deprecated; slot timings now come from "
-            "repro.phy.profile.PhyProfile (e.g. MacConfig.t_signal / t_data, or "
-            "PhyProfile().data_airtime(0)). The module constant will be removed "
-            "next release.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _DEPRECATED_CONSTANTS[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FrameType(Enum):

@@ -148,7 +148,6 @@ _SIM_RELEVANT_DIRS = (
 #: rearranges already-computed numbers).
 _SIM_RELEVANT_FILES = (
     "experiments/config.py",
-    "experiments/parallel.py",
     "experiments/runner.py",
     "experiments/scenario.py",
     "experiments/sweep.py",

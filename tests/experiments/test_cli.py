@@ -119,7 +119,7 @@ class TestCliFlags:
 
 class TestLaneDiagramTruncation:
     def test_max_width_truncates(self):
-        from repro.sim.trace import lane_diagram
+        from repro.obs.trace import lane_diagram
         from repro.sim.channel import Transmission
         from repro.sim.frames import Frame, FrameType
 
@@ -130,7 +130,7 @@ class TestLaneDiagramTruncation:
         assert len(lane) <= len("node   0 |") + 40 + 1
 
     def test_truncation_marker_present(self):
-        from repro.sim.trace import lane_diagram
+        from repro.obs.trace import lane_diagram
         from repro.sim.channel import Transmission
         from repro.sim.frames import Frame, FrameType
 
@@ -141,7 +141,7 @@ class TestLaneDiagramTruncation:
         assert out.splitlines()[-1] == "… (+451 slots truncated)"
 
     def test_no_marker_when_window_fits(self):
-        from repro.sim.trace import lane_diagram
+        from repro.obs.trace import lane_diagram
         from repro.sim.channel import Transmission
         from repro.sim.frames import Frame, FrameType
 

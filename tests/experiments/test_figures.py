@@ -75,6 +75,13 @@ class TestSimulatedSweeps:
         # x-axis is the measured mean degree, increasing with node count.
         assert r.xs[0] < r.xs[1]
 
+    def test_recomputed_figure_matches_itself(self):
+        """A figure recomputed at the same seeds is bit-identical."""
+        tiny = SimulationSettings(n_nodes=15, horizon=600, message_rate=0.003)
+        first = figure6a(settings=tiny, seeds=[0], node_counts=(12, 15))
+        second = figure6a(settings=tiny, seeds=[0], node_counts=(12, 15))
+        assert (first.xs, first.series) == (second.xs, second.series)
+
     def test_figure6b_runs(self):
         r = figure6b(settings=TINY, seeds=[0], rates=(0.001, 0.004))
         assert r.xs == [0.001, 0.004]

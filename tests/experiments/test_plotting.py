@@ -58,7 +58,7 @@ class TestRenderFigure:
 
 class TestLaneDiagram:
     def test_figure2_style_lanes(self):
-        from repro.sim.trace import format_timeline, lane_diagram
+        from repro.obs.trace import format_timeline, lane_diagram
         from tests.conftest import run_one_broadcast
         from repro.core.bmmm import BmmmMac
 
@@ -70,6 +70,6 @@ class TestLaneDiagram:
         assert "RTS" in text and "RAK" in text
 
     def test_empty_log(self):
-        from repro.sim.trace import lane_diagram
+        from repro.obs.trace import lane_diagram
 
         assert lane_diagram([]) == "(no transmissions)"

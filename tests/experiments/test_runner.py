@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.config import SimulationSettings
-from repro.experiments.runner import MeanMetrics, compare, run_once, run_protocol, run_raw
+from repro.experiments.runner import MeanMetrics, run, run_once, run_protocol, run_raw
+from repro.experiments.scenario import Scenario
 from repro.core.bmmm import BmmmMac
 
 #: Small but non-trivial settings for fast tests.
@@ -40,20 +41,20 @@ class TestRunRaw:
 
     def test_run_once_equals_raw_metrics(self):
         assert (
-            run_once(BmmmMac, SMALL, seed=3).delivery_rate
+            run_once(Scenario(settings=SMALL, protocols="BMMM", seeds=3)).delivery_rate
             == run_raw(BmmmMac, SMALL, seed=3).metrics().delivery_rate
         )
 
 
 class TestRunProtocol:
     def test_averages_over_seeds(self):
-        mm = run_protocol("BMMM", SMALL, seeds=range(2))
+        mm = run_protocol(Scenario(settings=SMALL, protocols="BMMM", seeds=range(2)))
         assert mm.n_runs == 2
         assert 0.0 <= mm.delivery_rate <= 1.0
         assert mm.n_requests > 0
 
     def test_compare_runs_all(self):
-        out = compare(["BMMM", "BMW"], SMALL, seeds=[0])
+        out = run(Scenario(settings=SMALL, protocols=("BMMM", "BMW"), seeds=0))
         assert set(out) == {"BMMM", "BMW"}
 
     def test_mean_metrics_requires_runs(self):

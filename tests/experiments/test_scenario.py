@@ -1,15 +1,14 @@
-"""Tests for the unified Scenario surface and its deprecation shims.
+"""Tests for the unified Scenario surface.
 
-One frozen :class:`repro.Scenario` is accepted by every entry point
-(``run`` / ``run_once`` / ``run_protocol`` / ``compare`` / ``sweep``);
-the legacy positional signatures still work behind DeprecationWarning
-and must produce bit-identical results.
+One frozen :class:`repro.Scenario` is what every entry point takes
+(``run`` / ``run_once`` / ``run_protocol`` / ``run_sweep`` / ``sweep``);
+the retired positional signatures raise ``TypeError``.
 """
 
 import pytest
 
 from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings, protocol_class
-from repro.experiments.runner import compare, run, run_once, run_protocol
+from repro.experiments.runner import run, run_once, run_protocol
 from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import run_sweep, sweep
 
@@ -78,36 +77,27 @@ class TestNormalization:
 
 
 class TestDualAcceptance:
-    def test_run_once_matches_legacy(self):
-        sc = Scenario(settings=SMALL, protocols="BMMM", seeds=3)
-        modern = run_once(sc)
-        mac_cls, _ = protocol_class("BMMM")
-        with pytest.warns(DeprecationWarning, match="Scenario"):
-            legacy = run_once(mac_cls, SMALL, 3)
-        assert modern.delivery_rate == legacy.delivery_rate
-        assert modern.counters == legacy.counters
+    @pytest.mark.parametrize(
+        "entry,legacy_args",
+        [
+            (run_once, (protocol_class("BMMM")[0], SMALL, 3)),
+            (run_protocol, ("LAMM", SMALL, [0, 1])),
+            (run, (["BMMM"], SMALL, [0])),
+            (run_sweep, (["BMMM", "LAMM"], [SMALL], [0, 1])),
+        ],
+        ids=["run_once", "run_protocol", "run", "run_sweep"],
+    )
+    def test_positional_call_rejected(self, entry, legacy_args):
+        """The retired positional signatures are gone: both the full legacy
+        call and a bare non-Scenario first argument raise TypeError."""
+        with pytest.raises(TypeError):
+            entry(*legacy_args)
+        with pytest.raises(TypeError, match="Scenario"):
+            entry(legacy_args[0])
 
     def test_run_once_rejects_mixed_args(self):
         with pytest.raises(TypeError):
             run_once(Scenario(protocols="BMMM"), SMALL)
-
-    def test_run_protocol_matches_legacy(self):
-        sc = Scenario(settings=SMALL, protocols="LAMM", seeds=(0, 1))
-        modern = run_protocol(sc)
-        with pytest.warns(DeprecationWarning, match="Scenario"):
-            legacy = run_protocol("LAMM", SMALL, [0, 1])
-        assert modern == legacy
-
-    def test_compare_matches_run(self):
-        sc = Scenario(settings=SMALL, protocols=("BMMM", "BMW"), seeds=(0,))
-        assert compare(sc) == run(sc)
-
-    def test_compare_legacy_warns_once(self):
-        with pytest.warns(DeprecationWarning) as record:
-            legacy = compare(["BMMM"], SMALL, [0])
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
-        sc = Scenario(settings=SMALL, protocols="BMMM", seeds=0)
-        assert run(sc)["BMMM"] == legacy["BMMM"]
 
     def test_run_respects_protocol_order_and_workload_sharing(self):
         sc = Scenario(settings=SMALL, protocols=("LAMM", "BMMM"), seeds=(0,))
@@ -125,17 +115,6 @@ class TestSweepScenario:
     def test_scenario_seeds_conflict_rejected(self):
         with pytest.raises(TypeError, match="seeds"):
             run_sweep(Scenario(settings=SMALL), seeds=[0, 1])
-
-    def test_sweep_matches_legacy_grid(self):
-        points = [SMALL, SMALL.with_(n_nodes=20)]
-        sc = Scenario(settings=SMALL, protocols=("BMMM", "LAMM"), seeds=(0, 1))
-        modern = sweep(sc, points, processes=1)
-        with pytest.warns(DeprecationWarning, match="Scenario"):
-            legacy = run_sweep(["BMMM", "LAMM"], points, [0, 1], processes=1)
-        for idx in range(len(points)):
-            for proto in ("BMMM", "LAMM"):
-                assert modern.mean(idx, proto) == legacy.mean(idx, proto)
-                assert modern.mean(idx, proto).counters == legacy.mean(idx, proto).counters
 
     def test_sweep_defaults_to_single_point(self):
         sc = Scenario(settings=SMALL, protocols="BMMM", seeds=0)
@@ -165,7 +144,6 @@ class TestPublicSurface:
             "sweep",
             "run_once",
             "run_protocol",
-            "compare",
         ):
             assert name in repro.__all__, name
             assert getattr(repro, name) is not None

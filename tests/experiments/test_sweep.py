@@ -11,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings as hsettings, strategies as st
 
 from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings, protocol_class
-from repro.experiments.parallel import auto_chunksize
-from repro.experiments.runner import compare, run_raw
+from repro.experiments.runner import run, run_raw
+from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import (
     SweepJob,
+    auto_chunksize,
     bench_record,
     plan_jobs,
     run_job,
@@ -28,6 +29,7 @@ from repro.workload.cache import WorldCache, schedule_key, topology_key
 SMALL = SimulationSettings(n_nodes=20, horizon=800, message_rate=0.003)
 POINTS = [SMALL, SMALL.with_(n_nodes=28)]
 SEEDS = [0, 1]
+SCENARIO = Scenario(settings=SMALL, protocols=SIMULATED_PROTOCOLS, seeds=SEEDS)
 
 
 def canon(m):
@@ -53,23 +55,24 @@ def canon(m):
 @pytest.fixture(scope="module")
 def serial_sweep():
     """One cached-serial grid over all four protocols, shared per module."""
-    return run_sweep(SIMULATED_PROTOCOLS, POINTS, SEEDS, processes=1)
+    return run_sweep(SCENARIO, POINTS, processes=1)
 
 
 class TestBitIdentity:
     def test_cached_serial_equals_legacy_serial(self, serial_sweep):
         """All four protocols at two sweep points: the engine's cached
-        path must reproduce the per-run serial path exactly -- metrics
-        AND merged counter totals."""
+        path must reproduce the per-run serial path (:func:`run`, no
+        world cache, no pool) exactly -- metrics AND merged counter
+        totals."""
         for idx, point in enumerate(POINTS):
-            legacy = compare(SIMULATED_PROTOCOLS, point, SEEDS)
+            serial = run(SCENARIO.with_(settings=point))
             for proto in SIMULATED_PROTOCOLS:
                 mm = serial_sweep.mean(idx, proto)
-                assert mm == legacy[proto], (idx, proto)
-                assert mm.counters == legacy[proto].counters, (idx, proto)
+                assert mm == serial[proto], (idx, proto)
+                assert mm.counters == serial[proto].counters, (idx, proto)
 
     def test_pooled_equals_cached_serial(self, serial_sweep):
-        pooled = run_sweep(SIMULATED_PROTOCOLS, POINTS, SEEDS, processes=2)
+        pooled = run_sweep(SCENARIO, POINTS, processes=2)
         for idx in range(len(POINTS)):
             for proto in SIMULATED_PROTOCOLS:
                 assert pooled.mean(idx, proto) == serial_sweep.mean(idx, proto)
@@ -196,7 +199,7 @@ class TestJobPlanning:
         assert len(jobs) == 8
 
     def test_default_chunksize_covers_whole_cells(self, serial_sweep):
-        pooled = run_sweep(SIMULATED_PROTOCOLS, POINTS, SEEDS, processes=2)
+        pooled = run_sweep(SCENARIO, POINTS, processes=2)
         assert pooled.chunksize % len(SIMULATED_PROTOCOLS) == 0
 
     def test_auto_chunksize(self):
@@ -207,11 +210,11 @@ class TestJobPlanning:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            run_sweep([], POINTS, SEEDS)
+            run_sweep(SCENARIO, [])
         with pytest.raises(ValueError):
-            run_sweep(["BMMM"], [], SEEDS)
+            run_sweep(SCENARIO.with_(protocols=()), POINTS)
         with pytest.raises(ValueError):
-            run_sweep(["BMMM"], POINTS, [])
+            run_sweep(SCENARIO.with_(seeds=()), POINTS)
 
 
 class TestManifestAndBench:

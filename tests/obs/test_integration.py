@@ -14,6 +14,7 @@ from repro.obs.trace import (
     TraceRecorder,
     event_to_record,
     frame_type_counts,
+    lane_diagram,
     load_trace,
     transmissions_from_trace,
 )
@@ -127,7 +128,6 @@ class TestJsonlReplay:
         """The lane diagram is one renderer over the trace: rendering from
         the channel's tx_log and from a recorded JSONL file must agree."""
         from repro.experiments.runner import build_network
-        from repro.sim.trace import lane_diagram
         from repro.workload.generator import TrafficGenerator
 
         mac_cls, kwargs = protocol_class("BMMM")

@@ -13,6 +13,7 @@ from repro.obs.trace import (
     TraceRecorder,
     event_to_record,
     frame_type_counts,
+    lane_diagram,
     load_trace,
     record_to_event,
     transmissions_from_trace,
@@ -151,8 +152,6 @@ class TestHelpers:
         assert rts.frame.ftype.value == "RTS" and rts.frame.ra == 5
 
     def test_trace_feeds_lane_diagram(self):
-        from repro.sim.trace import lane_diagram
-
         out = lane_diagram(transmissions_from_trace(EVENTS))
         assert "node   2" in out and "R" in out and "D" in out
 

@@ -1,4 +1,4 @@
-"""Unit tests for frame abstractions (and the deprecated slot-constant shim)."""
+"""Unit tests for frame abstractions."""
 
 import warnings
 
@@ -82,21 +82,13 @@ class TestFrame:
 
 
 class TestDeprecatedConstants:
-    """The one-release shim for the retired module-global slot timings."""
+    """The retired module-global slot timings (now PhyProfile lookups)."""
 
-    @pytest.mark.parametrize("name,value", [("SIGNAL_SLOTS", 1), ("DATA_SLOTS", 5)])
-    def test_shim_warns_and_returns_single_rate_values(self, name, value):
+    def test_slot_constants_are_gone(self):
         import repro.sim.frames as frames
 
-        with pytest.warns(DeprecationWarning, match="PhyProfile"):
-            assert getattr(frames, name) == value
-
-    @pytest.mark.parametrize("name,value", [("SIGNAL_SLOTS", 1), ("DATA_SLOTS", 5)])
-    def test_sim_package_reexport_warns_too(self, name, value):
-        import repro.sim as sim
-
-        with pytest.warns(DeprecationWarning, match="PhyProfile"):
-            assert getattr(sim, name) == value
+        with pytest.raises(AttributeError):
+            frames.SIGNAL_SLOTS
 
     def test_unknown_attribute_still_raises(self):
         import repro.sim.frames as frames

@@ -1,12 +1,10 @@
 """Lint: the retired slot-timing globals must not creep back in.
 
 ``SIGNAL_SLOTS`` / ``DATA_SLOTS`` were replaced by the
-:class:`repro.phy.profile.PhyProfile` rate table; the names survive only
-as a one-release ``DeprecationWarning`` shim inside
-``repro/sim/frames.py`` (and the ``repro.sim`` package ``__getattr__``
-that forwards to it).  Any other reference in the source tree -- an
-import, an attribute chase, a fresh definition -- would silently
-re-hard-code the single-rate timing and break multi-rate profiles.
+:class:`repro.phy.profile.PhyProfile` rate table and then removed.  Any
+reference in the source tree -- an import, an attribute chase, a fresh
+definition -- would silently re-hard-code the single-rate timing and
+break multi-rate profiles.
 """
 
 import re
@@ -14,12 +12,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: Files allowed to mention the deprecated names: the shim itself and the
-#: package __getattr__ that forwards to it.
-ALLOWED = {
-    SRC / "sim" / "frames.py",
-    SRC / "sim" / "__init__.py",
-}
+#: Files allowed to mention the retired names (none).
+ALLOWED: set[Path] = set()
 
 PATTERN = re.compile(r"\b(SIGNAL_SLOTS|DATA_SLOTS)\b")
 
@@ -33,14 +27,7 @@ def test_no_module_references_slot_constants():
             if PATTERN.search(line):
                 offenders.append(f"{path.relative_to(SRC.parent)}:{lineno}: {line.strip()}")
     assert not offenders, (
-        "deprecated slot constants referenced outside the frames.py shim "
+        "retired slot constants referenced "
         "(use config.phy / PhyProfile instead):\n" + "\n".join(offenders)
     )
 
-
-def test_shim_files_still_exist():
-    """If the shim is ever removed, the allow-list above must shrink with
-    it -- this keeps the lint's exemptions honest."""
-    for path in ALLOWED:
-        assert path.exists(), path
-        assert "__getattr__" in path.read_text(), path
