@@ -1,5 +1,6 @@
 """Unit tests for frame abstractions."""
 
+import importlib
 import warnings
 
 import pytest
@@ -84,11 +85,20 @@ class TestFrame:
 class TestDeprecatedConstants:
     """The retired module-global slot timings (now PhyProfile lookups)."""
 
-    def test_slot_constants_are_gone(self):
-        import repro.sim.frames as frames
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            pytest.param("repro.sim.frames", "SIGNAL_SLOTS", id="frames-SIGNAL_SLOTS"),
+            pytest.param("repro.sim.frames", "DATA_SLOTS", id="frames-DATA_SLOTS"),
+            pytest.param("repro.sim", "SIGNAL_SLOTS", id="sim-SIGNAL_SLOTS"),
+            pytest.param("repro.sim", "DATA_SLOTS", id="sim-DATA_SLOTS"),
+        ],
+    )
+    def test_slot_constants_are_gone(self, module, name):
+        mod = importlib.import_module(module)
 
         with pytest.raises(AttributeError):
-            frames.SIGNAL_SLOTS
+            getattr(mod, name)
 
     def test_unknown_attribute_still_raises(self):
         import repro.sim.frames as frames
