@@ -8,7 +8,6 @@ sweep points x ``REPRO_BENCH_RUNS`` seeds through the sweep engine vs the
 serial per-point ``run(Scenario)`` loop, asserting bit-identical metrics
 and recording the speedup in ``results/BENCH_sweep.json``."""
 
-import json
 import os
 import random
 import time
@@ -56,7 +55,7 @@ def test_figure5_sized_grid_through_sweep_engine():
     from repro.experiments.config import SIMULATED_PROTOCOLS
     from repro.experiments.runner import run
     from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep, save_bench
+    from repro.experiments.sweep import bench_record, run_sweep, save_bench
 
     protocols = list(SIMULATED_PROTOCOLS)
     points = [bench_settings(n_nodes=n) for n in (40, 60, 80, 100, 120)]
@@ -77,12 +76,11 @@ def test_figure5_sized_grid_through_sweep_engine():
             assert result.mean(idx, proto) == serial[idx][proto]
 
     speedup = serial_s / engine_s if engine_s > 0 else float("inf")
-    bench_path = save_bench(result, "sweep", RESULTS_DIR)
-    payload = json.loads(bench_path.read_text())
+    payload = bench_record(result, "sweep")
     payload["serial_run_s"] = serial_s
     payload["engine_s"] = engine_s
     payload["speedup_vs_serial"] = speedup
-    bench_path.write_text(json.dumps(payload, indent=2))
+    bench_path = save_bench(payload, RESULTS_DIR)
     print(
         f"\nfigure-5-sized grid ({len(points)} points x {len(seeds)} seeds x "
         f"{len(protocols)} protocols, {jobs} workers): "

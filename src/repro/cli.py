@@ -374,21 +374,22 @@ def _finish_grid(
     *,
     extra: dict | None = None,
     payload: dict | None = None,
-    save_bench=None,
+    bench: dict | None = None,
 ) -> int:
     """The shared tail of every grid subcommand.
 
     Prints the per-point table, phase timings, the execution line and the
     ``--mac-profile``/``--telemetry`` report; then writes
     ``<name>.json`` (plus *payload* keys), ``<name>.manifest.json`` (plus
-    *extra*) and ``BENCH_<name>.json`` through *save_bench(out_dir)*
+    *extra*) and ``BENCH_<name>.json`` holding the *bench* record
     (default: the sweep engine's record).
     """
     from pathlib import Path
 
-    from repro.experiments.sweep import save_bench as save_sweep_bench, sweep_manifest
+    from repro.experiments.sweep import bench_record, save_bench, sweep_manifest
     from repro.obs.counters import merge_counter_dicts
     from repro.obs.profiler import format_phase_profile
+    from repro.obs.records import write_json
 
     for idx, value in enumerate(values):
         degrees = result.point_degrees(idx)
@@ -415,18 +416,13 @@ def _finish_grid(
         print(f"[telemetry {result.telemetry_path}]")
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result_path = out_dir / f"{args.name}.json"
-    result_path.write_text(
-        json.dumps({**result.as_dict(), **(payload or {})}, indent=2, default=str)
+    result_path = write_json(
+        out_dir / f"{args.name}.json", {**result.as_dict(), **(payload or {})}
     )
     manifest = sweep_manifest(result, name=args.name)
     manifest.extra.update(extra or {})
     manifest_path = manifest.save(out_dir / f"{args.name}.manifest.json")
-    if save_bench is None:
-        bench_path = save_sweep_bench(result, args.name, out_dir)
-    else:
-        bench_path = save_bench(out_dir)
+    bench_path = save_bench(bench or bench_record(result, args.name), out_dir)
     print(format_counters(manifest.counters, title="grid counter totals"))
     print(f"[results {result_path}]")
     print(f"[manifest {manifest_path}]")
@@ -507,7 +503,7 @@ def build_rate_sweep_parser() -> argparse.ArgumentParser:
 
 
 def _rate_sweep_main(argv: list[str]) -> int:
-    from repro.experiments.ratesweep import RATE_PROFILES, run_rate_sweep, save_rate_bench
+    from repro.experiments.ratesweep import RATE_PROFILES, rate_bench_record, run_rate_sweep
 
     args = build_rate_sweep_parser().parse_args(argv)
     profile_names = _csv(args.profiles)
@@ -530,7 +526,7 @@ def _rate_sweep_main(argv: list[str]) -> int:
         names,
         extra={"kind": "rate-sweep", "rate_profiles": names},
         payload={"rate_profiles": names},
-        save_bench=lambda out_dir: save_rate_bench(result, names, out_dir, name=args.name),
+        bench=rate_bench_record(result, names, args.name),
     )
 
 
@@ -750,11 +746,8 @@ def build_bench_kernel_parser() -> argparse.ArgumentParser:
 
 
 def _bench_kernel_main(argv: list[str]) -> int:
-    from repro.experiments.benchkernel import (
-        format_kernel_bench,
-        kernel_bench_record,
-        save_kernel_bench,
-    )
+    from repro.experiments.benchkernel import format_kernel_bench, kernel_bench_record
+    from repro.experiments.sweep import save_bench
 
     args = build_bench_kernel_parser().parse_args(argv)
     record = kernel_bench_record(
@@ -764,7 +757,7 @@ def _bench_kernel_main(argv: list[str]) -> int:
         repeat=args.repeat,
     )
     print(format_kernel_bench(record))
-    path = save_kernel_bench(record, args.out)
+    path = save_bench(record, args.out)
     print(f"[bench {path}]")
     return 0
 

@@ -42,25 +42,25 @@ per case, so a regression can be attributed to the layer that caused it:
     Metrics are bit-identical across the three (the no-op discipline);
     this case pins how much wall clock observation itself costs.
 
-Every record is stamped with the git commit and the simulation-code
-fingerprint (like :func:`repro.experiments.sweep.bench_record`) so the
-bench trajectory stays attributable across PRs.  The results are wall
+Every record is stamped with ``"code": code_stamp()`` (the git commit and
+the simulation-code fingerprint, like
+:func:`repro.experiments.sweep.bench_record`) so the bench trajectory
+stays attributable across PRs; :func:`repro.experiments.sweep.save_bench`
+writes it.  The results are wall
 -clock measurements: meaningful relative to a baseline on the same
 machine, not across machines.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Callable
 
 from repro.experiments.config import SimulationSettings, protocol_class
 from repro.experiments.runner import run_raw
 from repro.mac.contention import ContentionParams
 from repro.sim.kernel import Environment
-from repro.store.digests import code_fingerprint, git_commit
+from repro.store.digests import code_stamp
 
 __all__ = [
     "bench_timeout_churn",
@@ -68,7 +68,6 @@ __all__ = [
     "bench_network_case",
     "bench_observer_overhead",
     "kernel_bench_record",
-    "save_kernel_bench",
     "format_kernel_bench",
     "NETWORK_CASES",
 ]
@@ -275,24 +274,13 @@ def kernel_bench_record(
     return {
         "name": name,
         "kind": "kernel-bench",
-        "code": {
-            "git_commit": git_commit(),
-            "code_fingerprint": code_fingerprint(),
-        },
+        "code": code_stamp(),
         "churn_events": churn_events,
         "protocol": protocol,
         "repeat": max(1, repeat),
         "wall_clock_s": sum(c["measured_wall_clock_s"] for c in cases.values()),
         "cases": cases,
     }
-
-
-def save_kernel_bench(record: dict, out_dir: str | Path) -> Path:
-    """Write ``BENCH_<name>.json`` under *out_dir*; returns the path."""
-    path = Path(out_dir) / f"BENCH_{record['name']}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record, indent=2, default=str))
-    return path
 
 
 def format_kernel_bench(record: dict) -> str:

@@ -11,28 +11,26 @@ identical workloads and the delta is pure rate policy.
 ``repro-mac rate-sweep`` drives this and writes ``BENCH_rate.json``: one
 record per (profile, protocol) cell with the delivery rate, delivered
 requests per kslot, completion time and the rate-machinery counters
-(per-MCS round counts, channel rate losses), stamped with the git commit
-and code fingerprint like every other BENCH surface.
+(per-MCS round counts, channel rate losses), stamped with
+``"code": code_stamp()`` like every other BENCH surface and written by
+:func:`repro.experiments.sweep.save_bench`.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.experiments.config import SimulationSettings
 from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import SweepResult, run_sweep
 from repro.phy.profile import PhyProfile
-from repro.store.digests import code_fingerprint, git_commit
+from repro.store.digests import code_stamp
 
 __all__ = [
     "RATE_PROFILES",
     "RATE_SWEEP_PROTOCOLS",
     "run_rate_sweep",
     "rate_bench_record",
-    "save_rate_bench",
 ]
 
 #: The MCS-spread axis, mildest first.  Fractions follow the usual
@@ -124,24 +122,10 @@ def rate_bench_record(
     return {
         "name": name,
         "kind": "rate-sweep",
+        "code": code_stamp(),
         "profiles": list(profile_names),
         "protocols": list(result.protocols),
         "seeds": list(result.seeds),
         "slots_per_sec": result.slots_per_sec,
         "cells": cells,
-        "git_commit": git_commit(),
-        "code_fingerprint": code_fingerprint(),
     }
-
-
-def save_rate_bench(
-    result: SweepResult,
-    profile_names: Sequence[str],
-    out_dir: str | Path,
-    name: str = "rate",
-) -> Path:
-    """Write ``BENCH_<name>.json`` under *out_dir*; returns the path."""
-    path = Path(out_dir) / f"BENCH_{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(rate_bench_record(result, profile_names, name), indent=2))
-    return path

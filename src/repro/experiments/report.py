@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.experiments.figures import FigureResult
+from repro.obs.records import write_json
 
 __all__ = ["format_counters", "format_figure", "format_table1", "save_json"]
 
@@ -64,10 +64,5 @@ def format_counters(counters: dict[str, int], title: str = "counters") -> str:
 
 def save_json(result: FigureResult, directory: str | Path) -> Path:
     """Persist a result as ``<directory>/<name>.json``; returns the path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{result.name}.json"
-    payload = result.as_dict()
     # Timelines contain tuples; JSON round-trips them as lists, which is fine.
-    path.write_text(json.dumps(payload, indent=2, default=str))
-    return path
+    return write_json(Path(directory) / f"{result.name}.json", result.as_dict())

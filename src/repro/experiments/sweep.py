@@ -20,7 +20,8 @@ sweep, regression gate, the distributed service and the CLI):
 Every sweep can emit a :class:`~repro.obs.manifest.RunManifest` (full
 provenance) and a ``BENCH_<name>.json`` perf record (slots/sec, per-phase
 wall clock, worker count, cache hit rate) -- see :func:`sweep_manifest`
-and :func:`save_bench`.  The CLI surface is ``repro-mac sweep``.
+and :func:`bench_record`/:func:`save_bench`.  The CLI surface is
+``repro-mac sweep``.
 
 Passing ``store=`` (a :class:`~repro.store.db.ResultStore` or a path)
 layers the content-addressed results store underneath: every cell already
@@ -35,7 +36,6 @@ campaign therefore resumes with only its missing cells -- see
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -51,9 +51,10 @@ from repro.experiments.scenario import Scenario
 from repro.metrics.aggregate import RunMetrics
 from repro.obs.manifest import RunManifest, settings_to_dict
 from repro.obs.profile import PhaseTimer
+from repro.obs.records import write_json
 from repro.obs.telemetry import CampaignTelemetry, cell_key, span_summary
 from repro.store.db import ResultStore
-from repro.store.digests import code_fingerprint, git_commit, settings_digest
+from repro.store.digests import code_fingerprint, code_stamp, settings_digest
 from repro.workload.cache import WorldCache
 
 __all__ = [
@@ -754,10 +755,7 @@ def bench_record(result: SweepResult, name: str = "sweep") -> dict:
     return {
         "name": name,
         "kind": "sweep-bench",
-        "code": {
-            "git_commit": git_commit(),
-            "code_fingerprint": code_fingerprint(),
-        },
+        "code": code_stamp(),
         "grid": {
             "protocols": list(result.protocols),
             "n_points": len(result.points),
@@ -789,9 +787,7 @@ def bench_record(result: SweepResult, name: str = "sweep") -> dict:
     }
 
 
-def save_bench(result: SweepResult, name: str, out_dir: str | Path) -> Path:
-    """Write ``BENCH_<name>.json`` under *out_dir*; returns the path."""
-    path = Path(out_dir) / f"BENCH_{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(bench_record(result, name), indent=2, default=str))
-    return path
+def save_bench(record: dict, out_dir: str | Path) -> Path:
+    """Write any bench record (sweep, kernel, rate) as
+    ``BENCH_<record["name"]>.json`` under *out_dir*; returns the path."""
+    return write_json(Path(out_dir) / f"BENCH_{record['name']}.json", record)

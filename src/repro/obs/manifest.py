@@ -18,6 +18,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
+from repro.obs.records import write_json
+
 __all__ = ["RunManifest", "settings_to_dict", "load_manifest"]
 
 
@@ -26,9 +28,8 @@ def _jsonable(value: Any, path: str) -> Any:
 
     Only JSON-native scalars, lists/tuples, str-keyed dicts and (already
     ``asdict``-lowered) nested structures pass.  Anything else raises
-    :class:`TypeError` naming the field -- the old ``json.dumps(...,
-    default=str)`` path stringified unknown objects silently, which turns
-    a provenance record into a lie (a ``FaultPlan`` rendered as
+    :class:`TypeError` naming the field -- stringifying unknown objects
+    silently turns a provenance record into a lie (a ``FaultPlan`` rendered as
     ``"FaultPlan(...)"`` cannot be reloaded or diffed).
     """
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -104,10 +105,7 @@ class RunManifest:
         return asdict(self)
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, default=str))
-        return path
+        return write_json(path, self.to_dict())
 
 
 def load_manifest(path: str | Path) -> RunManifest:

@@ -13,9 +13,11 @@ store-served.  This module is the campaign-scale instrument:
   mid-campaign leaves a parseable stream ending at the last completed
   cell -- exactly the property the store's kill-anywhere resume relies
   on, now visible from the outside.
-* :func:`load_telemetry` -- the tolerant loader: a partial final line
-  (process killed mid-write) is dropped and surfaced as
-  ``stream.truncated``; everything before it round-trips.
+* :func:`load_telemetry` -- the tolerant loader: an unterminated final
+  line (process killed mid-write) is kept if it parses, dropped if not,
+  and surfaced as ``stream.truncated``; everything before it
+  round-trips.  Both ends go through :mod:`repro.obs.records`, the same
+  writer and reader as JSONL traces.
 * :func:`render_telemetry` -- the single-screen text view behind
   ``repro-mac watch`` (live tail or post-hoc).
 
@@ -58,12 +60,13 @@ campaign run with telemetry enabled is bit-identical to one without
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any
+
+from repro.obs.records import JsonlWriter, read_jsonl
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
@@ -119,16 +122,10 @@ class CampaignTelemetry:
         point_digests: list[str] | None = None,
         extra: dict[str, Any] | None = None,
     ):
-        if isinstance(target, (str, Path)):
-            path = Path(target)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh: IO[str] = path.open("w", encoding="utf-8")
-            self._owns_fh = True
-            self.path: Path | None = path
-        else:
-            self._fh = target
-            self._owns_fh = False
-            self.path = None
+        # Flush per record: the stream must survive a kill mid-campaign
+        # with at most one partial (final) line.
+        self._out = JsonlWriter(target, flush_each=True)
+        self.path = self._out.path
         self.campaign = campaign
         self.n_jobs = n_jobs
         self._point_slots = list(point_slots or [])
@@ -140,8 +137,7 @@ class CampaignTelemetry:
         self._slots_done = 0.0
         #: worker pid -> {"jobs": n, "simulate_s": s, "last": cell key}
         self._workers: dict[int, dict[str, Any]] = {}
-        self.n_records = 0
-        self._write(
+        self._out.write(
             {
                 "e": TELEMETRY_META_ETYPE,
                 "tw": self._t_start,
@@ -156,13 +152,9 @@ class CampaignTelemetry:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _write(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, separators=(",", ":"), default=str))
-        self._fh.write("\n")
-        # Flush per record: the stream must survive a kill mid-campaign
-        # with at most one partial (final) line.
-        self._fh.flush()
-        self.n_records += 1
+    @property
+    def n_records(self) -> int:
+        return self._out.n_records
 
     def _slots_of(self, point: int) -> float:
         if 0 <= point < len(self._point_slots):
@@ -195,7 +187,7 @@ class CampaignTelemetry:
         t0 = getattr(res, "started_at", 0.0) or now
         offset = 0.0
         for phase, dur in res.timings.items():
-            self._write(
+            self._out.write(
                 {
                     "e": "span",
                     "tw": now,
@@ -208,7 +200,7 @@ class CampaignTelemetry:
             )
             offset += dur
         if commit_s is not None:
-            self._write(
+            self._out.write(
                 {
                     "e": "span",
                     "tw": now,
@@ -233,7 +225,7 @@ class CampaignTelemetry:
         """Emit an ad-hoc record (e.g. the serve coordinator's
         ``lease.reclaimed`` accounting); unknown types are ignored by the
         renderer but preserved by the loader."""
-        self._write({"e": etype, "tw": time.time(), **fields})
+        self._out.write({"e": etype, "tw": time.time(), **fields})
 
     def fold(self, record: dict) -> None:
         """Re-emit one record from a *worker's* stream into this stream.
@@ -263,7 +255,7 @@ class CampaignTelemetry:
             for extra_key in ("id", "leased"):
                 if extra_key in record:
                     w[extra_key] = record[extra_key]
-        self._write(dict(record))
+        self._out.write(dict(record))
 
     def _progress(self, now: float | None = None, force: bool = False) -> None:
         now = now if now is not None else time.time()
@@ -279,7 +271,7 @@ class CampaignTelemetry:
             if fresh_done > 0 and pending > 0
             else (0.0 if pending == 0 else None)
         )
-        self._write(
+        self._out.write(
             {
                 "e": "progress",
                 "tw": now,
@@ -306,7 +298,7 @@ class CampaignTelemetry:
             for extra_key in ("id", "leased"):
                 if extra_key in w:
                     record[extra_key] = w[extra_key]
-            self._write(record)
+            self._out.write(record)
 
     def close(self, result=None) -> None:
         """Write the ``end`` record (campaign completed) and close."""
@@ -330,11 +322,8 @@ class CampaignTelemetry:
                 }
             )
         self._progress(force=True)
-        self._write(record)
-        if self._owns_fh and not self._fh.closed:
-            self._fh.close()
-        elif not self._owns_fh:
-            self._fh.flush()
+        self._out.write(record)
+        self._out.close()
 
     def __enter__(self) -> "CampaignTelemetry":
         return self
@@ -342,10 +331,8 @@ class CampaignTelemetry:
     def __exit__(self, *exc_info) -> None:
         # On an exception the stream simply ends without an `end` record
         # -- that is the "crashed / still running" signal, not an error.
-        if exc_info[0] is None:
-            return
-        if self._owns_fh and not self._fh.closed:
-            self._fh.close()
+        if exc_info[0] is not None:
+            self._out.close()
 
 
 # --------------------------------------------------------------------------
@@ -394,53 +381,22 @@ class TelemetryStream:
 
 
 def load_telemetry(source: str | Path | IO[str]) -> TelemetryStream:
-    """Parse a telemetry stream; partial final lines are tolerated.
+    """Parse a telemetry stream; a killed writer's tail is tolerated.
 
-    A line that fails to parse is an error *unless* it is the last line
-    of the file and unterminated -- the signature of a writer killed
-    mid-``write`` -- in which case it is dropped and the stream is marked
-    ``truncated``.  Everything before the tail round-trips exactly.
+    Crash tolerance follows :func:`repro.obs.records.read_jsonl`, the same
+    contract as :func:`repro.obs.trace.load_trace`: a final line without
+    its newline is kept if it parses and dropped if not, and either way
+    the stream is marked ``truncated``.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    meta: dict | None = None
-    records: list[dict] = []
-    truncated = False
-    lines = text.split("\n")
-    unterminated_tail = bool(lines and lines[-1] != "")
-    for lineno, line in enumerate(lines, start=1):
-        line_is_last = lineno == len(lines)
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict) or "e" not in record:
-                raise ValueError("not a telemetry record (missing 'e')")
-        except (json.JSONDecodeError, ValueError) as exc:
-            if line_is_last and unterminated_tail:
-                truncated = True
-                break
-            raise ValueError(f"telemetry line {lineno}: {exc}") from None
-        if record["e"] == TELEMETRY_META_ETYPE:
-            schema = record.get("schema")
-            if schema != TELEMETRY_SCHEMA_VERSION:
-                raise ValueError(
-                    f"unsupported telemetry schema {schema!r} (this reader "
-                    f"handles {TELEMETRY_SCHEMA_VERSION})"
-                )
-            # Multi-writer tolerance: the first header (the coordinator's)
-            # stays authoritative; later metas -- e.g. worker streams
-            # concatenated or folded into a campaign stream -- are kept
-            # as plain records so nothing is silently dropped.
-            if meta is None:
-                meta = record
-            else:
-                records.append(record)
-            continue
-        records.append(record)
+    records, truncated = read_jsonl(
+        source, "telemetry", ("e",), TELEMETRY_META_ETYPE, TELEMETRY_SCHEMA_VERSION
+    )
+    # Multi-writer tolerance: the first header (the coordinator's) stays
+    # authoritative; later metas -- e.g. worker streams concatenated or
+    # folded into a campaign stream -- are kept as plain records so
+    # nothing is silently dropped.
+    first = next((i for i, r in enumerate(records) if r["e"] == TELEMETRY_META_ETYPE), None)
+    meta = None if first is None else records.pop(first)
     return TelemetryStream(meta=meta, records=records, truncated=truncated)
 
 

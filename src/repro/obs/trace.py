@@ -4,8 +4,8 @@ Trace file format (schema version 1)
 ------------------------------------
 One JSON object per line.  The first line is a metadata record::
 
-    {"e": "trace.meta", "t": 0.0, "node": null,
-     "schema": 1, "package": "repro", "package_version": "..."}
+    {"t": 0.0, "e": "trace.meta", "node": null,
+     "schema": TRACE_SCHEMA_VERSION, "package": "repro", "package_version": "..."}
 
 Every following line is one :class:`~repro.obs.events.SimEvent`::
 
@@ -14,7 +14,9 @@ Every following line is one :class:`~repro.obs.events.SimEvent`::
 
 Payload keys per event type are documented in ``docs/observability.md``.
 The format is append-only and newline-delimited so traces from long runs
-can be streamed and grepped; the writer flushes on close only.
+can be streamed and grepped; the writer flushes on close only.  Writing
+and reading go through :mod:`repro.obs.records`, shared with the
+campaign telemetry stream.
 
 The renderers -- :func:`lane_diagram` (the paper's Figure 2 lanes: one
 row per station, one column per slot) and :func:`format_timeline` -- take
@@ -26,11 +28,11 @@ replays into the same ASCII lanes without re-running the simulation.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import IO, Iterable
 
 from repro.obs.events import SimEvent
+from repro.obs.records import JsonlWriter, read_jsonl
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
@@ -51,13 +53,6 @@ __all__ = [
 TRACE_SCHEMA_VERSION = 1
 #: Event type of the file-leading metadata record.
 META_ETYPE = "trace.meta"
-
-
-def _json_safe(value):
-    """Last-resort conversion for payload values the emit site missed."""
-    if isinstance(value, (frozenset, set, tuple)):
-        return sorted(value) if isinstance(value, (frozenset, set)) else list(value)
-    return str(value)
 
 
 def event_to_record(event: SimEvent) -> dict:
@@ -91,21 +86,13 @@ class JsonlTraceWriter:
     """
 
     def __init__(self, target: str | Path | IO[str], header: bool = True):
-        if isinstance(target, (str, Path)):
-            path = Path(target)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh: IO[str] = path.open("w", encoding="utf-8")
-            self._owns_fh = True
-            self.path: Path | None = path
-        else:
-            self._fh = target
-            self._owns_fh = False
-            self.path = None
+        self._out = JsonlWriter(target)
+        self.path = self._out.path
         self.n_events = 0
         if header:
             from repro import __version__
 
-            self._write(
+            self._out.write(
                 {
                     "t": 0.0,
                     "e": META_ETYPE,
@@ -116,19 +103,12 @@ class JsonlTraceWriter:
                 }
             )
 
-    def _write(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, separators=(",", ":"), default=_json_safe))
-        self._fh.write("\n")
-
     def __call__(self, event: SimEvent) -> None:
-        self._write(event_to_record(event))
+        self._out.write(event_to_record(event))
         self.n_events += 1
 
     def close(self) -> None:
-        if self._owns_fh and not self._fh.closed:
-            self._fh.close()
-        elif not self._owns_fh:
-            self._fh.flush()
+        self._out.close()
 
     def __enter__(self) -> "JsonlTraceWriter":
         return self
@@ -157,9 +137,10 @@ class TraceEvents(list):
     """The loader's return type: a plain event list plus a tail marker.
 
     Behaves exactly like ``list[SimEvent]`` (all existing callers keep
-    working); :attr:`truncated` is True when the file's final line was
-    partial -- the writer's process was killed between ``write`` calls --
-    and was dropped.  Everything before the tail round-trips exactly.
+    working); :attr:`truncated` is True when the file's final line lacks
+    its newline -- the writer's process was killed mid-write.  The tail is
+    kept if it parsed and dropped if not; everything before it
+    round-trips exactly.
     """
 
     truncated: bool = False
@@ -171,50 +152,18 @@ def load_trace(source: str | Path | IO[str], include_meta: bool = False) -> Trac
     The ``trace.meta`` record is validated (schema version) and dropped
     unless *include_meta* is set.
 
-    Crash tolerance: a process killed mid-write leaves a final line with
-    no terminating newline.  Such a tail is dropped (if unparseable) and
-    surfaced as ``events.truncated`` instead of raising -- every complete
-    line before it is returned.  A malformed line *with* a terminating
-    newline is still corruption and raises :class:`ValueError`.
+    Crash tolerance follows :func:`repro.obs.records.read_jsonl`: a final
+    line without its newline (a writer killed mid-write) is kept if it
+    parses and dropped if not, and either way ``events.truncated`` is set;
+    a malformed line *with* its newline raises :class:`ValueError`.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    lines = text.split("\n")
-    unterminated_tail = bool(lines and lines[-1] != "")
-    events = TraceEvents()
-    for lineno, line in enumerate(lines, start=1):
-        line_is_partial = unterminated_tail and lineno == len(lines)
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if line_is_partial:
-                events.truncated = True
-                break
-            raise ValueError(f"trace line {lineno} is not valid JSON: {exc}") from None
-        if not isinstance(record, dict) or "e" not in record or "t" not in record:
-            if line_is_partial:
-                events.truncated = True
-                break
-            raise ValueError(f"trace line {lineno} is missing required keys ('t', 'e')")
-        if line_is_partial:
-            # Parsed and complete -- the kill landed between the record
-            # and its newline.  Keep it, but still flag the rough tail.
-            events.truncated = True
-        if record["e"] == META_ETYPE:
-            schema = record.get("schema")
-            if schema != TRACE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"unsupported trace schema {schema!r} (this reader handles "
-                    f"{TRACE_SCHEMA_VERSION})"
-                )
-            if not include_meta:
-                continue
-        events.append(record_to_event(record))
+    records, truncated = read_jsonl(
+        source, "trace", ("t", "e"), META_ETYPE, TRACE_SCHEMA_VERSION
+    )
+    events = TraceEvents(
+        record_to_event(r) for r in records if include_meta or r["e"] != META_ETYPE
+    )
+    events.truncated = truncated
     return events
 
 

@@ -31,14 +31,15 @@ than committing results the coordinator's addresses would mismatch.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, IO
+from typing import Any, Callable
 
+from repro.obs.records import JsonlWriter
+from repro.obs.telemetry import TELEMETRY_META_ETYPE, TELEMETRY_SCHEMA_VERSION
 from repro.store.db import LeasedCell, ResultStore
 from repro.store.digests import code_fingerprint
 
@@ -86,27 +87,19 @@ class _WorkerStream:
     """
 
     def __init__(self, path: Path, campaign: str, worker_id: str):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh: IO[str] = path.open("w", encoding="utf-8")
-        self.path = path
-        self.campaign = campaign
+        self._out = JsonlWriter(path, flush_each=True)
         self.worker_id = worker_id
         self._last_heartbeat = 0.0
-        self._write(
+        self._out.write(
             {
-                "e": "telemetry.meta",
+                "e": TELEMETRY_META_ETYPE,
                 "tw": time.time(),
-                "schema": 1,
+                "schema": TELEMETRY_SCHEMA_VERSION,
                 "scope": "worker",
                 "campaign": campaign,
                 "worker_id": worker_id,
             }
         )
-
-    def _write(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, separators=(",", ":"), default=str))
-        self._fh.write("\n")
-        self._fh.flush()
 
     def heartbeat(
         self, *, jobs_done: int, simulate_s: float, last: str, leased: int, force: bool = False
@@ -115,7 +108,7 @@ class _WorkerStream:
         if not force and now - self._last_heartbeat < _HEARTBEAT_INTERVAL_S:
             return
         self._last_heartbeat = now
-        self._write(
+        self._out.write(
             {
                 "e": "worker",
                 "tw": now,
@@ -129,7 +122,7 @@ class _WorkerStream:
         )
 
     def commit_span(self, cell: str, dur_s: float) -> None:
-        self._write(
+        self._out.write(
             {
                 "e": "span",
                 "tw": time.time(),
@@ -142,7 +135,7 @@ class _WorkerStream:
         )
 
     def end(self, report: WorkerReport) -> None:
-        self._write(
+        self._out.write(
             {
                 "e": "end",
                 "tw": time.time(),
@@ -154,7 +147,7 @@ class _WorkerStream:
                 "elapsed_s": report.wall_clock_s,
             }
         )
-        self._fh.close()
+        self._out.close()
 
 
 def _cell_name(cell: LeasedCell) -> str:

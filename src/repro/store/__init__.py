@@ -19,6 +19,7 @@ gate's tolerance model.
 from repro.store.db import ResultStore, StoreError
 from repro.store.digests import (
     code_fingerprint,
+    code_stamp,
     git_commit,
     scenario_digest,
     settings_digest,
@@ -29,6 +30,7 @@ __all__ = [
     "ResultStore",
     "StoreError",
     "code_fingerprint",
+    "code_stamp",
     "git_commit",
     "scenario_digest",
     "settings_digest",

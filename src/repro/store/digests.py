@@ -39,6 +39,7 @@ __all__ = [
     "scenario_digest",
     "code_fingerprint",
     "git_commit",
+    "code_stamp",
 ]
 
 #: Version tag mixed into every digest; bump when the canonical form changes.
@@ -215,3 +216,8 @@ def git_commit() -> str | None:
         return None
     commit = out.stdout.strip()
     return commit if out.returncode == 0 and commit else None
+
+
+def code_stamp() -> dict[str, str | None]:
+    """The provenance stamp BENCH and GATE records carry under ``"code"``."""
+    return {"git_commit": git_commit(), "code_fingerprint": code_fingerprint()}

@@ -26,7 +26,6 @@ already-computed cell, making "gate every push" affordable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -35,8 +34,9 @@ from repro.experiments.config import SimulationSettings
 from repro.faults.plan import FaultPlan, GilbertElliott, NodeChurn
 from repro.mac.contention import ContentionParams
 from repro.obs.counters import diff_counters
+from repro.obs.records import write_json
 from repro.phy.profile import PhyProfile
-from repro.store.digests import code_fingerprint, git_commit
+from repro.store.digests import code_stamp
 from repro.workload.generator import TrafficMix
 
 __all__ = ["GateTolerances", "settings_from_dict", "run_gate", "format_gate_report"]
@@ -156,16 +156,13 @@ class GateReport:
             "passed": self.passed,
             "n_checks": len(self.checks),
             "n_failed": len(failed),
-            "code": {"git_commit": git_commit(), "code_fingerprint": code_fingerprint()},
+            "code": code_stamp(),
             "execution": self.execution,
             "checks": [c.as_dict() for c in self.checks],
         }
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.as_dict(), indent=2))
-        return path
+        return write_json(path, self.as_dict())
 
 
 def run_gate(

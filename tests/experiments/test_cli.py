@@ -454,8 +454,9 @@ class TestTelemetryFlagsAndWatch:
         from repro.obs.telemetry import CampaignTelemetry
 
         path = tmp_path / "t.jsonl"
-        telemetry = CampaignTelemetry(path, campaign="dead", n_jobs=5)
-        telemetry._fh.close()  # killed before any end record
+        with pytest.raises(RuntimeError):
+            with CampaignTelemetry(path, campaign="dead", n_jobs=5):
+                raise RuntimeError("killed before any end record")
         with path.open("a") as fh:
             fh.write('{"e": "prog')  # and mid-write on the final line
         assert main(["watch", str(path), "--once"]) == 0

@@ -10,8 +10,8 @@ from repro.experiments.ratesweep import (
     RATE_SWEEP_PROTOCOLS,
     rate_bench_record,
     run_rate_sweep,
-    save_rate_bench,
 )
+from repro.experiments.sweep import save_bench
 
 TINY = SimulationSettings(n_nodes=14, horizon=400, message_rate=0.004)
 
@@ -71,8 +71,8 @@ class TestBenchRecord:
         assert cell["data_slots"] == [5]
         assert 0.0 <= cell["delivery_rate"] <= 1.0
         assert cell["delivered_per_kslot"] > 0
-        assert rec["git_commit"] is None or len(rec["git_commit"]) == 40
-        assert len(rec["code_fingerprint"]) == 64
+        assert rec["code"]["git_commit"] is None or len(rec["code"]["git_commit"]) == 40
+        assert len(rec["code"]["code_fingerprint"]) == 64
 
     def test_cells_carry_only_rate_counters(self, sweep):
         result, names = sweep
@@ -83,7 +83,7 @@ class TestBenchRecord:
 
     def test_save_round_trips(self, sweep, tmp_path):
         result, names = sweep
-        path = save_rate_bench(result, names, tmp_path, name="ratetest")
+        path = save_bench(rate_bench_record(result, names, "ratetest"), tmp_path)
         assert path.name == "BENCH_ratetest.json"
         loaded = json.loads(path.read_text())
         assert loaded == rate_bench_record(result, names, "ratetest")

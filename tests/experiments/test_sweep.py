@@ -250,7 +250,7 @@ class TestManifestAndBench:
         assert 0.0 <= record["cache"]["hit_rate"] <= 1.0
 
     def test_save_bench_writes_json(self, serial_sweep, tmp_path):
-        path = save_bench(serial_sweep, "unit", tmp_path)
+        path = save_bench(bench_record(serial_sweep, name="unit"), tmp_path)
         assert path.name == "BENCH_unit.json"
         payload = json.loads(path.read_text())
         assert payload["name"] == "unit"

@@ -145,6 +145,18 @@ class TestLoader:
         assert stream.records == intact.records
         assert stream.meta == intact.meta
 
+    def test_unterminated_but_parseable_final_line_kept(self):
+        # Killed between the record write and its newline: the record is
+        # whole, only the terminator is missing.  Keep it, flag the tail
+        # -- the same contract as load_trace.
+        full = emit_campaign()
+        stream = load_telemetry(io.StringIO(full.rstrip("\n")))
+        assert stream.truncated
+        intact = load_telemetry(io.StringIO(full))
+        assert stream.records == intact.records
+        assert stream.meta == intact.meta
+        assert stream.completed
+
     def test_empty_unterminated_tail_not_truncated(self):
         # A trailing newline then EOF is a *clean* kill point.
         stream = load_telemetry(io.StringIO(emit_campaign()))

@@ -84,7 +84,7 @@ class TestCompletedSemantics:
         telemetry.fold(_worker_record())
         # A worker finished and its end record was (wrongly or
         # historically) appended to the campaign file: still live.
-        telemetry._write(_worker_record(e="end", scope="worker", done=4))
+        telemetry.event("end", scope="worker", worker=7001, id="hostA-7001", done=4)
         assert load_telemetry(path).completed is False
         telemetry.close()
         assert load_telemetry(path).completed is True
