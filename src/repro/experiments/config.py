@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Type
 
 from repro.faults.plan import FaultPlan
-from repro.mac.base import MacBase
+from repro.mac.base import MacBase, MacConfig
 from repro.mac.contention import ContentionParams
 from repro.mac.registry import paper_protocols, protocol_info, registered_protocols
 from repro.phy.profile import PhyProfile
@@ -81,6 +81,11 @@ class SimulationSettings:
     #: The PHY rate table and SNR->MCS mapping; the default single-rate
     #: profile is Table 2's 1-slot signal / 5-slot data world.
     phy: PhyProfile = field(default_factory=PhyProfile)
+
+    def __post_init__(self) -> None:
+        MacConfig.check_timeout(self.timeout_slots)
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
 
     def with_(self, **changes: Any) -> "SimulationSettings":
         """A modified copy (sweep helper)."""

@@ -140,6 +140,21 @@ class MacConfig:
     #: to the channel so MAC timing and decode rules always agree.
     phy: PhyProfile = field(default_factory=PhyProfile)
 
+    def __post_init__(self) -> None:
+        self.check_timeout(self.timeout_slots)
+
+    @staticmethod
+    def check_timeout(timeout: float) -> float:
+        """Validate a request lifetime in slots and return it.
+
+        A negative lifetime times every request out on arrival, and NaN
+        never expires any (``now >= nan`` is False), silently turning off
+        Table 2's timeout; both raise ``ValueError``.  ``inf`` is valid.
+        """
+        if not timeout >= 0:
+            raise ValueError(f"timeout must be >= 0 slots (inf allowed), got {timeout!r}")
+        return timeout
+
     @property
     def t_signal(self) -> int:
         """Control-frame airtime in slots (rate adaptation is DATA-only)."""
@@ -197,7 +212,11 @@ class MacBase:
         #: and its end; suppresses answering other stations' polls.
         self._busy_sender = False
 
-        self.radio.add_listener(self._on_frame)
+        # A subclass that reimplements _on_frame sees every frame through it.
+        own_dispatch = type(self)._on_frame is MacBase._on_frame
+        self.radio.add_listener(
+            self._on_frame, bystander=self._yield_for_duration if own_dispatch else None
+        )
         self.process = env.process(self._main_loop(), name=f"mac-{node_id}")
 
     # -- neighbor / topology helpers --------------------------------------------
@@ -242,7 +261,10 @@ class MacBase:
             raise ValueError("empty destination set")
         if not dests <= self.neighbors:
             raise ValueError(f"destinations {dests - self.neighbors} are not neighbors")
-        horizon = self.config.timeout_slots if timeout is None else timeout
+        if timeout is None:
+            horizon = self.config.timeout_slots
+        else:
+            horizon = MacConfig.check_timeout(timeout)
         req = MacRequest(
             src=self.node_id,
             kind=kind,
@@ -445,8 +467,8 @@ class MacBase:
                 self.received_data.add((frame.src, frame.seq))
                 self.data_from[frame.src] = frame.seq
                 self.on_data(frame, clean)
-            elif frame.duration > 0 and not self._busy_sender:
-                self.nav.set(frame.duration, owner=frame.src)
+            else:
+                self._yield_for_duration(frame)
             return
 
         # Group-addressed RTS frames (Tang-Gerla / BSMA broadcast RTS) are
@@ -464,8 +486,14 @@ class MacBase:
             # CTS/ACK addressed to us outside a sender procedure: stale.
             return
 
-        # Control frame not intended for us: yield for its Duration
-        # (Figure 3, last receiver rule).
+        self._yield_for_duration(frame)
+
+    def _yield_for_duration(self, frame: Frame) -> None:
+        """Figure 3's last receiver rule: a frame not intended for this
+        station makes it yield for the frame's Duration, unless its own
+        sender procedure owns the radio.  The channel calls this directly
+        for frames naming this station neither in RA nor in the group
+        (see :meth:`Radio.add_listener <repro.sim.radio.Radio.add_listener>`)."""
         if frame.duration > 0 and not self._busy_sender:
             self.nav.set(frame.duration, owner=self._exchange_owner(frame))
 

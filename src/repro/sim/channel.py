@@ -56,9 +56,13 @@ PRUNE_MIN_LEN = 8
 _INF = float("inf")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Transmission:
-    """One frame in flight."""
+    """One frame in flight.
+
+    Compared by identity: two frames in flight are never the same
+    transmission (and reception's membership tests stay C-level).
+    """
 
     frame: Frame
     sender: int
@@ -66,7 +70,7 @@ class Transmission:
     end: float
     #: Counter key cached once per transmission instead of being chased
     #: through frame.ftype at every receiver (the reception hot path).
-    dkey: str = field(init=False, repr=False, compare=False)
+    dkey: str = field(init=False, repr=False)
 
     def __post_init__(self):
         self.dkey = self.frame.ftype.delivered_key
@@ -320,7 +324,6 @@ class Channel:
             radio.own_min_end = end
         if end > radio.busy_until:
             radio.busy_until = end
-        radio._notify_activity(tx)
 
         # Audibility (carrier sense + interference) extends to the
         # interference range; decodability (see _finish) only to the
@@ -338,7 +341,6 @@ class Channel:
                 r.audible_min_end = end
             if end > r.busy_until:
                 r.busy_until = end
-            r._notify_activity(tx)
 
         done = self.env.timeout(airtime, value=tx, priority=PRIORITY_DELIVERY)
         done.callbacks.append(lambda _ev: self._finish(tx))
@@ -550,4 +552,14 @@ class Channel:
                 msg_id=tx.frame.msg_id,
                 clean=clean,
             )
-        radio._deliver(tx.frame, clean)
+        # Bystander lane: a frame naming this node neither in RA nor in
+        # its group goes straight to the MAC's yield rule when nothing
+        # else listens (see Radio.add_listener) -- same outcome as the
+        # full dispatch, no RNG draw, one call instead of three.
+        frame = tx.frame
+        nid = radio.node_id
+        bystander = radio.bystander
+        if bystander is not None and frame.ra != nid and nid not in frame.group:
+            bystander(frame)
+        else:
+            radio._deliver(frame, clean)

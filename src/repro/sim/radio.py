@@ -5,11 +5,10 @@ A :class:`Radio` is the MAC layer's window onto the shared channel:
 * **physical carrier sense** -- :attr:`busy_until` / :meth:`is_busy` reflect
   every transmission currently audible at this node, *including the node's
   own* (a transmitting station trivially senses a busy medium);
-* **activity notification** -- :attr:`activity` is a re-armed event that
-  fires whenever a new transmission becomes audible, so contention-phase
-  processes can abort DIFS/backoff waits the moment the medium goes busy;
 * **reception** -- frames the channel decides this node received are pushed
-  to registered listeners, synchronously at the slot the frame ends;
+  to registered listeners, synchronously at the slot the frame ends; a
+  listener may declare a *bystander rule* (see :meth:`Radio.add_listener`)
+  that the channel calls directly for frames not intended for this node;
 * **transmission** -- :meth:`Radio.transmit` hands a frame to the channel
   and returns an event that fires when the airtime has elapsed.
 
@@ -34,6 +33,10 @@ __all__ = ["Radio"]
 #: "received without collision" flag of Theorems 1/3.
 FrameListener = Callable[[Frame, bool], None]
 
+#: Bystander rule signature: ``(frame)`` for a received frame that names
+#: this node neither in its RA field nor in its group.
+BystanderRule = Callable[[Frame], None]
+
 
 class Radio:
     """The attachment point between one node's MAC and the channel."""
@@ -55,7 +58,11 @@ class Radio:
         self.own_min_end: float = float("inf")
         self.audible_min_end: float = float("inf")
         self._listeners: list[FrameListener] = []
-        self._activity: Event = channel.env.event()
+        #: The listener that declared a bystander rule, with that rule.
+        self._owner: tuple[FrameListener, BystanderRule] | None = None
+        #: The owner's bystander rule while the owner's listener is the
+        #: only one registered, else None.  The channel reads it per frame.
+        self.bystander: BystanderRule | None = None
 
     # -- carrier sense -------------------------------------------------------
 
@@ -69,26 +76,34 @@ class Radio:
         now = self.env.now
         return any(t.start <= now < t.end for t in self.own_tx)
 
-    @property
-    def activity(self) -> Event:
-        """Event firing at the next moment a new transmission starts.
-
-        Grab the property *before* waiting; a fresh event is armed after
-        each firing.
-        """
-        return self._activity
-
-    def _notify_activity(self, transmission: "Transmission") -> None:
-        ev, self._activity = self._activity, self.env.event()
-        ev.succeed(transmission, priority=PRIORITY_DELIVERY)
-
     # -- reception -----------------------------------------------------------
 
-    def add_listener(self, listener: FrameListener) -> None:
+    def add_listener(
+        self, listener: FrameListener, bystander: BystanderRule | None = None
+    ) -> None:
+        """Register *listener* for every frame this node receives.
+
+        *bystander* declares that, for a frame naming this node neither in
+        its RA field nor in its group, *listener* does exactly
+        ``bystander(frame)``.  While *listener* is the only listener, the
+        channel then calls the rule directly for such frames, skipping
+        :meth:`_deliver`; any other listener (a pending :meth:`expect`,
+        beacons) restores full delivery of every frame.
+        """
         self._listeners.append(listener)
+        if bystander is not None:
+            self._owner = (listener, bystander)
+        self._update_bystander()
 
     def remove_listener(self, listener: FrameListener) -> None:
         self._listeners.remove(listener)
+        self._update_bystander()
+
+    def _update_bystander(self) -> None:
+        owner = self._owner
+        self.bystander = (
+            owner[1] if owner is not None and self._listeners == [owner[0]] else None
+        )
 
     def _deliver(self, frame: Frame, clean: bool) -> None:
         """Called by the channel when this node successfully receives."""

@@ -33,6 +33,26 @@ class TestSimulationSettings:
         with pytest.raises(Exception):
             SimulationSettings().n_nodes = 5
 
+    @pytest.mark.parametrize("timeout", [-5.0, -1e-9, float("nan"), float("-inf")])
+    def test_rejects_negative_or_nan_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            SimulationSettings(timeout_slots=timeout)
+
+    @pytest.mark.parametrize("timeout", [0.0, 250.0, float("inf")])
+    def test_accepts_finite_and_infinite_timeouts(self, timeout):
+        assert SimulationSettings(timeout_slots=timeout).timeout_slots == timeout
+
+    @pytest.mark.parametrize("threshold", [2.0, -1.0, 1.0 + 1e-9, float("nan")])
+    def test_rejects_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            SimulationSettings(threshold=threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            SimulationSettings().with_(threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_accepts_threshold_bounds(self, threshold):
+        assert SimulationSettings(threshold=threshold).threshold == threshold
+
 
 class TestRegistry:
     def test_all_protocols_registered(self):

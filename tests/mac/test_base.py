@@ -52,6 +52,23 @@ class TestSubmitValidation:
         req = net.mac(0).submit(MessageKind.BROADCAST, timeout=7)
         assert req.deadline == req.arrival + 7
 
+    @pytest.mark.parametrize("timeout", [-5.0, float("nan")])
+    def test_config_rejects_negative_or_nan_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            MacConfig(timeout_slots=timeout)
+
+    @pytest.mark.parametrize("timeout", [-5.0, float("nan")])
+    def test_submit_rejects_negative_or_nan_timeout(self, timeout):
+        net = star_net()
+        with pytest.raises(ValueError, match="timeout"):
+            net.mac(0).submit(MessageKind.BROADCAST, timeout=timeout)
+        assert not net.mac(0).queue
+
+    def test_infinite_timeout_never_expires(self):
+        net = star_net(mac_config=MacConfig(timeout_slots=float("inf")))
+        req = net.mac(0).submit(MessageKind.BROADCAST)
+        assert req.deadline == float("inf") and not req.expired(1e12)
+
 
 class TestDcfUnicast:
     def test_clean_unicast_completes_with_full_handshake(self):

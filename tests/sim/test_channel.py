@@ -304,18 +304,18 @@ class TestBusyTracking:
         assert radios[0].is_busy
         assert radios[0].is_transmitting
 
-    def test_activity_event_fires_on_new_transmission(self):
-        env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]])
-        seen = []
 
-        def waiter():
-            tx = yield radios[1].activity
-            seen.append((env.now, tx.sender))
-
-        env.process(waiter())
-        at(env, 3, lambda: ch.transmit(radios[0], rts(0)))
-        env.run(until=10)
-        assert seen == [(3, 0)]
+    def test_transmit_schedules_only_the_airtime_timeout(self):
+        # Sender plus two interferers: the only kernel work a transmission
+        # costs up front is the timeout that ends its airtime.
+        env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5], [0.45, 0.5]])
+        eid0, queued0 = env._eid, len(env._queue)
+        done = ch.transmit(radios[0], rts(0))
+        assert env._eid - eid0 == 1
+        assert len(env._queue) - queued0 == 1
+        assert not env._sample_queue
+        assert env._queue[0][3] is done and done.delay == 1
+        assert env.peek() == 1
 
     def test_transmission_overlap_helper(self):
         f = Frame(FrameType.RTS, src=0, ra=1)

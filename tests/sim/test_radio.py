@@ -124,6 +124,53 @@ class TestListeners:
         assert len(calls) == 1
 
 
+class TestBystanderRule:
+    """The rule a listener declares for frames not intended for its node
+    is only in force while that listener is the radio's only one."""
+
+    def test_rule_follows_sole_owner(self):
+        env, ch, r0, r1 = pair()
+
+        def owner(f, c):
+            pass
+
+        def other(f, c):
+            pass
+
+        def rule(f):
+            pass
+
+        r0.add_listener(owner, bystander=rule)
+        assert r0.bystander is rule
+        r0.add_listener(other)
+        assert r0.bystander is None
+        r0.remove_listener(other)
+        assert r0.bystander is rule
+        r0.remove_listener(owner)
+        assert r0.bystander is None
+
+    def test_pending_expect_suspends_rule(self):
+        env, ch, r0, r1 = pair()
+        r0.add_listener(lambda f, c: None, bystander=lambda f: None)
+        r0.expect(lambda f: False, timeout=3)
+        assert r0.bystander is None
+        env.run(until=5)
+        assert r0.bystander is not None
+
+    def test_channel_calls_rule_only_for_bystander_frames(self):
+        env, ch, r0, r1 = pair()
+        full, lane = [], []
+        r0.add_listener(lambda f, c: full.append(f.ftype), bystander=lambda f: lane.append(f))
+        ch.transmit(r1, rts(1, 0))  # addressed to node 0
+        env.run(until=2)
+        ch.transmit(r1, Frame(FrameType.CTS, src=1, ra=5))  # bystander
+        env.run(until=4)
+        ch.transmit(r1, Frame(FrameType.DATA, src=1, ra=-1, group=frozenset({0})))
+        env.run(until=10)
+        assert full == [FrameType.RTS, FrameType.DATA]
+        assert [f.ftype for f in lane] == [FrameType.CTS]
+
+
 class TestState:
     def test_is_transmitting_window(self):
         env, ch, r0, r1 = pair()
@@ -134,17 +181,3 @@ class TestState:
         env.run(until=10)
         assert states == [True, False]
 
-    def test_activity_rearmed_after_each_firing(self):
-        env, ch, r0, r1 = pair()
-        seen = []
-
-        def watch():
-            for _ in range(2):
-                tx = yield r0.activity
-                seen.append(env.now)
-
-        env.process(watch())
-        env.timeout(2).callbacks.append(lambda _e: ch.transmit(r1, rts(1, 0)))
-        env.timeout(7).callbacks.append(lambda _e: ch.transmit(r1, rts(1, 0)))
-        env.run(until=20)
-        assert seen == [2, 7]
