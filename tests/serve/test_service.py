@@ -126,11 +126,15 @@ class TestKillWorkerMidLease:
             path, "c", worker_id="victim", on_cell=die_immediately, lease_ttl=0.5,
         )
         reports = []
-        _spawn_worker(path, "c", reports, worker_id="survivor", lease_ttl=0.5)
+        survivor = _spawn_worker(path, "c", reports, worker_id="survivor", lease_ttl=0.5)
         result = serve_campaign(
             SCENARIO, POINTS, store=str(path), campaign="c",
             lease_ttl=0.5, poll_s=0.05, wait_timeout=120.0,
         )
+        # The survivor appends its report when it exits, which can be
+        # after the coordinator has already merged the last cell.
+        survivor.join(timeout=60)
+        assert not survivor.is_alive()
         assert_bit_identical(serial, result)
         assert reports[0].cells_done == N_CELLS
         # Every victim-held cell was granted again: the steal/reclaim
