@@ -11,6 +11,7 @@ capability flags (``needs_positions``, ``rate_adaptive``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Type
 
@@ -84,6 +85,16 @@ class SimulationSettings:
 
     def __post_init__(self) -> None:
         MacConfig.check_timeout(self.timeout_slots)
+        # Written so NaN fails every comparison: a NaN geometry would
+        # otherwise simulate an empty (or mirrored) world without a word.
+        for name in ("side", "radius"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not math.isfinite(self.interference_factor):
+            raise ValueError(
+                f"interference_factor must be finite, got {self.interference_factor!r}"
+            )
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
 

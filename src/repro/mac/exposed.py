@@ -125,7 +125,10 @@ class ExposedAwareContender(Contender):
 
     def _active_transmissions(self):
         now = self.env.now
-        return [t for t in self.radio.audible if t.start <= now < t.end]
+        me = self.radio.node_id
+        return [
+            t for t in self.radio.channel.air if t.start <= now < t.end and me in t.hearers
+        ]
 
     def _slot_was_busy(self) -> bool:
         if self.nav.until > self.env.now:

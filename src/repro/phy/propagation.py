@@ -13,6 +13,8 @@ the capture model -- absolute calibration is irrelevant.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["distance_matrix", "neighbor_sets", "UnitDiskPropagation"]
@@ -36,7 +38,7 @@ def neighbor_sets(positions: np.ndarray, radius: float) -> list[frozenset[int]]:
     Nodes at distance exactly ``radius`` count as neighbors (closed disk),
     matching the paper's "coverage area" :math:`A(s)` being a closed disk.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     dm = distance_matrix(positions)
     n = dm.shape[0]
@@ -65,7 +67,12 @@ class UnitDiskPropagation:
         path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT,
         interference_factor: float = 1.0,
     ):
-        if interference_factor < 1.0:
+        # Comparisons are written so NaN fails them.
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {radius!r}")
+        if not math.isfinite(interference_factor):
+            raise ValueError(f"interference_factor must be finite, got {interference_factor!r}")
+        if not interference_factor >= 1.0:
             raise ValueError(
                 f"interference_factor must be >= 1 (got {interference_factor}): "
                 "a frame cannot be decodable where it is not even audible"

@@ -48,12 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Transmission", "Channel", "ChannelStats", "PRUNE_MIN_LEN"]
 
-#: Overlap-scan lists shorter than this are left unpruned: scanning a
+#: The air list is left unpruned while shorter than this: scanning a
 #: handful of provably-stale entries is cheaper than compacting the list
-#: on every transmit (satellite of the event-driven fast-path PR).
+#: on every transmit.
 PRUNE_MIN_LEN = 8
-
-_INF = float("inf")
 
 
 @dataclass(slots=True, eq=False)
@@ -68,6 +66,16 @@ class Transmission:
     sender: int
     start: float
     end: float
+    #: The stations this frame is audible at: the sender's interference
+    #: neighbourhood when it started (the propagation's own frozenset, not
+    #: a copy).  Frame ``t`` is audible at radio ``r`` iff ``r`` is in
+    #: ``t.hearers``; a radio attached while ``t`` is on the air is
+    #: removed from it (see :meth:`Channel.attach`).
+    hearers: frozenset[int] = frozenset()
+    #: While :meth:`Channel._finish` runs: the other frames on the air
+    #: that overlap this one and were sent by, or audible at, one of its
+    #: receivers.  Empty otherwise.
+    rivals: "list[Transmission] | tuple[()]" = field(default=(), repr=False)
     #: Counter key cached once per transmission instead of being chased
     #: through frame.ftype at every receiver (the reception hot path).
     dkey: str = field(init=False, repr=False)
@@ -79,28 +87,11 @@ class Transmission:
         return self.start < other.end and other.start < self.end
 
 
-def _compact(txs: "list[Transmission]", horizon: float) -> float:
-    """Single-pass in-place removal of entries ending at or before
-    *horizon*; returns the smallest end time left (``inf`` when empty)."""
-    write = 0
-    new_min = _INF
-    for t in txs:
-        end = t.end
-        if end > horizon:
-            txs[write] = t
-            write += 1
-            if end < new_min:
-                new_min = end
-    del txs[write:]
-    return new_min
-
-
 @dataclass
 class ChannelStats:
     """Ground-truth channel bookkeeping for metrics and theorem checks."""
 
     frames_sent: dict[FrameType, int] = field(default_factory=dict)
-    frames_delivered: dict[FrameType, int] = field(default_factory=dict)
     collisions: int = 0
     captures: int = 0
     frame_errors: int = 0
@@ -119,7 +110,6 @@ class ChannelStats:
         self.frames_sent[frame.ftype] = self.frames_sent.get(frame.ftype, 0) + 1
 
     def note_delivered(self, frame: Frame, receiver: int, clean: bool) -> None:
-        self.frames_delivered[frame.ftype] = self.frames_delivered.get(frame.ftype, 0) + 1
         if frame.ftype is FrameType.DATA and frame.msg_id is not None:
             self.data_receipts.setdefault(frame.msg_id, set()).add(receiver)
             if clean:
@@ -195,6 +185,10 @@ class Channel:
         #: when *record_transmissions* is set, to keep long runs lean.
         self.record_transmissions = record_transmissions
         self.tx_log: list[Transmission] = []
+        #: The air list: every transmission that may still overlap a frame
+        #: in flight, in start order (pruned in :meth:`transmit`).  Each
+        #: frame's collisions are decided from it once, in :meth:`_finish`.
+        self.air: list[Transmission] = []
         # Airtimes are heterogeneous: multi-rate profiles mix short and
         # long DATA frames freely (and users can define longer types).
         # Track the longest airtime among frames *still in flight* (a
@@ -208,10 +202,19 @@ class Channel:
     # -- attachment -----------------------------------------------------------
 
     def attach(self, node_id: int) -> Radio:
-        """Create (or return) the radio for *node_id*."""
+        """Create (or return) the radio for *node_id*.
+
+        A radio attached while frames are on the air hears none of them
+        (it missed their preambles) and is not collided by them: it is
+        taken out of their ``hearers``.  That copies the frozenset of each
+        such frame, which only this rare path pays.
+        """
         if not 0 <= node_id < self.propagation.n_nodes:
             raise ValueError(f"node id {node_id} outside topology")
         if node_id not in self.radios:
+            for t in self.air:
+                if node_id in t.hearers:
+                    t.hearers = t.hearers - {node_id}
             radio = Radio(self, node_id)
             # The radio's slice of the per-node counters, cached (and its
             # frame keys pre-seeded) so the per-frame hot paths below are
@@ -241,20 +244,21 @@ class Channel:
         return self.propagation.positions
 
     def finalize_counters(self) -> Counters:
-        """Fold the frame totals from ``stats`` into ``counters.total``.
+        """Fold the run-wide frame totals into ``counters.total``.
 
         The per-frame hot paths only maintain per-node attribution (one
-        dict increment each); the run-wide ``frames_sent.*`` /
-        ``frames_delivered.*`` totals are identical to what ``stats``
-        already tracks, so they are copied here instead of being counted
-        twice per frame.  Idempotent; :class:`~repro.sim.network.Network`
-        calls it after every ``run()``, so code reading
-        ``channel.counters`` after a simulation sees complete totals.
+        dict increment each); ``frames_sent.*`` totals are copied from
+        ``stats`` and ``frames_delivered.*`` totals summed over the nodes.
+        Idempotent; :class:`~repro.sim.network.Network` calls it after
+        every ``run()``, so code reading ``channel.counters`` after a
+        simulation sees complete totals.
         """
         total = self.counters.total
+        per_node = self.counters.per_node.values()
         for ft in FrameType:
             total[ft.sent_key] = self.stats.frames_sent.get(ft, 0)
-            total[ft.delivered_key] = self.stats.frames_delivered.get(ft, 0)
+            key = ft.delivered_key
+            total[key] = sum(counts.get(key, 0) for counts in per_node)
         return self.counters
 
     # -- transmission ----------------------------------------------------------
@@ -283,7 +287,8 @@ class Channel:
         now = self.env.now
         airtime = frame.airtime
         end = now + airtime
-        tx = Transmission(frame, radio.node_id, now, end)
+        sender = radio.node_id
+        tx = Transmission(frame, sender, now, end, self.propagation.interferers[sender])
         counts = self._airtime_counts
         counts[airtime] = counts.get(airtime, 0) + 1
         if airtime > self._max_airtime:
@@ -311,81 +316,73 @@ class Channel:
                 payload["group"] = sorted(frame.group)
             obs.emit("frame_tx", node=radio.node_id, **payload)
 
-        # Overlap-list maintenance.  Each list carries a min-end watermark
-        # on its radio, so a prune pass only runs when the list is long
-        # enough to matter *and* provably contains at least one stale
-        # entry -- otherwise maintenance is append + two compares.
-        horizon = now - self._max_airtime
-        own = radio.own_tx
-        if len(own) >= PRUNE_MIN_LEN and radio.own_min_end <= horizon:
-            radio.own_min_end = _compact(own, horizon)
-        own.append(tx)
-        if end < radio.own_min_end:
-            radio.own_min_end = end
+        # A frame finishing at ``T >= now`` started at ``T - airtime >=
+        # now - max_airtime``: anything ending by then overlaps nothing in
+        # flight.  Not only the head goes: a long frame there can be live
+        # while short frames behind it are stale.
+        air = self.air
+        if len(air) >= PRUNE_MIN_LEN:
+            horizon = now - self._max_airtime
+            air[:] = [t for t in air if t.end > horizon]
+        air.append(tx)
+        radio.tx_until = end
         if end > radio.busy_until:
             radio.busy_until = end
 
-        # Audibility (carrier sense + interference) extends to the
-        # interference range; decodability (see _finish) only to the
-        # transmission radius.  They coincide in the paper's model.
+        # Carrier sense extends to the interference range; decodability
+        # (see _finish) only to the transmission radius.  They coincide
+        # in the paper's model.
         radios = self.radios
-        for nid in self.propagation.interferer_lists[radio.node_id]:
+        for nid in self.propagation.interferer_lists[sender]:
             r = radios.get(nid)
-            if r is None:
-                continue
-            audible = r.audible
-            if len(audible) >= PRUNE_MIN_LEN and r.audible_min_end <= horizon:
-                r.audible_min_end = _compact(audible, horizon)
-            audible.append(tx)
-            if end < r.audible_min_end:
-                r.audible_min_end = end
-            if end > r.busy_until:
+            if r is not None and end > r.busy_until:
                 r.busy_until = end
 
         done = self.env.timeout(airtime, value=tx, priority=PRIORITY_DELIVERY)
         done.callbacks.append(lambda _ev: self._finish(tx))
         return done
 
-    def _prune(self, txs: list[Transmission]) -> None:
-        """Drop transmissions too old to overlap any frame still in flight.
-
-        A frame finishing at time ``T >= now`` started at
-        ``T - airtime >= now - max_airtime``, so anything ending at or
-        before ``now - max_airtime`` is unreachable.
-
-        Entries are ordered by start time, not end time, so a long frame
-        at the head can still be live while shorter frames behind it
-        (CTS/ACK/RAK sent during its airtime) are already stale; checking
-        only the head would keep those stale entries in the overlap-scan
-        lists until the head itself expires.
-
-        Single pass (compaction in place), skipped entirely for short
-        lists where scanning the stale entries is cheaper than pruning
-        them.  The per-transmit call sites in :meth:`transmit` inline
-        this with a min-end watermark per radio; this method remains the
-        semantic reference (and serves ad-hoc callers/tests).
-        """
-        if len(txs) < PRUNE_MIN_LEN:
-            return
-        _compact(txs, self.env.now - self._max_airtime)
-
     # -- reception -------------------------------------------------------------
 
     def _finish(self, tx: Transmission) -> None:
         """Decide reception of *tx* at every potential receiver (stations
         within *decode* range; farther stations only suffered
-        interference)."""
+        interference).
+
+        The frame's *rivals* are found once for all its receivers: every
+        other frame on the air that overlaps *tx* and was sent by, or is
+        audible at, one of them -- exactly the frames any receiver's
+        verdict can depend on.  They are fixed before the first receiver
+        is served: a frame sent from inside the receive loop starts at
+        ``tx.end`` and cannot overlap *tx*.
+        """
+        sender = tx.sender
+        receivers = self.propagation.neighbors[sender]
+        start = tx.start
+        end = tx.end
+        rivals = [
+            t
+            for t in self.air
+            if t.end > start
+            and t.start < end
+            and t is not tx
+            and (t.sender in receivers or not receivers.isdisjoint(t.hearers))
+        ]
+        tx.rivals = rivals
         radios = self.radios
         receive_at = self._receive_at
-        for nid in self.propagation.neighbor_lists[tx.sender]:
+        for nid in self.propagation.neighbor_lists[sender]:
             radio = radios.get(nid)
             if radio is not None:
                 receive_at(radio, tx)
+        # Dropped now: a landed frame holding its rivals (which hold
+        # theirs) would keep chains of old transmissions reachable.
+        tx.rivals = ()
         # Retire the frame from the in-flight airtime multiset so the
         # prune horizon tightens back once long frames land.  This MUST
         # happen after the receive loop: listeners transmit synchronously
-        # (CTS/ACK responses) and those transmits prune the overlap
-        # lists -- while *tx*'s own receivers are still pending, entries
+        # (CTS/ACK responses) and those transmits prune the air list --
+        # while *tx*'s own receivers are still pending, entries
         # overlapping tx must stay within the horizon, which requires
         # tx's airtime to still be counted.
         counts = self._airtime_counts
@@ -402,51 +399,55 @@ class Channel:
     def _receive_at(self, radio: Radio, tx: Transmission) -> None:
         obs = self._obs
         faults = self.faults
-        if faults is not None and radio.node_id in faults.down:
+        rid = radio.node_id
+        if faults is not None and rid in faults.down:
             # Crashed receiver: radio is dark, nothing is decoded and no
             # collision/half-duplex accounting applies (the frame's energy
-            # still interfered at *live* receivers via the overlap lists).
-            self.counters.inc("faults.rx_dropped", node=radio.node_id)
+            # still interferes at *live* receivers: it is their rival).
+            self.counters.inc("faults.rx_dropped", node=rid)
             if obs.active:
                 obs.emit(
                     "fault_rx_dropped",
-                    node=radio.node_id,
+                    node=rid,
                     uid=tx.frame.uid,
                     ftype=tx.frame.ftype.value,
                     src=tx.sender,
                 )
             return
-        tx_start = tx.start
-        tx_end = tx.end
-        # Half-duplex: receiving while transmitting is impossible.
-        for own in radio.own_tx:
-            if own.start < tx_end and tx_start < own.end:
+        # The rivals audible here.  Own transmissions never overlap each
+        # other, so "this radio transmitted during tx" is exactly "a rival
+        # was sent by this radio": half-duplex.
+        heard = []
+        for t in tx.rivals:
+            if t.sender == rid:
                 self.stats.half_duplex_losses += 1
-                self.counters.inc("half_duplex_losses", node=radio.node_id)
+                self.counters.inc("half_duplex_losses", node=rid)
                 if obs.active:
                     obs.emit(
                         "half_duplex_loss",
-                        node=radio.node_id,
+                        node=rid,
                         uid=tx.frame.uid,
                         ftype=tx.frame.ftype.value,
                         src=tx.sender,
                     )
                 return
+            if rid in t.hearers:
+                heard.append(t)
 
         # Rate gate: a frame at MCS m > 0 carries more bits per slot than
         # this link's SNR sustains -- the receiver hears energy it cannot
         # demodulate.  Decided from ground-truth positions (link_mcs), like
         # collisions; resolved *before* any RNG draw so the default base
         # rate (mcs == 0, branch never taken) stays bit-identical.  The
-        # frame still interferes at this receiver via the overlap lists.
+        # frame still interferes at this receiver (it is in ``hearers``).
         fmcs = tx.frame.mcs
-        if fmcs and self.propagation.link_mcs(self.phy)[tx.sender][radio.node_id] < fmcs:
+        if fmcs and self.propagation.link_mcs(self.phy)[tx.sender][rid] < fmcs:
             self.stats.rate_losses += 1
-            self.counters.inc("rate_losses", node=radio.node_id)
+            self.counters.inc("rate_losses", node=rid)
             if obs.active:
                 obs.emit(
                     "rate_loss",
-                    node=radio.node_id,
+                    node=rid,
                     uid=tx.frame.uid,
                     ftype=tx.frame.ftype.value,
                     src=tx.sender,
@@ -454,25 +455,25 @@ class Channel:
                 )
             return
 
-        overlaps = [
-            t for t in radio.audible if t.start < tx_end and tx_start < t.end
-        ]
-        # tx itself is audible at radio by construction -- unless the node
-        # moved into range *after* the transmission started (mobility):
-        # then it never heard the preamble and cannot decode.
-        if tx not in overlaps:
+        # tx itself is audible here by construction -- unless the node
+        # moved into range *after* the transmission started (mobility) or
+        # was attached mid-flight: then it never heard the preamble and
+        # cannot decode.
+        if rid not in tx.hearers:
             return
-        k = len(overlaps)
+        # k counts tx and every audible rival; capture below asks whether
+        # any of them is at least as strong, so their order cannot matter.
+        k = len(heard) + 1
 
         if k == 1:
             clean = True
         else:
             self.stats.collisions += 1
-            self.counters.inc("collisions", node=radio.node_id)
+            self.counters.inc("collisions", node=rid)
             if obs.active:
                 obs.emit(
                     "collision",
-                    node=radio.node_id,
+                    node=rid,
                     uid=tx.frame.uid,
                     ftype=tx.frame.ftype.value,
                     src=tx.sender,
@@ -487,22 +488,21 @@ class Channel:
             # Rank via the precomputed scalar power table (bit-identical
             # to calling rx_power per frame, without the per-call
             # attribute/array traffic).
-            rid = radio.node_id
             rows = self.propagation.power_rows
             mine = rows[tx.sender][rid]
             strongest = True
-            for t in overlaps:
-                if t is not tx and rows[t.sender][rid] >= mine:
+            for t in heard:
+                if rows[t.sender][rid] >= mine:
                     strongest = False
                     break
             if not (strongest and self.capture.attempt(k, self.rng)):
                 return
             self.stats.captures += 1
-            self.counters.inc("captures", node=radio.node_id)
+            self.counters.inc("captures", node=rid)
             if obs.active:
                 obs.emit(
                     "capture",
-                    node=radio.node_id,
+                    node=rid,
                     uid=tx.frame.uid,
                     ftype=tx.frame.ftype.value,
                     src=tx.sender,
@@ -512,11 +512,11 @@ class Channel:
 
         if self.frame_error_rate > 0.0 and self.rng.random() < self.frame_error_rate:
             self.stats.frame_errors += 1
-            self.counters.inc("frame_errors", node=radio.node_id)
+            self.counters.inc("frame_errors", node=rid)
             if obs.active:
                 obs.emit(
                     "frame_error",
-                    node=radio.node_id,
+                    node=rid,
                     uid=tx.frame.uid,
                     ftype=tx.frame.ftype.value,
                     src=tx.sender,
@@ -524,27 +524,27 @@ class Channel:
             return
 
         if faults is not None and faults.ge is not None and faults.frame_lost(
-            radio.node_id, self.env.now
+            rid, self.env.now
         ):
             # Bursty (Gilbert-Elliott) loss, on top of the i.i.d. channel.
-            self.counters.inc("faults.burst_losses", node=radio.node_id)
+            self.counters.inc("faults.burst_losses", node=rid)
             if obs.active:
                 obs.emit(
                     "fault_burst_loss",
-                    node=radio.node_id,
+                    node=rid,
                     uid=tx.frame.uid,
                     ftype=tx.frame.ftype.value,
                     src=tx.sender,
                 )
             return
 
-        self.stats.note_delivered(tx.frame, radio.node_id, clean)
-        # Totals derived from ``stats`` in finalize_counters(); see transmit().
+        self.stats.note_delivered(tx.frame, rid, clean)
+        # Per-node only; finalize_counters() sums the run-wide totals.
         radio._counts[tx.dkey] += 1
         if obs.active:
             obs.emit(
                 "frame_rx",
-                node=radio.node_id,
+                node=rid,
                 uid=tx.frame.uid,
                 ftype=tx.frame.ftype.value,
                 src=tx.sender,
@@ -557,9 +557,8 @@ class Channel:
         # else listens (see Radio.add_listener) -- same outcome as the
         # full dispatch, no RNG draw, one call instead of three.
         frame = tx.frame
-        nid = radio.node_id
         bystander = radio.bystander
-        if bystander is not None and frame.ra != nid and nid not in frame.group:
+        if bystander is not None and frame.ra != rid and rid not in frame.group:
             bystander(frame)
         else:
             radio._deliver(frame, clean)

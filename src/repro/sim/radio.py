@@ -13,8 +13,10 @@ A :class:`Radio` is the MAC layer's window onto the shared channel:
   and returns an event that fires when the airtime has elapsed.
 
 Half-duplex behaviour (a station cannot receive while transmitting) and all
-collision/capture decisions live in :class:`repro.sim.channel.Channel`; the
-radio only keeps the per-node state the channel and MAC need.
+collision/capture decisions live in :class:`repro.sim.channel.Channel`,
+which decides them from its one channel-wide list of frames on the air;
+the radio only keeps two time stamps (:attr:`Radio.busy_until`,
+:attr:`Radio.tx_until`) and its listeners.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.sim.frames import Frame
 from repro.sim.kernel import Environment, Event, PRIORITY_DELIVERY
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.channel import Channel, Transmission
+    from repro.sim.channel import Channel
 
 __all__ = ["Radio"]
 
@@ -47,16 +49,8 @@ class Radio:
         self.node_id = node_id
         #: End time of the latest-ending audible or own transmission.
         self.busy_until: float = channel.env.now
-        #: Audible transmissions (kept until they can no longer overlap
-        #: any in-flight frame; pruned by the channel).
-        self.audible: list["Transmission"] = []
-        #: This node's own transmissions (for half-duplex reception checks).
-        self.own_tx: list["Transmission"] = []
-        #: Earliest end time in ``own_tx`` / ``audible`` -- the channel's
-        #: prune watermarks: a compaction pass can only remove something
-        #: when the watermark has fallen behind the prune horizon.
-        self.own_min_end: float = float("inf")
-        self.audible_min_end: float = float("inf")
+        #: End time of this node's latest own transmission.
+        self.tx_until: float = channel.env.now
         self._listeners: list[FrameListener] = []
         #: The listener that declared a bystander rule, with that rule.
         self._owner: tuple[FrameListener, BystanderRule] | None = None
@@ -73,8 +67,8 @@ class Radio:
 
     @property
     def is_transmitting(self) -> bool:
-        now = self.env.now
-        return any(t.start <= now < t.end for t in self.own_tx)
+        """Is this node's own frame on the air right now?"""
+        return self.tx_until > self.env.now
 
     # -- reception -----------------------------------------------------------
 

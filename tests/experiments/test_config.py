@@ -53,6 +53,34 @@ class TestSimulationSettings:
     def test_accepts_threshold_bounds(self, threshold):
         assert SimulationSettings(threshold=threshold).threshold == threshold
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("side", float("nan")),
+            ("side", -1.0),
+            ("side", 0.0),
+            ("side", float("inf")),
+            ("radius", float("nan")),
+            ("radius", -0.2),
+            ("radius", 0.0),
+            ("radius", float("inf")),
+            ("interference_factor", float("nan")),
+            ("interference_factor", float("inf")),
+        ],
+    )
+    def test_rejects_nan_or_non_positive_geometry(self, field, value):
+        """A NaN radius/side used to simulate an empty world (0 requests),
+        a negative side a mirrored one, and a NaN interference factor RTS
+        frames nobody heard; none of them may reach the simulator."""
+        with pytest.raises(ValueError, match=field):
+            SimulationSettings(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            SimulationSettings(n_nodes=20).with_(**{field: value})
+
+    def test_accepts_positive_geometry(self):
+        s = SimulationSettings(side=0.5, radius=0.3, interference_factor=2.0)
+        assert (s.side, s.radius, s.interference_factor) == (0.5, 0.3, 2.0)
+
 
 class TestRegistry:
     def test_all_protocols_registered(self):

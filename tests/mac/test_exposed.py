@@ -132,3 +132,32 @@ class TestLacsMac:
             assert fractions["LACS"] >= fractions["802.11"] - 0.03, (
                 f"seed {seed}: override hurt delivery {fractions}"
             )
+
+
+class TestActiveTransmissions:
+    def test_only_frames_on_the_air_and_audible_here(self):
+        """The override weighs exactly the in-flight frames audible at
+        the station: not its own, not a far sender's, not finished ones."""
+        far = np.vstack([EXPOSED, [[0.95, 0.5]]])  # E(4): out of C's range
+        net = Network(far, R, LacsMulticastMac, seed=1, record_transmissions=True)
+        ch, radios = net.channel, net.channel.radios
+        seen = {}
+
+        def look(label):
+            seen[label] = net.mac(2).contender._active_transmissions()
+
+        def at(t, fn):
+            net.env.timeout(t).callbacks.append(lambda _e: fn())
+
+        ch.transmit(radios[0], group_data(0, {1}))  # A: [0, 5], heard by C
+        ch.transmit(radios[4], group_data(4, {3}))  # E: [0, 5], not heard by C
+        at(1, lambda: ch.transmit(radios[2], group_data(2, {3})))  # C itself: [1, 6]
+        at(1, lambda: ch.transmit(radios[3], Frame(FrameType.RTS, src=3, ra=2)))  # D: [1, 2]
+        at(1.5, lambda: look("mid"))
+        at(5.5, lambda: look("late"))
+        net.run(until=10)
+        a, e, c, d = ch.tx_log
+        assert (a.sender, e.sender, c.sender, d.sender) == (0, 4, 2, 3)
+        assert seen["mid"] == [a, d]
+        assert seen["late"] == []
+

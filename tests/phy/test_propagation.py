@@ -61,6 +61,20 @@ class TestNeighborSets:
 
 
 class TestUnitDiskPropagation:
+    @pytest.mark.parametrize("radius", [float("nan"), 0.0, -0.2, float("inf")])
+    def test_rejects_nan_or_non_positive_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            UnitDiskPropagation(np.zeros((3, 2)), radius)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.5])
+    def test_rejects_nan_infinite_or_shrinking_interference(self, factor):
+        with pytest.raises(ValueError, match="interference_factor"):
+            UnitDiskPropagation(np.zeros((3, 2)), 0.2, interference_factor=factor)
+
+    def test_neighbor_sets_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            neighbor_sets(np.zeros((3, 2)), float("nan"))
+
     def test_rx_power_monotone_in_distance(self):
         pos = np.array([[0.0, 0.0], [0.05, 0.0], [0.1, 0.0]])
         prop = UnitDiskPropagation(pos, 0.2)

@@ -118,21 +118,29 @@ class TestKillWorkerMidLease:
         """Even if the kill happens before ANY commit, expiry + a fresh
         worker completes the campaign."""
         path = tmp_path / "s.sqlite"
+        reports = []
+        survivors = []
 
         def die_immediately(cell, res):
+            # The survivor starts only now, while the victim still holds
+            # its whole first grant uncommitted, so it cannot drain the
+            # queue before the victim leases anything: every cell of
+            # that grant must come back through lease expiry.
+            survivors.append(
+                _spawn_worker(path, "c", reports, worker_id="survivor", lease_ttl=0.5)
+            )
             raise RuntimeError("kill -9")
 
         _spawn_worker(
             path, "c", worker_id="victim", on_cell=die_immediately, lease_ttl=0.5,
         )
-        reports = []
-        survivor = _spawn_worker(path, "c", reports, worker_id="survivor", lease_ttl=0.5)
         result = serve_campaign(
             SCENARIO, POINTS, store=str(path), campaign="c",
             lease_ttl=0.5, poll_s=0.05, wait_timeout=120.0,
         )
         # The survivor appends its report when it exits, which can be
         # after the coordinator has already merged the last cell.
+        (survivor,) = survivors
         survivor.join(timeout=60)
         assert not survivor.is_alive()
         assert_bit_identical(serial, result)

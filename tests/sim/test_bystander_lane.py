@@ -11,6 +11,7 @@ observability event stream.
 """
 
 from dataclasses import asdict
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings as hsettings, strategies as st
 
@@ -20,7 +21,9 @@ from repro.experiments.runner import build_network
 from repro.faults import FaultPlan, NodeChurn
 from repro.mac.registry import protocol_info, registered_protocols
 from repro.metrics.aggregate import summarize_run
+from repro.sim.channel import Channel
 from repro.workload.generator import TrafficGenerator
+from repro.workload.mobility import RandomWaypointMobility
 
 from tests.faults.conftest import canon
 
@@ -42,9 +45,21 @@ class _Renumber:
         return self.ids.setdefault((kind, value), len(self.ids))
 
 
-def simulate(name: str, settings: SimulationSettings, seed: int, full_dispatch: bool):
+def simulate(
+    name: str,
+    settings: SimulationSettings,
+    seed: int,
+    full_dispatch: bool = False,
+    channel_cls: type = Channel,
+    mobility_speed: float = 0.0,
+):
+    """One run, summarised for comparison.  *channel_cls* replaces the
+    network's channel class; a non-zero *mobility_speed* moves the nodes
+    (random waypoint, every 3 slots)."""
     info = protocol_info(name)
-    net = build_network(info.cls, settings, seed, dict(info.mac_kwargs))
+    with mock.patch("repro.sim.network.Channel", channel_cls):
+        net = build_network(info.cls, settings, seed, dict(info.mac_kwargs))
+    assert type(net.channel) is channel_cls
     radios = net.channel.radios.values()
     if full_dispatch:
         for radio in radios:
@@ -60,6 +75,9 @@ def simulate(name: str, settings: SimulationSettings, seed: int, full_dispatch: 
         mix=settings.mix,
         seed=seed,
     ).inject(net)
+    mobility = None
+    if mobility_speed:
+        mobility = RandomWaypointMobility(net, speed=mobility_speed, epoch=3, side=settings.side)
     net.run(until=settings.horizon)
 
     renumber = _Renumber()
@@ -80,6 +98,7 @@ def simulate(name: str, settings: SimulationSettings, seed: int, full_dispatch: 
         "stats": stats,
         "nav": [(mac.nav.until, mac.nav.owner) for mac in net.macs],
         "events": stream,
+        "moves": None if mobility is None else mobility.updates,
     }
 
 

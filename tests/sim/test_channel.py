@@ -8,7 +8,7 @@ import pytest
 
 from repro.phy.capture import ZorziRaoCapture
 from repro.phy.propagation import UnitDiskPropagation
-from repro.sim.channel import Channel, Transmission
+from repro.sim.channel import PRUNE_MIN_LEN, Channel, Transmission
 from repro.sim.frames import Frame, FrameType, GROUP_ADDR
 from repro.sim.kernel import Environment
 
@@ -327,50 +327,53 @@ class TestBusyTracking:
 
 
 class TestPruneStaleEntries:
-    """Regression tests for the overlap-list pruning bug: entries are
-    ordered by start time, so a long DATA frame at the head can still be
-    live while shorter control frames behind it are already stale.  The
-    old ``_prune`` only checked ``txs[0]`` and kept the stale tail."""
+    """Air-list pruning.  Entries are in start order, so a long DATA
+    frame at the head can still be live while shorter control frames
+    behind it are already stale: pruning only the head would keep the
+    stale tail."""
 
     def test_stale_short_behind_fresh_long_head_is_pruned(self):
-        env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]])
-        ch.transmit(radios[0], data(0, group={1}))
-        # A second DATA still in flight at t=10 keeps _max_airtime at 5,
-        # so the prune horizon is 10 - 5 = 5.
+        env, ch, radios = make_channel(
+            [[0.5, 0.5], [0.55, 0.5], [0.45, 0.5]], record_transmissions=True
+        )
+        ch.transmit(radios[0], data(0, group={1}))  # [0, 5]: stale at t=10
+        at(env, 3, lambda: ch.transmit(radios[2], data(2, group={1})))  # [3, 8]: live head
+        for t in (4, 5, 6, 7, 8, 9):  # [4, 5] stale behind the head, then fresh
+            at(env, t, lambda: ch.transmit(radios[1], rts(1)))
+        # A DATA still in flight at t=10 keeps the horizon at 10 - 5 = 5.
         at(env, 8, lambda: ch.transmit(radios[0], data(0, group={1})))
-        env.run(until=10)
-        # Head: DATA still within the overlap horizon (end 8 > 5);
-        # behind it: an RTS that ended at 5 <= 5, i.e. stale.  Padded
-        # with fresh control frames past PRUNE_MIN_LEN so the
-        # short-list fast path doesn't skip the pass.
-        head = Transmission(data(0, group={1}), 0, 3.0, 8.0)
-        stale = Transmission(rts(1), 1, 4.0, 5.0)
-        fresh = [Transmission(rts(1), 1, 5.0 + i, 6.0 + i) for i in range(6)]
-        txs = [head, stale, *fresh]
-        ch._prune(txs)
-        assert txs == [head, *fresh]
+        at(env, 10, lambda: ch.transmit(radios[1], rts(1)))
+        env.run(until=10.5)
+        head, stale = ch.tx_log[1], ch.tx_log[2]
+        assert (head.start, head.end, stale.start, stale.end) == (3, 8, 4, 5)
+        # The list held PRUNE_MIN_LEN entries when the last frame was
+        # sent, so that transmit compacted it.
+        assert len(ch.tx_log) == PRUNE_MIN_LEN + 2
+        assert ch.air == [t for t in ch.tx_log if t.end > 5]
+        assert ch.air[0] is head and stale not in ch.air
 
     def test_fresh_entries_untouched(self):
-        env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]])
+        positions = [[0.5 + 0.01 * i, 0.5] for i in range(PRUNE_MIN_LEN + 1)]
+        env, ch, radios = make_channel(positions, record_transmissions=True)
         ch.transmit(radios[0], data(0, group={1}))
-        env.run(until=10)
+        for i in range(1, PRUNE_MIN_LEN + 1):
+            at(env, 9, lambda i=i: ch.transmit(radios[i], rts(i, ra=0)))
+        at(env, 10, lambda: ch.transmit(radios[0], rts(0)))
+        env.run(until=10.5)
         # The DATA landed at t=5, so the in-flight maximum is back at the
-        # 1-slot floor and the horizon is 10 - 1 = 9: entries ending
-        # after 9 must all survive.
-        txs = [Transmission(rts(1), 1, 9.0, 10.0 + i) for i in range(8)]
-        before = list(txs)
-        ch._prune(txs)
-        assert txs == before
+        # 1-slot floor and the horizon at t=10 is 9: everything sent at
+        # t=9 ends at 10 and survives the compaction the last transmit ran.
+        assert len(ch.air) == PRUNE_MIN_LEN + 1
+        assert ch.air == ch.tx_log[1:]
 
     def test_short_lists_skip_the_prune_pass(self):
-        env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]])
-        env.run(until=10)
+        env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]], record_transmissions=True)
+        ch.transmit(radios[1], rts(1))
+        at(env, 10, lambda: ch.transmit(radios[1], rts(1)))
+        env.run(until=10.5)
         # Below PRUNE_MIN_LEN scanning the stale entry is cheaper than
-        # compacting the list, so _prune leaves it alone.
-        stale = Transmission(rts(1), 1, 0.0, 1.0)
-        txs = [stale]
-        ch._prune(txs)
-        assert txs == [stale]
+        # compacting the list, so the transmit leaves it alone.
+        assert ch.air == ch.tx_log and len(ch.air) == 2
 
     def test_max_airtime_tracks_frames_in_flight(self):
         env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]])
@@ -393,10 +396,10 @@ class TestPruneStaleEntries:
         env.run(until=9)
         assert ch._max_airtime == 1.0
 
-    def test_audible_stays_bounded_in_long_mixed_airtime_run(self):
+    def test_air_list_stays_bounded_in_long_mixed_airtime_run(self):
         """Long run with back-to-back DATA interleaved with per-slot
-        control frames: the overlap-scan lists must stay within the
-        ~2 x max_airtime window of live frames (the pre-fix prune let
+        control frames: the air list must stay within the
+        ~2 x max_airtime window of live frames (a head-only prune lets
         stale control frames ride along under the DATA head, peaking
         ~60% higher)."""
         env, ch, radios = make_channel(
@@ -406,7 +409,7 @@ class TestPruneStaleEntries:
 
         def sample():
             nonlocal max_len
-            max_len = max(max_len, len(radios[0].audible), len(radios[1].own_tx))
+            max_len = max(max_len, len(ch.air))
 
         horizon = 1000
         for t in range(0, horizon, 5):  # node 1: DATA back-to-back
@@ -417,5 +420,7 @@ class TestPruneStaleEntries:
             at(env, t, sample)
         env.run(until=horizon + 10)
         # Live window: <= 2 DATA + ~2x6 control frames + the just-started
-        # slot's arrivals.  Pre-fix peaks at 22 here.
-        assert max_len <= 16
+        # slot's arrivals.  A head-only prune peaks at 22 here; with no
+        # prune at all the list would hold all 2200 frames.
+        assert sum(ch.stats.frames_sent.values()) == 2200
+        assert PRUNE_MIN_LEN <= max_len <= 16

@@ -80,15 +80,16 @@ class TestReceiptsAcrossRetries:
 
 
 class TestMemoryBounds:
-    def test_audible_lists_stay_bounded(self):
-        """Continuous traffic must not grow the per-radio logs without
-        bound (the pruning horizon)."""
+    def test_air_list_stays_bounded(self):
+        """Continuous traffic must not grow the air list without bound
+        (the pruning horizon)."""
         env, ch, radios = make([[0.5, 0.5], [0.55, 0.5]])
         for i in range(500):
             at(env, 2 * i, lambda i=i: ch.transmit(radios[0], Frame(FrameType.RTS, src=0, ra=1, seq=i)))
         env.run(until=1100)
-        assert len(radios[1].audible) < 20
-        assert len(radios[0].own_tx) < 20
+        # Unpruned, the list would hold all 500 frames.
+        assert ch.stats.frames_sent[FrameType.RTS] == 500
+        assert 0 < len(ch.air) < 20
 
 
 class TestCaptureOrdering:

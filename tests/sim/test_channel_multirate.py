@@ -1,7 +1,7 @@
 """Channel regressions under mixed-duration (multi-rate) frames.
 
 The variable-airtime machinery -- the ``_airtime_counts`` multiset, the
-``_max_airtime`` prune watermark and the per-link rate-decode gate --
+``_max_airtime`` air-list prune horizon and the per-link rate-decode gate --
 predates multi-rate PHY profiles but was only ever exercised with the
 single 1/5-slot mix.  These tests pin its behavior when frames of several
 airtimes are in flight at once: a short frame arriving while a longer one
@@ -100,8 +100,8 @@ class TestMaxAirtimeWatermark:
 class TestPruneUnderMixedDurations:
     def test_long_frame_still_collides_after_short_frame_burst(self):
         """Short frames arriving mid-flight must not prune the live long
-        transmission out of the overlap lists: a frame overlapping its
-        tail still collides with it at a shared receiver."""
+        transmission out of the air list: a frame overlapping its tail
+        still collides with it at a shared receiver."""
         # 0: long-frame sender; 1: shared receiver; 2: chatty neighbor.
         env, ch, radios = make_channel([[0.45, 0.5], [0.5, 0.5], [0.55, 0.5]])
         log1 = listen(radios[1])
@@ -121,24 +121,24 @@ class TestPruneUnderMixedDurations:
         assert ch.stats.collisions > 0
 
     def test_prune_resumes_once_long_frame_lands(self):
-        """After the long frame retires, the watermark tightens back to
+        """After the long frame retires, the horizon tightens back to
         the short airtime and stale entries actually get compacted --
-        the overlap lists must not keep growing at the long horizon."""
+        the air list must not keep growing at the long horizon."""
         env, ch, radios = make_channel([[0.45, 0.5], [0.5, 0.5], [0.55, 0.5]])
         ch.transmit(radios[0], data(0, {1}, airtime_slots=12))
         for k in range(4):
             at(env, 1 + k * 1.25, lambda: ch.transmit(radios[2], rts(2, ra=1, seq=9)))
         env.run(until=13)
         assert ch._max_airtime == 1.0
-        n_before = len(radios[1].audible)
+        n_before = len(ch.air)
         assert n_before >= 5  # the long DATA + the phase-1 RTS frames
         for k in range(PRUNE_MIN_LEN + 4):
             at(env, 14 + k * 1.25, lambda: ch.transmit(radios[2], rts(2, ra=1, seq=9)))
         env.run(until=40)
-        audible = radios[1].audible
-        assert len(audible) < PRUNE_MIN_LEN
+        air = ch.air
+        assert len(air) < PRUNE_MIN_LEN
         # Everything from the long frame's era is gone.
-        assert all(tx.end > 13 for tx in audible)
+        assert all(tx.end > 13 for tx in air)
 
 
 class TestRateDecodeGate:
