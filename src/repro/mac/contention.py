@@ -30,8 +30,8 @@ makes it scale with *events* instead.  The key observation: between two
 scheduler events nothing in the simulated world can change -- a
 transmission, a NAV update or a new arrival all happen inside event
 callbacks -- so every mid-slot carrier-sense sample strictly before the
-kernel's next event time (:meth:`Environment.peek`) is *guaranteed* to
-read the same idle medium the station sees right now.  The contender
+kernel's next event time is *guaranteed* to read the same idle medium
+the station sees right now.  The contender
 therefore burns all those samples (DIFS slots, then backoff decrements,
 then the final pre-transmit check) in a single pooled timeout.
 
@@ -42,13 +42,13 @@ which degrades gracefully to exact per-slot stepping around busy
 transitions.  Other contenders' pending mid-slot samples do *not*
 truncate the skip: each in-phase contender publishes a **commit
 horizon** -- the earliest instant it could possibly transmit should the
-medium stay idle (``now + remaining DIFS + backoff + 0.5``) -- through
-:meth:`Environment.publish_horizon`, and peers skip up to
-``min(published bounds, next non-sample event)`` via
+medium stay idle (``now + remaining DIFS + backoff + 0.5``) -- in the
+kernel's registry ``env._horizons`` under its :meth:`Environment.horizon_key`,
+and peers skip up to ``min(published bounds, next main-queue event)`` via
 :meth:`Environment.commit_horizon`.  Sample wake-ups live in the
-kernel's sample lane (:meth:`Environment.sample_sleep`) so
-:meth:`Environment.peek_foreign` can look past them; the final
-pre-transmit sleep stays in the main lane because it *is* the commit.
+kernel's sample lane (:meth:`Environment.sample_sleep`), which
+:meth:`Environment.commit_horizon` looks past; the final pre-transmit
+sleep stays in the main lane because it *is* the commit.
 The ordering-safety argument (no peer commit can land inside a skip
 window, and same-instant commits keep their pinned order) is written
 out in docs/simulator.md "Fast paths".
@@ -136,7 +136,7 @@ class Contender:
         self.params = params or ContentionParams()
         #: Total contention phases executed by this node (metrics).
         self.phases_executed = 0
-        #: Commit-horizon registry key (see :meth:`Environment.publish_horizon`).
+        #: This contender's key in the commit-horizon registry ``env._horizons``.
         self._hkey = env.horizon_key()
 
     # -- helpers ---------------------------------------------------------------
@@ -286,7 +286,7 @@ class Contender:
                 horizons[hkey] = env.now + needed + 0.5
                 yield sample_sleep(float(batch), hkey)
         finally:
-            # Phase exit (win, timeout upstream, interrupt, process death):
+            # Phase exit (win, timeout upstream, process death):
             # withdraw the bound so peers stop truncating their skips on a
             # contender that is no longer sampling.
             horizons.pop(hkey, None)

@@ -1,14 +1,6 @@
 """Simulator substrate: DES kernel, frames, channel, radios, networks."""
 
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    Timeout,
-)
+from repro.sim.kernel import Environment, Event, Process, Timeout
 from repro.sim.frames import Frame, FrameType, GROUP_ADDR
 from repro.sim.channel import Channel, ChannelStats, Transmission
 from repro.sim.radio import Radio
@@ -28,9 +20,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
-    "AllOf",
-    "Interrupt",
     "Frame",
     "FrameType",
     "GROUP_ADDR",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mac.base import MacRequest, MessageKind, MessageStatus
-from repro.metrics.aggregate import MessageScore, score_request, summarize_run
+from repro.metrics.aggregate import score_request, summarize_run
 from repro.sim.channel import ChannelStats
 
 

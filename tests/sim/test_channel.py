@@ -315,7 +315,7 @@ class TestBusyTracking:
         assert len(env._queue) - queued0 == 1
         assert not env._sample_queue
         assert env._queue[0][3] is done and done.delay == 1
-        assert env.peek() == 1
+        assert env.commit_horizon() == 1
 
     def test_transmission_overlap_helper(self):
         f = Frame(FrameType.RTS, src=0, ra=1)

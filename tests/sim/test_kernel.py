@@ -2,15 +2,13 @@
 
 import pytest
 
+import repro.sim
+import repro.sim.kernel
 from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     PRIORITY_DELIVERY,
     PRIORITY_NORMAL,
-    PRIORITY_URGENT,
     Process,
     Timeout,
 )
@@ -20,28 +18,29 @@ class TestEnvironmentBasics:
     def test_initial_time_defaults_to_zero(self):
         assert Environment().now == 0
 
-    def test_initial_time_can_be_set(self):
-        assert Environment(initial_time=42).now == 42
-
     def test_run_until_time_advances_clock(self):
         env = Environment()
         env.run(until=10)
         assert env.now == 10
 
     def test_run_until_past_time_raises(self):
-        env = Environment(initial_time=5)
+        env = Environment()
+        env.run(until=5)
         with pytest.raises(ValueError):
             env.run(until=3)
 
     def test_run_with_no_events_returns_none(self):
         assert Environment().run(until=1) is None
 
-    def test_peek_empty_queue_is_infinite(self):
-        assert Environment().peek() == float("inf")
-
-    def test_step_empty_queue_raises(self):
-        with pytest.raises(IndexError):
-            Environment().step()
+    def test_run_until_nan_raises(self):
+        env = Environment()
+        fired = []
+        env.timeout(3).callbacks.append(lambda _e: fired.append(env.now))
+        with pytest.raises(ValueError):
+            env.run(until=float("nan"))
+        assert env.now == 0 and fired == []
+        env.run()
+        assert fired == [3] and env.now == 3
 
 
 class TestTimeout:
@@ -86,6 +85,29 @@ class TestTimeout:
         env = Environment()
         with pytest.raises(ValueError):
             env.timeout(-1)
+
+    def test_nan_delay_raises_and_clock_stays_monotone(self):
+        env = Environment()
+        with pytest.raises(ValueError):
+            env.timeout(float("nan"))
+        with pytest.raises(ValueError):
+            env.sleep(float("nan"))
+        with pytest.raises(ValueError):
+            env.sample_sleep(float("nan"), rank=1)
+        seen = []
+
+        def proc():
+            yield env.timeout(3)
+            seen.append(env.now)
+            with pytest.raises(ValueError):
+                env.sleep(float("nan"))  # pooled path: a retired sleep exists
+            yield env.sleep(1)
+            seen.append(env.now)
+
+        env.process(proc())
+        env.sleep(1)  # retires into the pool at t=1
+        env.run()
+        assert seen == [3, 4] and env.now == 4
 
     def test_run_until_time_does_not_execute_boundary_events(self):
         # Mirroring SimPy: run(until=t) stops before events at exactly t.
@@ -163,30 +185,25 @@ class TestEvents:
         with pytest.raises(RuntimeError):
             ev.succeed(2)
 
-    def test_fail_requires_exception(self):
-        env = Environment()
-        with pytest.raises(TypeError):
-            env.event().fail("not an exception")
-
     def test_failed_event_raises_in_waiter(self):
         env = Environment()
-        ev = env.event()
         caught = []
+
+        def crasher():
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        crashed = env.process(crasher())
 
         def waiter():
             try:
-                yield ev
+                yield crashed
             except ValueError as exc:
-                caught.append(str(exc))
-
-        def trigger():
-            yield env.timeout(1)
-            ev.fail(ValueError("boom"))
+                caught.append((str(exc), env.now))
 
         env.process(waiter())
-        env.process(trigger())
-        env.run()
-        assert caught == ["boom"]
+        env.run()  # the waiter consumed the failure: run() must not raise
+        assert caught == [("boom", 1)]
 
     def test_unhandled_failure_escapes_run(self):
         env = Environment()
@@ -213,27 +230,6 @@ class TestEvents:
         env.process(late_waiter())
         env.run()
         assert got == ["cached", 5]
-
-    def test_value_access_before_trigger_raises(self):
-        env = Environment()
-        with pytest.raises(RuntimeError):
-            _ = env.event().value
-
-    def test_ok_before_trigger_raises(self):
-        env = Environment()
-        with pytest.raises(RuntimeError):
-            _ = env.event().ok
-
-    def test_ok_reflects_outcome(self):
-        env = Environment()
-        good, bad = env.event(), env.event()
-        good.succeed()
-        exc = ValueError("x")
-        bad.fail(exc)
-        bad.defused = True
-        assert good.ok is True
-        assert bad.ok is False
-        env.run()  # drain; defused failure must not raise
 
 
 class TestProcess:
@@ -263,30 +259,26 @@ class TestProcess:
         with pytest.raises(TypeError, match="may only yield events"):
             env.run()
 
-    def test_is_alive_lifecycle(self):
-        env = Environment()
-
-        def child():
-            yield env.timeout(5)
-
-        proc = env.process(child())
-        assert proc.is_alive
-        env.run()
-        assert not proc.is_alive
-
     def test_run_until_process_returns_its_value(self):
+        # A process joined after it has finished still hands over its
+        # return value (the replay of an already-processed event).
         env = Environment()
 
         def child():
             yield env.timeout(2)
             return 7
 
-        assert env.run(until=env.process(child())) == 7
+        proc = env.process(child())
+        assert env.run() is None
+        assert proc.processed and env.now == 2
+        got = []
 
-    def test_run_until_never_triggering_event_raises(self):
-        env = Environment()
-        with pytest.raises(RuntimeError, match="ran out of events"):
-            env.run(until=env.event())
+        def late_joiner():
+            got.append((yield proc))
+
+        env.process(late_joiner())
+        env.run()
+        assert got == [7]
 
     def test_exception_in_child_propagates_to_joiner(self):
         env = Environment()
@@ -305,222 +297,6 @@ class TestProcess:
         env.process(parent())
         env.run()
         assert caught == [True]
-
-    def test_active_process_visible_during_execution(self):
-        env = Environment()
-        seen = []
-
-        def proc():
-            seen.append(env.active_process)
-            yield env.timeout(1)
-
-        p = env.process(proc())
-        env.run()
-        assert seen == [p]
-        assert env.active_process is None
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self):
-        env = Environment()
-        causes = []
-
-        def victim():
-            try:
-                yield env.timeout(100)
-            except Interrupt as i:
-                causes.append((i.cause, env.now))
-
-        def attacker(v):
-            yield env.timeout(4)
-            v.interrupt("stop it")
-
-        v = env.process(victim())
-        env.process(attacker(v))
-        env.run()
-        assert causes == [("stop it", 4)]
-
-    def test_interrupted_wait_target_does_not_resume_later(self):
-        env = Environment()
-        log = []
-
-        def victim():
-            try:
-                yield env.timeout(10)
-                log.append("timeout completed")
-            except Interrupt:
-                log.append(f"interrupted@{env.now}")
-            yield env.timeout(100)
-            log.append(f"second wait done@{env.now}")
-
-        def attacker(v):
-            yield env.timeout(3)
-            v.interrupt()
-
-        v = env.process(victim())
-        env.process(attacker(v))
-        env.run()
-        # The original timeout(10) must not wake the victim a second time.
-        assert log == ["interrupted@3", "second wait done@103"]
-
-    def test_unhandled_interrupt_kills_process_and_escapes_run(self):
-        env = Environment()
-
-        def victim():
-            yield env.timeout(100)
-
-        def attacker(v):
-            yield env.timeout(1)
-            v.interrupt()
-
-        v = env.process(victim())
-        env.process(attacker(v))
-        # An interrupt the victim does not handle is a failure nobody
-        # consumed, so it crashes the simulation loudly.
-        with pytest.raises(Interrupt):
-            env.run()
-        assert v.triggered and not v.ok
-
-    def test_cannot_interrupt_dead_process(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(1)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(RuntimeError, match="terminated"):
-            p.interrupt()
-
-    def test_self_interrupt_forbidden(self):
-        env = Environment()
-        errors = []
-
-        def selfish():
-            me = env.active_process
-            yield env.timeout(0)
-            try:
-                me.interrupt()
-            except RuntimeError:
-                errors.append(True)
-
-        env.process(selfish())
-        env.run()
-        assert errors == [True]
-
-
-class TestConditions:
-    def test_any_of_returns_first_event(self):
-        env = Environment()
-        results = []
-
-        def proc():
-            fast = env.timeout(2, value="fast")
-            slow = env.timeout(9, value="slow")
-            got = yield AnyOf(env, [fast, slow])
-            results.append((env.now, list(got.values())))
-
-        env.process(proc())
-        env.run()
-        assert results == [(2, ["fast"])]
-
-    def test_all_of_waits_for_every_event(self):
-        env = Environment()
-        results = []
-
-        def proc():
-            a = env.timeout(2, value="a")
-            b = env.timeout(5, value="b")
-            got = yield AllOf(env, [a, b])
-            results.append((env.now, sorted(got.values())))
-
-        env.process(proc())
-        env.run()
-        assert results == [(5, ["a", "b"])]
-
-    def test_empty_any_of_triggers_immediately(self):
-        env = Environment()
-        results = []
-
-        def proc():
-            yield AnyOf(env, [])
-            results.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert results == [0]
-
-    def test_empty_all_of_triggers_immediately(self):
-        env = Environment()
-        results = []
-
-        def proc():
-            yield AllOf(env, [])
-            results.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert results == [0]
-
-    def test_any_of_with_already_processed_event(self):
-        env = Environment()
-        pre = env.event()
-        pre.succeed("early")
-        results = []
-
-        def proc():
-            yield env.timeout(3)  # pre is processed by now
-            got = yield AnyOf(env, [pre, env.timeout(50)])
-            results.append((env.now, list(got.values())))
-
-        env.process(proc())
-        env.run(until=10)
-        assert results == [(3, ["early"])]
-
-    def test_all_of_with_mixed_processed_and_pending(self):
-        env = Environment()
-        pre = env.event()
-        pre.succeed(1)
-        results = []
-
-        def proc():
-            yield env.timeout(1)
-            got = yield AllOf(env, [pre, env.timeout(4, value=2)])
-            results.append((env.now, sorted(got.values())))
-
-        env.process(proc())
-        env.run()
-        assert results == [(5, [1, 2])]
-
-    def test_failing_sub_event_fails_condition(self):
-        env = Environment()
-        caught = []
-
-        def proc():
-            bad = env.event()
-            env.process(_failer(env, bad))
-            try:
-                yield AnyOf(env, [bad, env.timeout(100)])
-            except ValueError:
-                caught.append(env.now)
-
-        def _failer(env, ev):
-            yield env.timeout(2)
-            ev.fail(ValueError("sub failed"))
-
-        env.process(proc())
-        env.run()
-        assert caught == [2]
-
-    def test_condition_events_must_share_environment(self):
-        env1, env2 = Environment(), Environment()
-        with pytest.raises(ValueError):
-            AnyOf(env1, [env1.event(), env2.event()])
-
-    def test_condition_rejects_non_events(self):
-        env = Environment()
-        with pytest.raises(TypeError):
-            AllOf(env, [env.event(), "nope"])
 
 
 class TestDeterminism:
@@ -553,3 +329,50 @@ class TestDeterminism:
             env.process(worker(i))
         env.run()
         assert sorted(done) == list(range(200))
+
+
+class TestPublicSurface:
+    """The kernel exports exactly what the MAC layers use; removed names
+    must not silently return."""
+
+    KERNEL_ALL = [
+        "Environment",
+        "Event",
+        "Timeout",
+        "Process",
+        "PRIORITY_URGENT",
+        "PRIORITY_DELIVERY",
+        "PRIORITY_NORMAL",
+    ]
+
+    def test_kernel_all_is_pinned(self):
+        assert repro.sim.kernel.__all__ == self.KERNEL_ALL
+
+    def test_sim_all_is_pinned(self):
+        assert repro.sim.__all__ == [
+            "Environment",
+            "Event",
+            "Timeout",
+            "Process",
+            "Frame",
+            "FrameType",
+            "GROUP_ADDR",
+            "Channel",
+            "ChannelStats",
+            "Transmission",
+            "Radio",
+            "Network",
+        ]
+
+    def test_public_attributes_are_pinned(self):
+        def public(obj):
+            return {name for name in dir(obj) if not name.startswith("_")}
+
+        assert public(Environment()) == {
+            "now", "event", "timeout", "sleep", "sample_sleep", "process",
+            "horizon_key", "commit_horizon", "run", "obs", "profile",
+        }
+        event_api = {"succeed", "triggered", "processed", "callbacks", "env", "defused"}
+        assert public(Event) == event_api
+        assert public(Timeout) == event_api | {"delay"}
+        assert public(Process) == event_api | {"name"}

@@ -2,10 +2,7 @@
 
 
 from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
     Environment,
-    Interrupt,
     PRIORITY_DELIVERY,
 )
 
@@ -27,18 +24,22 @@ class TestEventEdges:
 
     def test_failed_event_kills_all_waiters_that_reraise(self):
         env = Environment()
-        ev = env.event()
         outcomes = []
+
+        def crasher():
+            yield env.timeout(1)
+            raise RuntimeError("x")
+
+        crashed = env.process(crasher())
 
         def waiter(tag):
             try:
-                yield ev
+                yield crashed
             except RuntimeError:
                 outcomes.append(tag)
 
         env.process(waiter("a"))
         env.process(waiter("b"))
-        env.timeout(1).callbacks.append(lambda _e: ev.fail(RuntimeError("x")))
         env.run()
         assert sorted(outcomes) == ["a", "b"]
 
@@ -57,7 +58,14 @@ class TestEventEdges:
         p = env.process(leaf())
         for _ in range(5):
             p = env.process(wrap(p))
-        assert env.run(until=p) == 6
+        got = []
+
+        def joiner():
+            got.append((yield p))
+
+        env.process(joiner())
+        env.run()
+        assert got == [6]
         assert env.now == 2
 
     def test_process_completing_instantly(self):
@@ -68,112 +76,40 @@ class TestEventEdges:
             yield  # pragma: no cover
 
         p = env.process(instant())
-        assert env.run(until=p) == 42
+        got = []
 
+        def joiner():
+            got.append((yield p))
 
-class TestConditionEdges:
-    def test_any_of_failed_processed_subevent_fails_condition(self):
-        env = Environment()
-        bad = env.event()
-        bad.fail(ValueError("pre-failed"))
-        bad.defused = True
-        env.run(until=1)  # process the failure
-        caught = []
-
-        def waiter():
-            try:
-                yield AnyOf(env, [bad, env.timeout(10)])
-            except ValueError:
-                caught.append(env.now)
-
-        env.process(waiter())
-        env.run(until=20)
-        assert caught == [1]
-
-    def test_all_of_duplicated_event(self):
-        env = Environment()
-        t = env.timeout(3, value="x")
-        done = []
-
-        def waiter():
-            got = yield AllOf(env, [t, t])
-            done.append(list(got.values()))
-
-        env.process(waiter())
+        env.process(joiner())
         env.run()
-        assert done == [["x"]]
-
-    def test_nested_conditions(self):
-        env = Environment()
-        done = []
-
-        def waiter():
-            inner = AnyOf(env, [env.timeout(5, value="slow"), env.timeout(2, value="fast")])
-            outer = AllOf(env, [inner, env.timeout(3, value="mid")])
-            yield outer
-            done.append(env.now)
-
-        env.process(waiter())
-        env.run()
-        assert done == [3]
-
-
-class TestInterruptEdges:
-    def test_double_interrupt_delivers_both(self):
-        env = Environment()
-        causes = []
-
-        def victim():
-            for _ in range(2):
-                try:
-                    yield env.timeout(100)
-                except Interrupt as i:
-                    causes.append(i.cause)
-
-        def attacker(v):
-            yield env.timeout(1)
-            v.interrupt("first")
-            yield env.timeout(1)
-            v.interrupt("second")
-
-        v = env.process(victim())
-        env.process(attacker(v))
-        env.run()
-        assert causes == ["first", "second"]
-
-    def test_interrupt_during_condition_wait(self):
-        env = Environment()
-        log = []
-
-        def victim():
-            try:
-                yield AnyOf(env, [env.timeout(50), env.timeout(60)])
-            except Interrupt:
-                log.append(env.now)
-
-        def attacker(v):
-            yield env.timeout(5)
-            v.interrupt()
-
-        v = env.process(victim())
-        env.process(attacker(v))
-        env.run()
-        assert log == [5]
+        assert got == [42]
+        assert env.now == 0
 
 
 class TestPriorities:
     def test_delivery_priority_beats_normal_within_conditions(self):
-        """An AnyOf of a delivery-priority event and a normal timeout at
-        the same instant resolves to the delivery (the radio.expect
-        pattern)."""
+        """A delivery-priority frame and a normal timer racing to settle one
+        result event at the same instant resolve to the frame (the
+        radio.expect pattern)."""
         env = Environment()
+        result = env.event()
         got = []
 
+        def settle(value):
+            def callback(_e):
+                if not result.triggered:
+                    result.succeed(value)
+
+            return callback
+
         def waiter():
-            frame_ev = env.timeout(5, value="frame", priority=PRIORITY_DELIVERY)
-            timer = env.timeout(5, value="timer")
-            result = yield AnyOf(env, [frame_ev, timer])
-            got.append(list(result.values())[0])
+            # The timer is scheduled first, so only priority lets the frame win.
+            timer = env.timeout(5)
+            frame_ev = env.timeout(5, priority=PRIORITY_DELIVERY)
+            timer.callbacks.append(settle("timer"))
+            frame_ev.callbacks.append(settle("frame"))
+            got.append((yield result))
 
         env.process(waiter())
         env.run()

@@ -1,21 +1,49 @@
 """Tests pinning the kernel allocation diet: pooled ``sleep`` timeouts,
 ``__slots__`` on the whole event hierarchy, and the inlined ``run()``
-dispatch loop staying equivalent to repeated ``step()`` calls."""
+dispatch loop staying equivalent to dispatching one event at a time with
+the reference :func:`step` below."""
 
 from __future__ import annotations
+
+from heapq import heappop
 
 import pytest
 
 from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Condition,
     Environment,
     Event,
-    Interrupt,
     Process,
     Timeout,
 )
+
+
+def step(env: Environment) -> None:
+    """Dispatch the single next event of *env*, the way ``Environment.run``
+    does once per loop iteration."""
+    queue = env._queue
+    squeue = env._sample_queue
+    # Cross-lane ties at equal (time, priority) go to the main queue.
+    if squeue and (not queue or (squeue[0][0], squeue[0][1]) < (queue[0][0], queue[0][1])):
+        entry = heappop(squeue)
+    else:
+        entry = heappop(queue)
+    when = entry[0]
+    event = entry[-1]
+    if when < env._now:
+        raise RuntimeError("event scheduled in the past")
+    env._now = when
+    event._run_callbacks()
+    if env._unhandled is not None:
+        exc, env._unhandled = env._unhandled, None
+        raise exc
+    if type(event) is Timeout and event._recycle and len(env._timeout_pool) < env._POOL_MAX:
+        env._timeout_pool.append(event)
+
+
+def next_time(env: Environment) -> float:
+    """Time of the next event in either lane (``inf`` when both are empty)."""
+    heads = [lane[0][0] for lane in (env._queue, env._sample_queue) if lane]
+    return min(heads, default=float("inf"))
 
 
 class TestSleepPooling:
@@ -90,38 +118,14 @@ class TestSleepPooling:
     def test_pool_is_bounded(self):
         env = Environment()
 
-        def proc():
-            # More simultaneous sleeps than _POOL_MAX; all retire at once.
-            yield env.all_of([env.sleep(1) for _ in range(Environment._POOL_MAX + 50)])
+        def sleeper():
+            yield env.sleep(1)
 
-        env.process(proc())
+        # More simultaneous sleeps than _POOL_MAX; all retire at once.
+        for _ in range(Environment._POOL_MAX + 50):
+            env.process(sleeper())
         env.run()
-        assert len(env._timeout_pool) <= Environment._POOL_MAX
-
-    def test_interrupt_during_sleep_is_safe(self):
-        """The victim detaches from its sleep timeout; the timeout later
-        fires with no callbacks and is recycled without resuming anyone."""
-        env = Environment()
-        log = []
-
-        def victim():
-            try:
-                yield env.sleep(10)
-                log.append("slept")
-            except Interrupt as exc:
-                log.append(("interrupted", env.now, exc.cause))
-                yield env.sleep(1)
-                log.append(("resumed", env.now))
-
-        proc = env.process(victim())
-
-        def interrupter():
-            yield env.timeout(4)
-            proc.interrupt("stop")
-
-        env.process(interrupter())
-        env.run()
-        assert log == [("interrupted", 4, "stop"), ("resumed", 5)]
+        assert len(env._timeout_pool) == Environment._POOL_MAX
 
 
 class TestSlots:
@@ -136,12 +140,10 @@ class TestSlots:
             Timeout(env, 1),
             env.sleep(1),
             Process(env, gen()),
-            AnyOf(env, []),
-            AllOf(env, []),
         ]
         for obj in instances:
             assert not hasattr(obj, "__dict__"), type(obj).__name__
-        for cls in (Event, Timeout, Process, Condition, AnyOf, AllOf):
+        for cls in (Event, Timeout, Process):
             assert "__slots__" in vars(cls), cls.__name__
         env.run()
 
@@ -154,16 +156,28 @@ class TestRunLoopEquivalence:
                 yield env.sleep(delay)
                 log.append((env.now, tag, i))
 
+        def sampler(rank):
+            # Sample-lane wake-ups tie with worker "a" at t=2, 4 and 6.
+            for i in range(3):
+                yield env.sample_sleep(2, rank)
+                log.append((env.now, "sampler", rank, i))
+
         def failer():
             yield env.timeout(7)
             log.append((env.now, "failer", -1))
 
+        def waiter(ev):
+            value = yield ev
+            log.append((env.now, "event", value))
+
         env.process(worker("a", 2))
+        env.process(sampler(2))
+        env.process(sampler(1))
         env.process(worker("b", 3.5))
         env.process(failer())
         ev = env.event()
         env.timeout(5).callbacks.append(lambda _e: ev.succeed("five"))
-        ev.callbacks.append(lambda e: log.append((env.now, "event", e.value)))
+        env.process(waiter(ev))
 
     def test_run_matches_manual_stepping(self):
         env_a = Environment()
@@ -174,15 +188,19 @@ class TestRunLoopEquivalence:
         env_b = Environment()
         log_b = []
         self.scenario(env_b, log_b)
-        while env_b.peek() < 9:
-            env_b.step()
+        while next_time(env_b) < 9:
+            step(env_b)
         env_b._now = 9
 
         assert log_a == log_b
+        assert log_a.index((2, "a", 0)) < log_a.index((2, "sampler", 1, 0))
+        assert log_a.index((2, "sampler", 1, 0)) < log_a.index((2, "sampler", 2, 0))
         assert env_a.now == env_b.now == 9
         assert env_a._eid == env_b._eid
 
     def test_run_until_event_still_works_with_pooling(self):
+        # A process whose waits are all pooled still hands its return value
+        # to a joiner.
         env = Environment()
 
         def proc():
@@ -190,5 +208,12 @@ class TestRunLoopEquivalence:
             return "done"
 
         p = env.process(proc())
-        assert env.run(until=p) == "done"
+        got = []
+
+        def joiner():
+            got.append((yield p))
+
+        env.process(joiner())
+        env.run()
+        assert got == ["done"]
         assert env.now == 3
