@@ -21,7 +21,7 @@ def _run(policy: LammPolicy):
     for seed in range(n_runs()):
         raw = run_raw(LammMac, settings, seed, {"policy": policy})
         rates.append(raw.metrics().delivery_rate)
-        rts.append(raw.stats.frames_sent.get(FrameType.RTS, 0))
+        rts.append(raw.counters.get(FrameType.RTS.sent_key))
     return mean(rates), mean(rts)
 
 

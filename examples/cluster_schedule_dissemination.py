@@ -67,8 +67,8 @@ def run(mac_cls, seed: int):
     delivered_all = [
         r for r in reqs if members <= net.channel.stats.data_receipts.get(r.msg_id, set())
     ]
-    sent = net.channel.stats.frames_sent
-    control = sum(sent.get(t, 0) for t in (FrameType.RTS, FrameType.CTS, FrameType.RAK, FrameType.ACK))
+    sent = net.channel.counters
+    control = sum(sent.get(t.sent_key) for t in (FrameType.RTS, FrameType.CTS, FrameType.RAK, FrameType.ACK))
     return {
         "completed": len(done) / len(reqs),
         "fully_delivered": len(delivered_all) / len(reqs),

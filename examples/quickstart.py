@@ -9,6 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import BmmmMac, MessageKind, Network, uniform_square
+from repro.obs.trace import TraceRecorder, format_timeline, transmissions_from_trace
 
 def main() -> None:
     # 10 nodes uniform in a half-unit square (dense enough that node 0 has
@@ -19,8 +20,9 @@ def main() -> None:
         radius=0.2,
         mac_cls=BmmmMac,
         seed=42,
-        record_transmissions=True,  # keep the frame log for printing
     )
+    # Every frame put on the air is a ``frame_tx`` event: record them.
+    recorder = net.env.obs.subscribe(TraceRecorder())
 
     sender = net.mac(0)
     print(f"node 0 at {positions[0].round(2)} has neighbors {sorted(sender.neighbors)}")
@@ -40,8 +42,7 @@ def main() -> None:
     assert req.dests <= delivered, "BMMM completed => everyone has the frame"
 
     print("\non-air timeline (slot: frame):")
-    for tx in net.channel.tx_log:
-        print(f"  {tx.start:5.0f}-{tx.end:<5.0f} {tx.frame}")
+    print(format_timeline(transmissions_from_trace(recorder.events)))
 
 
 if __name__ == "__main__":

@@ -135,6 +135,9 @@ def figure2(n_receivers: int = 4, seed: int = 0) -> FigureResult:
     counts for BMW vs BMMM.  The timeline of every transmission is
     returned in ``meta["timeline"]``.
     """
+    # Imported here so that ``import repro`` does not load the trace module.
+    from repro.obs.trace import TraceRecorder
+
     if n_receivers < 1:
         raise ValueError("need at least one receiver")
     # Star layout, radius small enough that everyone hears everyone.
@@ -150,16 +153,16 @@ def figure2(n_receivers: int = 4, seed: int = 0) -> FigureResult:
     for name in ("BMW", "BMMM"):
         mac_cls, kwargs = protocol_class(name)
         net = _rebuild_with_positions(mac_cls, settings, seed, kwargs, pos)
+        recorder = net.env.obs.subscribe(TraceRecorder())
         req = net.mac(0).submit(MessageKind.BROADCAST)
         net.run(until=2_000)
         series[name] = [float(req.finish_time - req.service_start)]
         timelines[name] = [
-            (tx.start, tx.end, tx.frame.ftype.value, tx.sender) for tx in net.channel.tx_log
+            (e.time, e.data["end"], e.data["ftype"], e.node)
+            for e in recorder.by_type("frame_tx")
         ]
-        counts[name] = {
-            ft.value: sum(1 for tx in net.channel.tx_log if tx.frame.ftype is ft)
-            for ft in FrameType
-        }
+        sent = net.channel.counters
+        counts[name] = {ft.value: sent.get(ft.sent_key) for ft in FrameType}
     return FigureResult(
         name="figure2",
         xlabel="protocol",
@@ -182,7 +185,6 @@ def _rebuild_with_positions(mac_cls, settings, seed, kwargs, positions):
         seed=seed,
         mac_config=MacConfig(contention=settings.contention, timeout_slots=settings.timeout_slots),
         mac_kwargs=kwargs,
-        record_transmissions=True,
     )
 
 

@@ -129,7 +129,6 @@ def build_network(
     settings: SimulationSettings,
     seed: int,
     mac_kwargs: dict[str, Any] | None = None,
-    record_transmissions: bool = False,
     propagation: "UnitDiskPropagation | None" = None,
 ) -> Network:
     """Construct the network for one run (placement seeded by *seed*).
@@ -158,7 +157,6 @@ def build_network(
             phy=settings.phy,
         ),
         mac_kwargs=mac_kwargs,
-        record_transmissions=record_transmissions,
         interference_factor=settings.interference_factor,
         propagation=propagation,
         faults=settings.faults,
@@ -171,7 +169,6 @@ def run_raw(
     seed: int,
     mac_kwargs: dict[str, Any] | None = None,
     *,
-    record_transmissions: bool = False,
     subscribers: Iterable[Subscriber] = (),
     world: "WorldParts | None" = None,
     profile: bool = False,
@@ -199,7 +196,6 @@ def run_raw(
             settings,
             seed,
             mac_kwargs,
-            record_transmissions,
             propagation=world.propagation if world is not None else None,
         )
         for subscriber in subscribers:

@@ -123,8 +123,6 @@ class BeaconService:
         self._contender = Contender(
             mac.env, mac.radio, mac.nav, self.rng, mac.config.contention
         )
-        #: Beacons transmitted (diagnostics).
-        self.sent = 0
         mac.radio.add_listener(self._on_frame)
         self.process = mac.env.process(self._run(), name=f"beacons-{mac.node_id}")
 
@@ -153,6 +151,5 @@ class BeaconService:
                     info=self._position(),
                 )
                 yield self.mac.radio.transmit(beacon)
-                self.sent += 1
             delay = cfg.period + self.rng.uniform(-cfg.jitter, cfg.jitter)
             yield self.env.timeout(max(1.0, delay))

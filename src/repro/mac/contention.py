@@ -134,8 +134,6 @@ class Contender:
         self.nav = nav
         self.rng = rng
         self.params = params or ContentionParams()
-        #: Total contention phases executed by this node (metrics).
-        self.phases_executed = 0
         #: This contender's key in the commit-horizon registry ``env._horizons``.
         self._hkey = env.horizon_key()
 
@@ -165,7 +163,6 @@ class Contender:
         station has won access and must transmit immediately.  *attempt*
         selects the BEB window for retransmissions (CSMA/CA step 4).
         """
-        self.phases_executed += 1
         env = self.env
         params = self.params
         difs_slots = params.difs_slots

@@ -30,6 +30,7 @@ from typing import Iterable
 from repro.mac.base import MacRequest, MessageKind, MessageStatus
 from repro.obs.counters import Counters
 from repro.sim.channel import ChannelStats
+from repro.sim.frames import FrameType
 
 __all__ = ["MessageScore", "RunMetrics", "score_request", "summarize_run"]
 
@@ -91,13 +92,18 @@ class RunMetrics:
     #: Scores of the group (multicast/broadcast) messages only.
     group_scores: list[MessageScore] = field(default_factory=list)
     all_scores: list[MessageScore] = field(default_factory=list)
-    #: Channel-wide frame counts by type name (whole run, all senders) --
-    #: LAMM's control-frame savings over BMMM show up here.
-    frames_sent: dict[str, int] = field(default_factory=dict)
     #: Flattened run-wide observability counter totals (see
     #: ``docs/observability.md`` for the key dictionary).  Plain ints, so
     #: per-seed metrics merge across the process pool by summation.
     counters: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def frames_sent(self) -> dict[str, int]:
+        """Channel-wide frame counts by type name (whole run, all senders;
+        types never sent left out), read off the ``frames_sent.*``
+        counters -- LAMM's control-frame savings over BMMM show up here."""
+        counters = self.counters
+        return {ft.value: counters[ft.sent_key] for ft in FrameType if counters.get(ft.sent_key)}
 
     @property
     def delivery_rate(self) -> float:
@@ -144,7 +150,7 @@ class RunMetrics:
 
     @property
     def control_frames(self) -> int:
-        """Total RTS + CTS + RAK + ACK + NAK frames on the air."""
+        """Total non-DATA frames on the air: control frames plus beacons."""
         return sum(
             count for name, count in self.frames_sent.items() if name != "DATA"
         )
@@ -173,7 +179,8 @@ def summarize_run(
     *include_unserved* is set, in which case they count as unsuccessful.
 
     *counters* (a :class:`repro.obs.counters.Counters` or an already-flat
-    dict) attaches the run's observability counter totals.
+    dict) attaches the run's observability counter totals, which
+    :attr:`RunMetrics.frames_sent` reads.
     """
     if counters is None:
         counter_totals: dict[str, int] = {}
@@ -183,7 +190,6 @@ def summarize_run(
         counter_totals = dict(counters)
     out = RunMetrics(
         threshold=threshold,
-        frames_sent={ft.value: n for ft, n in stats.frames_sent.items()},
         counters=counter_totals,
     )
     for req in requests:

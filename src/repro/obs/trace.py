@@ -20,10 +20,11 @@ campaign telemetry stream.
 
 The renderers -- :func:`lane_diagram` (the paper's Figure 2 lanes: one
 row per station, one column per slot) and :func:`format_timeline` -- take
-channel ``Transmission`` objects: a live channel's ``tx_log`` (recorded
-with ``record_transmissions=True``) or :func:`transmissions_from_trace`,
-which rebuilds them from ``frame_tx`` events, so a recorded JSONL file
-replays into the same ASCII lanes without re-running the simulation.
+channel ``Transmission`` objects, which :func:`transmissions_from_trace`
+rebuilds from ``frame_tx`` events.  The event bus is the simulator's only
+transmission log: a live run is replayed from a subscribed
+:class:`TraceRecorder`, a recorded JSONL file from :func:`load_trace`,
+into the same ASCII lanes without re-running the simulation.
 """
 
 from __future__ import annotations
@@ -169,8 +170,9 @@ def load_trace(source: str | Path | IO[str], include_meta: bool = False) -> Trac
 
 def frame_type_counts(events: Iterable[SimEvent], etype: str = "frame_tx") -> dict[str, int]:
     """Per-frame-type counts over *etype* events (``frame_tx`` by default;
-    pass ``"frame_rx"`` for deliveries).  Matches ``ChannelStats`` /
-    counter totals exactly -- asserted by the integration tests."""
+    pass ``"frame_rx"`` for deliveries).  Matches the channel's
+    ``frames_sent.*`` / ``frames_delivered.*`` counter totals exactly --
+    asserted by the integration tests."""
     counts: dict[str, int] = {}
     for event in events:
         if event.etype == etype:
@@ -182,7 +184,8 @@ def frame_type_counts(events: Iterable[SimEvent], etype: str = "frame_tx") -> di
 def transmissions_from_trace(events: Iterable[SimEvent]):
     """Rebuild channel ``Transmission`` objects from ``frame_tx`` events,
     feeding :func:`lane_diagram` and :func:`format_timeline` from a
-    recorded trace."""
+    recorded trace.  Each frame keeps the airtime it had on the air and
+    its MCS; protocol payloads (``info``) are not traced."""
     from repro.sim.channel import Transmission
     from repro.sim.frames import Frame, FrameType
 
@@ -199,6 +202,8 @@ def transmissions_from_trace(events: Iterable[SimEvent]):
             seq=d.get("seq"),
             group=frozenset(d.get("group", ())),
             msg_id=d.get("msg_id"),
+            airtime_slots=round(d["end"] - event.time),
+            mcs=d.get("mcs", 0),
         )
         out.append(Transmission(frame, sender=event.node, start=event.time, end=d["end"]))
     return out

@@ -89,25 +89,18 @@ class Transmission:
 
 @dataclass
 class ChannelStats:
-    """Ground-truth channel bookkeeping for metrics and theorem checks."""
+    """Ground-truth DATA receipts for scoring and theorem checks.
 
-    frames_sent: dict[FrameType, int] = field(default_factory=dict)
-    collisions: int = 0
-    captures: int = 0
-    frame_errors: int = 0
-    half_duplex_losses: int = 0
-    #: Frames heard at a receiver whose link does not sustain the frame's
-    #: MCS (multi-rate profiles only; always 0 at the base rate).
-    rate_losses: int = 0
+    Frame and loss counts live in :attr:`Channel.counters`; the frames
+    themselves go out on the event bus as ``frame_tx`` events.
+    """
+
     #: msg_id -> every station that decoded the DATA frame (any retry,
     #: capture included; bystanders overhearing it count too -- intersect
     #: with the request's intended set when scoring).
     data_receipts: dict[int, set[int]] = field(default_factory=dict)
     #: msg_id -> stations that received the DATA frame *without collision*.
     clean_data_receipts: dict[int, set[int]] = field(default_factory=dict)
-
-    def note_sent(self, frame: Frame) -> None:
-        self.frames_sent[frame.ftype] = self.frames_sent.get(frame.ftype, 0) + 1
 
     def note_delivered(self, frame: Frame, receiver: int, clean: bool) -> None:
         if frame.ftype is FrameType.DATA and frame.msg_id is not None:
@@ -118,6 +111,11 @@ class ChannelStats:
 
 class Channel:
     """Shared wireless medium for a static topology.
+
+    Each frame put on the air is counted once, per node, in
+    :attr:`counters` (``frames_sent.<FT>``), and goes out on the event bus
+    as a ``frame_tx`` event: the channel keeps no log of past frames.
+    :attr:`stats` holds the per-message DATA receipts scoring reads.
 
     Parameters
     ----------
@@ -150,7 +148,6 @@ class Channel:
         capture: CaptureModel | None = None,
         frame_error_rate: float = 0.0,
         rng: random.Random | None = None,
-        record_transmissions: bool = False,
         phy: PhyProfile | None = None,
     ):
         if not 0.0 <= frame_error_rate < 1.0:
@@ -181,10 +178,6 @@ class Channel:
         #: Positions as the protocols *perceive* them (location-error fault);
         #: None means perception == truth.
         self.perceived_positions: "np.ndarray | None" = None
-        #: Complete transmission log (for timeline figures); only populated
-        #: when *record_transmissions* is set, to keep long runs lean.
-        self.record_transmissions = record_transmissions
-        self.tx_log: list[Transmission] = []
         #: The air list: every transmission that may still overlap a frame
         #: in flight, in start order (pruned in :meth:`transmit`).  Each
         #: frame's collisions are decided from it once, in :meth:`_finish`.
@@ -247,8 +240,8 @@ class Channel:
         """Fold the run-wide frame totals into ``counters.total``.
 
         The per-frame hot paths only maintain per-node attribution (one
-        dict increment each); ``frames_sent.*`` totals are copied from
-        ``stats`` and ``frames_delivered.*`` totals summed over the nodes.
+        dict increment each); the ``frames_sent.*`` and
+        ``frames_delivered.*`` totals are summed over the nodes.
         Idempotent; :class:`~repro.sim.network.Network` calls it after
         every ``run()``, so code reading ``channel.counters`` after a
         simulation sees complete totals.
@@ -256,9 +249,8 @@ class Channel:
         total = self.counters.total
         per_node = self.counters.per_node.values()
         for ft in FrameType:
-            total[ft.sent_key] = self.stats.frames_sent.get(ft, 0)
-            key = ft.delivered_key
-            total[key] = sum(counts.get(key, 0) for counts in per_node)
+            for key in (ft.sent_key, ft.delivered_key):
+                total[key] = sum(counts.get(key, 0) for counts in per_node)
         return self.counters
 
     # -- transmission ----------------------------------------------------------
@@ -272,8 +264,9 @@ class Channel:
         faults = self.faults
         if faults is not None and radio.node_id in faults.down:
             # Crashed node: its MAC processes keep running, but the radio is
-            # dark -- the frame never reaches the air (no stats, no carrier
-            # sense at anyone).  The sender still experiences the airtime.
+            # dark -- the frame never reaches the air (no ``frames_sent``
+            # count, no ``frame_tx`` event, no carrier sense at anyone).
+            # The sender still experiences the airtime.
             self.counters.inc("faults.tx_suppressed", node=radio.node_id)
             obs = self._obs
             if obs.active:
@@ -293,13 +286,8 @@ class Channel:
         counts[airtime] = counts.get(airtime, 0) + 1
         if airtime > self._max_airtime:
             self._max_airtime = airtime
-        self.stats.note_sent(frame)
-        # Per-node attribution only; the run-wide ``frames_sent.*`` totals
-        # are derived from ``stats`` in finalize_counters() to keep this
-        # per-frame path minimal.
+        # Per-node only; finalize_counters() sums the run-wide totals.
         radio._counts[frame.ftype.sent_key] += 1
-        if self.record_transmissions:
-            self.tx_log.append(tx)
         obs = self._obs
         if obs.active:
             payload = {
@@ -314,6 +302,8 @@ class Channel:
             }
             if frame.group:
                 payload["group"] = sorted(frame.group)
+            if frame.mcs:
+                payload["mcs"] = frame.mcs
             obs.emit("frame_tx", node=radio.node_id, **payload)
 
         # A frame finishing at ``T >= now`` started at ``T - airtime >=
@@ -420,7 +410,6 @@ class Channel:
         heard = []
         for t in tx.rivals:
             if t.sender == rid:
-                self.stats.half_duplex_losses += 1
                 self.counters.inc("half_duplex_losses", node=rid)
                 if obs.active:
                     obs.emit(
@@ -442,7 +431,6 @@ class Channel:
         # frame still interferes at this receiver (it is in ``hearers``).
         fmcs = tx.frame.mcs
         if fmcs and self.propagation.link_mcs(self.phy)[tx.sender][rid] < fmcs:
-            self.stats.rate_losses += 1
             self.counters.inc("rate_losses", node=rid)
             if obs.active:
                 obs.emit(
@@ -468,7 +456,6 @@ class Channel:
         if k == 1:
             clean = True
         else:
-            self.stats.collisions += 1
             self.counters.inc("collisions", node=rid)
             if obs.active:
                 obs.emit(
@@ -497,7 +484,6 @@ class Channel:
                     break
             if not (strongest and self.capture.attempt(k, self.rng)):
                 return
-            self.stats.captures += 1
             self.counters.inc("captures", node=rid)
             if obs.active:
                 obs.emit(
@@ -511,7 +497,6 @@ class Channel:
             clean = False
 
         if self.frame_error_rate > 0.0 and self.rng.random() < self.frame_error_rate:
-            self.stats.frame_errors += 1
             self.counters.inc("frame_errors", node=rid)
             if obs.active:
                 obs.emit(

@@ -30,6 +30,10 @@ __all__ = ["Network"]
 class Network:
     """A static ad-hoc network running one MAC protocol on every node.
 
+    After :meth:`run`, ``channel.counters`` holds the frame and loss
+    counts; the frames themselves are ``frame_tx`` events on ``env.obs``
+    (see :func:`repro.obs.trace.transmissions_from_trace`).
+
     Parameters
     ----------
     positions:
@@ -75,7 +79,6 @@ class Network:
         seed: int = 0,
         mac_config: MacConfig | None = None,
         mac_kwargs: dict[str, Any] | None = None,
-        record_transmissions: bool = False,
         beacons: "BeaconConfig | None" = None,
         interference_factor: float = 1.0,
         propagation: UnitDiskPropagation | None = None,
@@ -94,7 +97,6 @@ class Network:
             capture=capture,
             frame_error_rate=frame_error_rate,
             rng=random.Random(f"{seed}:channel"),
-            record_transmissions=record_transmissions,
             phy=self.mac_config.phy,
         )
         self.seed = seed

@@ -37,10 +37,11 @@ class TrafficMix:
     broadcast: float = 0.4
 
     def __post_init__(self):
+        # Written so that NaN fails both checks.
         total = self.unicast + self.multicast + self.broadcast
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"traffic mix must sum to 1, got {total}")
-        if min(self.unicast, self.multicast, self.broadcast) < 0:
+        if not all(p >= 0 for p in (self.unicast, self.multicast, self.broadcast)):
             raise ValueError("traffic mix proportions must be non-negative")
 
 

@@ -71,13 +71,16 @@ class TestAgainstSimulator:
     def test_bmmm_exchange_matches_model_minus_contention(self):
         """On a clean star, the measured batch exchange (excluding the
         random contention) equals the closed form exactly."""
-        from tests.conftest import run_one_broadcast
+        from tests.conftest import air_log, make_star
         from repro.core.bmmm import BmmmMac
+        from repro.mac.base import MessageKind
 
         for n in (2, 5):
-            net, req = run_one_broadcast(BmmmMac, n_receivers=n, until=1000,
-                                         record_transmissions=True)
-            txs = sorted(net.channel.tx_log, key=lambda t: t.start)
+            net = make_star(BmmmMac, n)
+            air = air_log(net.env)
+            net.mac(0).submit(MessageKind.BROADCAST)
+            net.run(until=1000)
+            txs = sorted(air(), key=lambda t: t.start)
             exchange = txs[-1].end - txs[0].start
             assert exchange == bmmm_multicast_time(n, 0.0)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mac.base import MessageKind
+from repro.obs.trace import TraceRecorder, transmissions_from_trace
 from repro.sim.network import Network
 
 
@@ -37,6 +38,17 @@ def run_one_broadcast(mac_cls, n_receivers=4, seed=1, until=500, **net_kwargs):
     req = net.mac(0).submit(MessageKind.BROADCAST)
     net.run(until=until)
     return net, req
+
+
+def air_log(env):
+    """Record the frames put on the air in *env* from now on.
+
+    Subscribes a :class:`TraceRecorder` to the environment's event bus and
+    returns a function that replays the ``frame_tx`` events recorded so
+    far as channel ``Transmission`` objects, in transmit order.
+    """
+    recorder = env.obs.subscribe(TraceRecorder())
+    return lambda: transmissions_from_trace(recorder.events)
 
 
 @pytest.fixture

@@ -5,10 +5,19 @@ import pytest
 
 from repro.core.batch import batch_round_airtime, rak_duration, rts_duration
 from repro.core.bmmm import BmmmMac
-from repro.mac.base import MessageStatus
+from repro.mac.base import MessageKind, MessageStatus
 from repro.sim.frames import FrameType
 
-from tests.conftest import run_one_broadcast
+from tests.conftest import air_log, make_star
+
+
+def broadcast_air(n_receivers):
+    """One BMMM broadcast on a clean star: (request, frames on the air)."""
+    net = make_star(BmmmMac, n_receivers)
+    air = air_log(net.env)
+    req = net.mac(0).submit(MessageKind.BROADCAST)
+    net.run(until=500)
+    return req, air()
 
 
 class TestDurationFormulas:
@@ -57,9 +66,9 @@ class TestBatchChoreography:
     def test_frame_sequence_on_clean_channel(self):
         """n RTS, n CTS, 1 DATA, n RAK, n ACK, in that phase order."""
         n = 3
-        net, req = run_one_broadcast(BmmmMac, n_receivers=n, record_transmissions=True)
+        req, txs = broadcast_air(n)
         assert req.status is MessageStatus.COMPLETED
-        kinds = [tx.frame.ftype for tx in net.channel.tx_log]
+        kinds = [tx.frame.ftype for tx in txs]
         assert kinds.count(FrameType.RTS) == n
         assert kinds.count(FrameType.CTS) == n
         assert kinds.count(FrameType.DATA) == 1
@@ -73,8 +82,8 @@ class TestBatchChoreography:
         assert all(k in (FrameType.RAK, FrameType.ACK) for k in kinds[data_idx + 1 :])
 
     def test_rts_cts_alternate(self):
-        net, req = run_one_broadcast(BmmmMac, n_receivers=3, record_transmissions=True)
-        kinds = [tx.frame.ftype for tx in net.channel.tx_log]
+        req, txs = broadcast_air(3)
+        kinds = [tx.frame.ftype for tx in txs]
         data_idx = kinds.index(FrameType.DATA)
         assert kinds[:data_idx] == [FrameType.RTS, FrameType.CTS] * 3
         assert kinds[data_idx + 1 :] == [FrameType.RAK, FrameType.ACK] * 3
@@ -82,22 +91,19 @@ class TestBatchChoreography:
     def test_gapless_medium_occupancy(self):
         """Between channel access and the last ACK, the medium never idles
         for DIFS (2 slots) or more -- Section 4's key property."""
-        net, req = run_one_broadcast(BmmmMac, n_receivers=4, record_transmissions=True)
-        txs = sorted(net.channel.tx_log, key=lambda t: t.start)
+        req, txs = broadcast_air(4)
         for a, b in zip(txs, txs[1:]):
             gap = b.start - a.end
             assert gap < 2, f"medium idled {gap} slots mid-batch"
 
     def test_batch_airtime_matches_formula(self):
         n = 4
-        net, req = run_one_broadcast(BmmmMac, n_receivers=n, record_transmissions=True)
-        txs = sorted(net.channel.tx_log, key=lambda t: t.start)
+        req, txs = broadcast_air(n)
         busy = txs[-1].end - txs[0].start
         assert busy == batch_round_airtime(n)
 
     def test_cts_duration_is_rts_minus_one(self):
-        net, req = run_one_broadcast(BmmmMac, n_receivers=2, record_transmissions=True)
-        txs = sorted(net.channel.tx_log, key=lambda t: t.start)
+        req, txs = broadcast_air(2)
         pairs = [
             (a, b)
             for a, b in zip(txs, txs[1:])

@@ -32,8 +32,8 @@ class TestBmmmCleanChannel:
         req = net.mac(0).submit(MessageKind.MULTICAST, frozenset({2, 4}))
         net.run(until=500)
         assert req.status is MessageStatus.COMPLETED
-        assert net.channel.stats.frames_sent[FrameType.RTS] == 2
-        assert net.channel.stats.frames_sent[FrameType.RAK] == 2
+        assert net.channel.counters.get(FrameType.RTS.sent_key) == 2
+        assert net.channel.counters.get(FrameType.RAK.sent_key) == 2
 
     def test_unicast_still_uses_dcf(self):
         """The 20% unicast traffic runs plain DCF (no RAK)."""
@@ -41,7 +41,7 @@ class TestBmmmCleanChannel:
         req = net.mac(0).submit(MessageKind.UNICAST, frozenset({1}))
         net.run(until=200)
         assert req.status is MessageStatus.COMPLETED
-        assert FrameType.RAK not in net.channel.stats.frames_sent
+        assert net.channel.counters.get(FrameType.RAK.sent_key) == 0
 
 
 class TestBmmmRecovery:
@@ -94,7 +94,7 @@ class TestBmmmMediumControl:
     def test_neighbor_cannot_seize_medium_mid_batch(self):
         """While node 0 runs a batch, a neighbor with a pending message
         must not transmit until the batch ends (gaps < DIFS)."""
-        net = make_star(BmmmMac, 4, record_transmissions=True)
+        net = make_star(BmmmMac, 4)
         req = net.mac(0).submit(MessageKind.BROADCAST)
         # Node 1 wants to send shortly after the batch starts.
         def inject():
@@ -105,7 +105,7 @@ class TestBmmmMediumControl:
         net.run(until=600)
         assert req.status is MessageStatus.COMPLETED
         # No collisions: node 1 waited the batch out.
-        assert net.channel.stats.collisions == 0
+        assert net.channel.counters.get("collisions") == 0
 
     def test_third_party_yields_via_duration(self):
         """A receiver hearing RTS(p2) mid-batch still answers its own

@@ -10,7 +10,7 @@ from repro.mac.base import MessageKind, MessageStatus
 from repro.sim.frames import FrameType
 from repro.sim.network import Network
 
-from tests.conftest import run_one_broadcast
+from tests.conftest import air_log, run_one_broadcast
 
 
 def dense_cluster_positions(n_ring=6, ring_r=0.05):
@@ -50,18 +50,19 @@ class TestLammCleanChannel:
     def test_polls_at_most_as_many_as_bmmm(self):
         """LAMM's RTS count <= |S| (it polls a cover set)."""
         net, req = run_one_broadcast(LammMac, n_receivers=6, until=1000)
-        n_rts = net.channel.stats.frames_sent[FrameType.RTS]
+        n_rts = net.channel.counters.get(FrameType.RTS.sent_key)
         assert n_rts <= 6
 
     def test_covered_node_not_polled_but_served(self):
         """The ringed receiver is covered by the ring: LAMM never RTSs it,
         yet infers (correctly) that it received the data."""
         pos = dense_cluster_positions()
-        net = Network(pos, 0.2, LammMac, seed=1, record_transmissions=True)
+        net = Network(pos, 0.2, LammMac, seed=1)
+        air = air_log(net.env)
         req = net.mac(0).submit(MessageKind.BROADCAST)
         net.run(until=1000)
         assert req.status is MessageStatus.COMPLETED
-        polled = {tx.frame.ra for tx in net.channel.tx_log if tx.frame.ftype is FrameType.RTS}
+        polled = {tx.frame.ra for tx in air() if tx.frame.ftype is FrameType.RTS}
         assert 1 not in polled, "covered node should not be polled"
         assert 1 in req.inferred
         # Ground truth: it really did receive the data, collision-free.
@@ -70,10 +71,11 @@ class TestLammCleanChannel:
     def test_data_addressed_to_full_set(self):
         """Even when polling a subset, the DATA frame carries all of S."""
         pos = dense_cluster_positions()
-        net = Network(pos, 0.2, LammMac, seed=1, record_transmissions=True)
+        net = Network(pos, 0.2, LammMac, seed=1)
+        air = air_log(net.env)
         req = net.mac(0).submit(MessageKind.BROADCAST)
         net.run(until=1000)
-        datas = [tx.frame for tx in net.channel.tx_log if tx.frame.ftype is FrameType.DATA]
+        datas = [tx.frame for tx in air() if tx.frame.ftype is FrameType.DATA]
         assert datas and datas[0].group == req.dests
 
     def test_exact_policy_also_completes(self):
@@ -143,5 +145,5 @@ class TestLammEfficiency:
             req = net.mac(0).submit(MessageKind.BROADCAST, timeout=5000)
             net.run(until=5000)
             assert req.status is MessageStatus.COMPLETED
-            counts[cls.name] = net.channel.stats.frames_sent[FrameType.RTS]
+            counts[cls.name] = net.channel.counters.get(FrameType.RTS.sent_key)
         assert counts["LAMM"] < counts["BMMM"]

@@ -7,7 +7,7 @@ from repro.mac.base import MessageKind, MessageStatus
 from repro.sim.frames import FrameType
 from repro.sim.network import Network
 
-from tests.conftest import make_star
+from tests.conftest import air_log, make_star
 
 
 class TestDegenerateGeometries:
@@ -16,7 +16,7 @@ class TestDegenerateGeometries:
         req = net.mac(0).submit(MessageKind.BROADCAST)
         net.run(until=200)
         assert req.status is MessageStatus.COMPLETED
-        assert net.channel.stats.frames_sent[FrameType.RTS] == 1
+        assert net.channel.counters.get(FrameType.RTS.sent_key) == 1
 
     def test_colocated_receivers_single_poll(self):
         """Receivers stacked on one point: the cover set is a single node;
@@ -26,7 +26,7 @@ class TestDegenerateGeometries:
         req = net.mac(0).submit(MessageKind.BROADCAST, timeout=500)
         net.run(until=600)
         assert req.status is MessageStatus.COMPLETED
-        assert net.channel.stats.frames_sent[FrameType.RTS] == 1
+        assert net.channel.counters.get(FrameType.RTS.sent_key) == 1
         assert len(req.inferred) == 3
         # Ground truth backs the inference.
         got = net.channel.stats.clean_data_receipts[req.msg_id]
@@ -45,11 +45,12 @@ class TestDegenerateGeometries:
         """Members > R apart cannot cover each other: LAMM must poll all
         of them (cover angles are empty across the set)."""
         pos = np.array([[0.5, 0.5], [0.5, 0.68], [0.5, 0.32], [0.68, 0.5]])
-        net = Network(pos, 0.2, LammMac, seed=4, record_transmissions=True)
+        net = Network(pos, 0.2, LammMac, seed=4)
+        air = air_log(net.env)
         req = net.mac(0).submit(MessageKind.BROADCAST, timeout=500)
         net.run(until=600)
         assert req.status is MessageStatus.COMPLETED
-        polled = {t.frame.ra for t in net.channel.tx_log if t.frame.ftype is FrameType.RTS}
+        polled = {t.frame.ra for t in air() if t.frame.ftype is FrameType.RTS}
         assert polled == {1, 2, 3}
         assert req.inferred == set()
 

@@ -59,14 +59,18 @@ class TestRenderFigure:
 class TestLaneDiagram:
     def test_figure2_style_lanes(self):
         from repro.obs.trace import format_timeline, lane_diagram
-        from tests.conftest import run_one_broadcast
+        from tests.conftest import air_log, make_star
         from repro.core.bmmm import BmmmMac
+        from repro.mac.base import MessageKind
 
-        net, req = run_one_broadcast(BmmmMac, n_receivers=2, record_transmissions=True)
-        lanes = lane_diagram(net.channel.tx_log)
+        net = make_star(BmmmMac, 2)
+        air = air_log(net.env)
+        net.mac(0).submit(MessageKind.BROADCAST)
+        net.run(until=500)
+        lanes = lane_diagram(air())
         assert "node   0" in lanes
         assert "R" in lanes and "D" in lanes and "K" in lanes and "A" in lanes
-        text = format_timeline(net.channel.tx_log)
+        text = format_timeline(air())
         assert "RTS" in text and "RAK" in text
 
     def test_empty_log(self):

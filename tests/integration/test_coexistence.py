@@ -16,7 +16,7 @@ from repro.protocols.plain import PlainMulticastMac
 from repro.sim.frames import FrameType
 from repro.sim.network import Network
 
-from tests.conftest import make_star, star_positions
+from tests.conftest import air_log, make_star, star_positions
 
 
 class TestPerRequestReliability:
@@ -27,9 +27,9 @@ class TestPerRequestReliability:
         req = net.mac(0).submit(MessageKind.BROADCAST, reliable=False)
         net.run(until=200)
         assert req.status is MessageStatus.COMPLETED
-        sent = net.channel.stats.frames_sent
-        assert FrameType.RTS not in sent
-        assert FrameType.RAK not in sent
+        sent = net.channel.counters
+        assert sent.get(FrameType.RTS.sent_key) == 0
+        assert sent.get(FrameType.RAK.sent_key) == 0
         assert req.acked == set()
         assert req.contention_phases == 1
 
@@ -42,7 +42,8 @@ class TestPerRequestReliability:
 
     def test_mixed_requests_on_one_node(self):
         """A node can interleave reliable and unreliable multicasts."""
-        net = make_star(LammMac, 4, record_transmissions=True)
+        net = make_star(LammMac, 4)
+        air = air_log(net.env)
         fast = net.mac(0).submit(MessageKind.BROADCAST, reliable=False)
         safe = net.mac(0).submit(MessageKind.BROADCAST, reliable=True)
         net.run(until=500)
@@ -50,7 +51,7 @@ class TestPerRequestReliability:
         assert safe.status is MessageStatus.COMPLETED
         assert fast.acked == set() and safe.acked == safe.dests
         # Exactly one handshake sequence on the air (the reliable one).
-        raks = [t for t in net.channel.tx_log if t.frame.ftype is FrameType.RAK]
+        raks = [t for t in air() if t.frame.ftype is FrameType.RAK]
         assert {t.frame.msg_id for t in raks} == {safe.msg_id}
 
     def test_unreliable_unicast_still_uses_dcf(self):
@@ -60,7 +61,7 @@ class TestPerRequestReliability:
         req = net.mac(0).submit(MessageKind.UNICAST, frozenset({1}), reliable=False)
         net.run(until=200)
         assert req.status is MessageStatus.COMPLETED
-        assert net.channel.stats.frames_sent[FrameType.ACK] == 1
+        assert net.channel.counters.get(FrameType.ACK.sent_key) == 1
 
     def test_plain_mac_ignores_flag(self):
         net = make_star(PlainMulticastMac, 2)
@@ -69,7 +70,7 @@ class TestPerRequestReliability:
         net.run(until=300)
         assert a.status is MessageStatus.COMPLETED
         assert b.status is MessageStatus.COMPLETED
-        assert FrameType.RTS not in net.channel.stats.frames_sent
+        assert net.channel.counters.get(FrameType.RTS.sent_key) == 0
 
 
 class TestMixedProtocolNetworks:
@@ -93,7 +94,7 @@ class TestMixedProtocolNetworks:
         otherwise clean star."""
         pos = star_positions(4)
         classes = [BmmmMac, BmmmMac, BmmmMac, BmmmMac, PlainMulticastMac]
-        net = Network(pos, 0.2, classes, seed=4, record_transmissions=True)
+        net = Network(pos, 0.2, classes, seed=4)
         req = net.mac(0).submit(MessageKind.BROADCAST)
 
         def later():
@@ -103,7 +104,7 @@ class TestMixedProtocolNetworks:
         net.env.process(later())
         net.run(until=600)
         assert req.status is MessageStatus.COMPLETED
-        assert net.channel.stats.collisions == 0
+        assert net.channel.counters.get("collisions") == 0
 
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="MAC classes"):

@@ -18,12 +18,12 @@ from repro.protocols.tang_gerla import TangGerlaMac
 from repro.phy.capture import ZorziRaoCapture
 from repro.sim.frames import FrameType as F
 
-from tests.conftest import make_star
+from tests.conftest import air_log, make_star
 
 
-def timeline(net):
+def timeline(air):
     """(frame type, sender, start offset) for every transmission."""
-    txs = sorted(net.channel.tx_log, key=lambda t: (t.start, t.sender))
+    txs = sorted(air, key=lambda t: (t.start, t.sender))
     if not txs:
         return []
     t0 = txs[0].start
@@ -31,20 +31,21 @@ def timeline(net):
 
 
 def run(mac_cls, n_receivers, kind=MessageKind.BROADCAST, dests=None, **kw):
-    net = make_star(mac_cls, n_receivers, record_transmissions=True, **kw)
+    net = make_star(mac_cls, n_receivers, **kw)
+    air = air_log(net.env)
     req = net.mac(0).submit(kind, dests, timeout=500)
     net.run(until=700)
-    return net, req
+    return air(), req
 
 
 class TestGoldenTimelines:
     def test_plain_multicast(self):
-        net, req = run(PlainMulticastMac, 2)
-        assert timeline(net) == [(F.DATA, 0, 0)]
+        air, req = run(PlainMulticastMac, 2)
+        assert timeline(air) == [(F.DATA, 0, 0)]
 
     def test_dcf_unicast(self):
-        net, req = run(PlainMulticastMac, 1, MessageKind.UNICAST, frozenset({1}))
-        assert timeline(net) == [
+        air, req = run(PlainMulticastMac, 1, MessageKind.UNICAST, frozenset({1}))
+        assert timeline(air) == [
             (F.RTS, 0, 0),
             (F.CTS, 1, 1),
             (F.DATA, 0, 2),
@@ -52,9 +53,9 @@ class TestGoldenTimelines:
         ]
 
     def test_bmmm_two_receivers(self):
-        net, req = run(BmmmMac, 2)
+        air, req = run(BmmmMac, 2)
         assert req.status is MessageStatus.COMPLETED
-        assert timeline(net) == [
+        assert timeline(air) == [
             (F.RTS, 0, 0),
             (F.CTS, 1, 1),
             (F.RTS, 0, 2),
@@ -69,8 +70,8 @@ class TestGoldenTimelines:
     def test_lamm_two_receivers_same_as_bmmm(self):
         """With two mutually-uncoverable receivers LAMM degenerates to
         BMMM's schedule."""
-        net, req = run(LammMac, 2)
-        assert timeline(net) == [
+        air, req = run(LammMac, 2)
+        assert timeline(air) == [
             (F.RTS, 0, 0),
             (F.CTS, 1, 1),
             (F.RTS, 0, 2),
@@ -83,8 +84,8 @@ class TestGoldenTimelines:
         ]
 
     def test_bmw_two_receivers_with_overhearing(self):
-        net, req = run(BmwMac, 2)
-        tl = timeline(net)
+        air, req = run(BmwMac, 2)
+        tl = timeline(air)
         # First receiver: full exchange at offsets 0,1,2,7.
         assert tl[:4] == [
             (F.RTS, 0, 0),
@@ -97,25 +98,25 @@ class TestGoldenTimelines:
         assert [(t[0], t[1]) for t in tl[4:]] == [(F.RTS, 0), (F.CTS, 2)]
 
     def test_tang_gerla_single_receiver(self):
-        net, req = run(TangGerlaMac, 1)
-        assert timeline(net) == [
+        air, req = run(TangGerlaMac, 1)
+        assert timeline(air) == [
             (F.RTS, 0, 0),
             (F.CTS, 1, 1),
             (F.DATA, 0, 2),
         ]
 
     def test_bsma_single_receiver(self):
-        net, req = run(BsmaMac, 1)
+        air, req = run(BsmaMac, 1)
         # Same as Tang-Gerla (the NAK window adds airtime only on loss).
-        assert timeline(net) == [
+        assert timeline(air) == [
             (F.RTS, 0, 0),
             (F.CTS, 1, 1),
             (F.DATA, 0, 2),
         ]
 
     def test_lbp_two_receivers(self):
-        net, req = run(LeaderBasedMac, 2, capture=ZorziRaoCapture())
-        tl = timeline(net)
+        air, req = run(LeaderBasedMac, 2, capture=ZorziRaoCapture())
+        tl = timeline(air)
         assert tl[0][0] is F.RTS and tl[0][1] == 0
         leader = tl[1][1]
         assert tl[1] == (F.CTS, leader, 1)
@@ -124,8 +125,8 @@ class TestGoldenTimelines:
         assert len(tl) == 4  # nobody NAKed
 
     def test_bmmm_timeline_durations_decrease_monotonically(self):
-        net, req = run(BmmmMac, 3)
-        txs = sorted(net.channel.tx_log, key=lambda t: t.start)
+        air, req = run(BmmmMac, 3)
+        txs = sorted(air, key=lambda t: t.start)
         durations = [t.frame.duration for t in txs]
         # Within one batch, every frame's Duration field counts down the
         # remaining reservation.

@@ -36,7 +36,7 @@ class TestHiddenTerminal:
         collisions = 0
         for seed in range(6):
             net, req = jammed_chain(PlainMulticastMac, seed)
-            collisions += net.channel.stats.collisions
+            collisions += net.channel.counters.get("collisions")
         assert collisions > 0
 
     def test_bmmm_protects_data_with_handshake(self):
@@ -60,7 +60,7 @@ class TestHiddenTerminal:
         """After q's CTS, r must defer: during p's DATA transmission r
         stays silent (NAV), so the DATA gets through cleanly on a quiet
         network."""
-        net = Network(chain_positions(3, 0.15), 0.2, BmmmMac, seed=3, record_transmissions=True)
+        net = Network(chain_positions(3, 0.15), 0.2, BmmmMac, seed=3)
         req = net.mac(0).submit(MessageKind.MULTICAST, frozenset({1}), timeout=1000)
         # r has one message queued slightly later.
         def later():

@@ -10,21 +10,22 @@ from repro.protocols.bmw import BmwMac
 from repro.sim.frames import FrameType
 from repro.sim.network import Network
 
-from tests.conftest import make_star, star_positions
+from tests.conftest import air_log, make_star, star_positions
 
 
 class TestConcurrentBatches:
     def test_two_bmmm_senders_in_range_serialize(self):
         """Two stations with simultaneous batch requests in one collision
         domain: carrier sense + NAV serialize them and both complete."""
-        net = make_star(BmmmMac, 4, record_transmissions=True)
+        net = make_star(BmmmMac, 4)
+        air = air_log(net.env)
         a = net.mac(0).submit(MessageKind.MULTICAST, frozenset({2, 3}), timeout=800)
         b = net.mac(1).submit(MessageKind.MULTICAST, frozenset({2, 4}), timeout=800)
         net.run(until=1000)
         assert a.status is MessageStatus.COMPLETED
         assert b.status is MessageStatus.COMPLETED
         # Their DATA frames must not have overlapped.
-        datas = [t for t in net.channel.tx_log if t.frame.ftype is FrameType.DATA]
+        datas = [t for t in air() if t.frame.ftype is FrameType.DATA]
         assert len(datas) >= 2
         for i, x in enumerate(datas):
             for y in datas[i + 1 :]:

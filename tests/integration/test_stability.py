@@ -7,6 +7,7 @@ from repro.core.bmmm import BmmmMac
 from repro.experiments.config import SimulationSettings, protocol_class
 from repro.experiments.runner import run_raw
 from repro.mac.base import MessageKind, MessageStatus
+from repro.sim.frames import FrameType
 from repro.sim.network import Network
 
 from tests.conftest import star_positions
@@ -32,7 +33,7 @@ class TestLongRunStability:
         net.run(until=20_000)
         # The channel's air list is the only per-frame state that outlives
         # a frame; unpruned it would hold every frame of the run.
-        assert sum(net.channel.stats.frames_sent.values()) > 500
+        assert sum(net.channel.counters.get(ft.sent_key) for ft in FrameType) > 500
         assert 0 < len(net.channel.air) < 50
 
 

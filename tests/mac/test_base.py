@@ -77,11 +77,11 @@ class TestDcfUnicast:
         net.run(until=100)
         assert req.status is MessageStatus.COMPLETED
         assert req.acked == {1}
-        sent = net.channel.stats.frames_sent
-        assert sent[FrameType.RTS] == 1
-        assert sent[FrameType.CTS] == 1
-        assert sent[FrameType.DATA] == 1
-        assert sent[FrameType.ACK] == 1
+        sent = net.channel.counters
+        assert sent.get(FrameType.RTS.sent_key) == 1
+        assert sent.get(FrameType.CTS.sent_key) == 1
+        assert sent.get(FrameType.DATA.sent_key) == 1
+        assert sent.get(FrameType.ACK.sent_key) == 1
 
     def test_unicast_delivery_ground_truth(self):
         net = star_net()
@@ -122,7 +122,7 @@ class TestDcfUnicast:
         # Node 2 overheard RTS(0->1): its NAV was set at some point.
         # After the run the NAV has expired, but the exchange completed
         # without node 2 interfering (no collisions on a clean channel).
-        assert net.channel.stats.collisions == 0
+        assert net.channel.counters.get("collisions") == 0
 
     def test_queued_message_expires_before_service(self):
         """A message whose deadline passes while queued is TIMED_OUT."""

@@ -76,9 +76,9 @@ class TestBeaconService:
             beacons=BeaconConfig(period=50, jitter=5, lifetime=200),
         )
         net.run(until=500)
-        assert net.channel.stats.frames_sent.get(FrameType.BEACON, 0) >= 3 * 8
+        assert net.channel.counters.get(FrameType.BEACON.sent_key) >= 3 * 8
         for svc in net.beacon_services:
-            assert svc.sent >= 8
+            assert net.channel.counters.get(FrameType.BEACON.sent_key, node=svc.mac.node_id) >= 8
 
     def test_tables_learn_all_neighbors(self):
         net = Network(
@@ -173,6 +173,9 @@ class TestBeaconDeterminism:
                 beacons=BeaconConfig(period=50, jitter=10, lifetime=200),
             )
             net.run(until=400)
-            return [svc.sent for svc in net.beacon_services]
+            return [
+                net.channel.counters.get(FrameType.BEACON.sent_key, node=svc.mac.node_id)
+                for svc in net.beacon_services
+            ]
 
         assert run() == run()

@@ -73,7 +73,7 @@ class TestContentionPhase:
 
         env.process(proc())
         env.run(until=50)
-        assert cont[0].phases_executed == 2
+        assert ch.counters.get("contention_phases", node=0) == 2
 
     def test_waits_for_busy_medium(self):
         params = ContentionParams(difs_slots=2, cw_min=1)
@@ -123,7 +123,7 @@ class TestContentionPhase:
         env.run(until=50)
         assert len(tx_times) == 2
         assert tx_times[0][0] == tx_times[1][0], "same-slot access -> collision"
-        assert ch.stats.collisions > 0
+        assert ch.counters.get("collisions") > 0
 
     def test_different_backoffs_serialize(self):
         """The loser of the backoff race freezes and transmits later."""
@@ -144,7 +144,7 @@ class TestContentionPhase:
         if t0 != t1:  # distinct draws (true for this seed)
             # Second access must come at least 1 frame + DIFS later.
             assert t1 >= t0 + 1 + 2
-            assert ch.stats.collisions == 0
+            assert ch.counters.get("collisions") == 0
 
     def test_backoff_resumes_after_freeze(self):
         """With resume_backoff, the counter is not redrawn after a freeze:

@@ -54,7 +54,6 @@ class ReferenceContender(Contender):
     """
 
     def contention_phase(self, attempt: int = 0):
-        self.phases_executed += 1
         env = self.env
         params = self.params
         node = self.radio.node_id

@@ -9,7 +9,7 @@ from repro.protocols.plain import PlainMulticastMac
 from repro.sim.frames import FrameType
 from repro.sim.network import Network
 
-from tests.conftest import make_star
+from tests.conftest import air_log, make_star
 
 
 class TestRetryExhaustion:
@@ -31,8 +31,8 @@ class TestRetryExhaustion:
         net.run(until=10_000)
         assert req.status is MessageStatus.ABANDONED
         # RTS sent retry_limit + 1 times, never answered.
-        assert net.channel.stats.frames_sent[FrameType.RTS] == 4
-        assert FrameType.CTS not in net.channel.stats.frames_sent
+        assert net.channel.counters.get(FrameType.RTS.sent_key) == 4
+        assert net.channel.counters.get(FrameType.CTS.sent_key) == 0
 
     def test_retry_uses_wider_windows(self):
         """Backoff attempts escalate: later RTS retries are spaced more
@@ -40,18 +40,18 @@ class TestRetryExhaustion:
         net = make_star(
             PlainMulticastMac,
             2,
-            record_transmissions=True,
             mac_config=MacConfig(
                 timeout_slots=100_000.0,
                 unicast_retry_limit=5,
                 contention=ContentionParams(cw_min=4, cw_max=512),
             ),
         )
+        air = air_log(net.env)
         net.mac(1).nav.set(50_000, owner=99)
         net.mac(0).submit(MessageKind.UNICAST, frozenset({1}))
         net.run(until=20_000)
         rts_times = [
-            t.start for t in net.channel.tx_log if t.frame.ftype is FrameType.RTS
+            t.start for t in air() if t.frame.ftype is FrameType.RTS
         ]
         gaps = [b - a for a, b in zip(rts_times, rts_times[1:])]
         assert len(gaps) >= 4
@@ -96,7 +96,7 @@ class TestNavSuppression:
         req = net.mac(0).submit(MessageKind.UNICAST, frozenset({1}), timeout=100)
         net.run(until=300)
         assert req.status is not MessageStatus.COMPLETED
-        assert FrameType.CTS not in net.channel.stats.frames_sent
+        assert net.channel.counters.get(FrameType.CTS.sent_key) == 0
 
     def test_same_owner_nav_does_not_block(self):
         net = make_star(PlainMulticastMac, 2)

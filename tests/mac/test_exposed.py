@@ -10,6 +10,8 @@ from repro.sim.channel import Transmission
 from repro.sim.frames import Frame, FrameType, GROUP_ADDR
 from repro.sim.network import Network
 
+from tests.conftest import air_log
+
 R = 0.2
 
 #: The classic exposed-terminal layout: two independent pairs.
@@ -68,24 +70,25 @@ class TestSafetyPredicate:
 
 class TestLacsMac:
     def _run(self, mac_cls, seed=1):
-        net = Network(EXPOSED, R, mac_cls, seed=seed, record_transmissions=True)
+        net = Network(EXPOSED, R, mac_cls, seed=seed)
+        air = air_log(net.env)
         # A streams to B; C streams to D at the same time.
         reqs_a = [net.mac(0).submit(MessageKind.MULTICAST, frozenset({1}), timeout=800)
                   for _ in range(8)]
         reqs_c = [net.mac(2).submit(MessageKind.MULTICAST, frozenset({3}), timeout=800)
                   for _ in range(8)]
         net.run(until=1000)
-        return net, reqs_a, reqs_c
+        return net, air(), reqs_a, reqs_c
 
     def test_plain_mac_serializes(self):
         """Baseline CSMA: C defers to A's audible data frames."""
-        net, reqs_a, reqs_c = self._run(PlainMulticastMac)
-        overlapping = self._concurrent_data(net)
+        net, air, reqs_a, reqs_c = self._run(PlainMulticastMac)
+        overlapping = self._concurrent_data(air)
         assert overlapping == 0
 
     def test_lacs_transmits_concurrently_and_everyone_receives(self):
-        net, reqs_a, reqs_c = self._run(LacsMulticastMac)
-        assert self._concurrent_data(net) > 0, "expected spatial reuse"
+        net, air, reqs_a, reqs_c = self._run(LacsMulticastMac)
+        assert self._concurrent_data(air) > 0, "expected spatial reuse"
         # Soundness: all messages still delivered to their receivers.
         for req in reqs_a + reqs_c:
             if req.status is MessageStatus.COMPLETED:
@@ -97,9 +100,9 @@ class TestLacsMac:
         assert net.mac(2).contender.overrides > 0
 
     @staticmethod
-    def _concurrent_data(net):
+    def _concurrent_data(air):
         """Count pairs of overlapping DATA transmissions from A and C."""
-        datas = [t for t in net.channel.tx_log if t.frame.ftype is FrameType.DATA]
+        datas = [t for t in air if t.frame.ftype is FrameType.DATA]
         count = 0
         for i, a in enumerate(datas):
             for b in datas[i + 1 :]:
@@ -139,7 +142,7 @@ class TestActiveTransmissions:
         """The override weighs exactly the in-flight frames audible at
         the station: not its own, not a far sender's, not finished ones."""
         far = np.vstack([EXPOSED, [[0.95, 0.5]]])  # E(4): out of C's range
-        net = Network(far, R, LacsMulticastMac, seed=1, record_transmissions=True)
+        net = Network(far, R, LacsMulticastMac, seed=1)
         ch, radios = net.channel, net.channel.radios
         seen = {}
 
@@ -156,7 +159,8 @@ class TestActiveTransmissions:
         at(1.5, lambda: look("mid"))
         at(5.5, lambda: look("late"))
         net.run(until=10)
-        a, e, c, d = ch.tx_log
+        # Four frames: below PRUNE_MIN_LEN, so the air list still holds them all.
+        a, e, c, d = ch.air
         assert (a.sender, e.sender, c.sender, d.sender) == (0, 4, 2, 3)
         assert seen["mid"] == [a, d]
         assert seen["late"] == []

@@ -1,14 +1,17 @@
 """End-to-end observability tests on real simulation runs.
 
 These pin the acceptance criteria of the observability layer: the JSONL
-trace, the always-on counters, and the channel's ``ChannelStats`` must
-all agree with each other, and observing a run must not change it.
+trace, the always-on counters and the run's metrics must all agree with
+each other, and observing a run must not change it.
 """
 
 import json
+from dataclasses import replace
 
 from repro.experiments.config import SimulationSettings, protocol_class
+from repro.experiments.ratesweep import RATE_PROFILES
 from repro.experiments.runner import run_raw
+from repro.faults import FaultPlan, NodeChurn
 from repro.obs.trace import (
     JsonlTraceWriter,
     TraceRecorder,
@@ -18,8 +21,17 @@ from repro.obs.trace import (
     load_trace,
     transmissions_from_trace,
 )
+from repro.sim.frames import FrameType
+
+from tests.conftest import air_log
 
 SMALL = SimulationSettings(n_nodes=20, horizon=800, message_rate=0.003)
+#: Crashed senders' frames never reach the air (``faults.tx_suppressed``).
+CHURN = replace(
+    SMALL, faults=FaultPlan(churn=NodeChurn(crash_rate=0.002, mean_downtime=40.0))
+)
+#: Multi-rate: RAM sends DATA at MCS 1 (3 slots) to near receivers.
+MILD = replace(SMALL, phy=RATE_PROFILES["mild"])
 
 
 def _run(name="BMMM", seed=0, **kwargs):
@@ -28,22 +40,36 @@ def _run(name="BMMM", seed=0, **kwargs):
 
 
 class TestTraceMatchesGroundTruth:
-    def test_frame_tx_counts_match_stats_and_counters(self):
-        """Acceptance: per-frame-type trace counts == ChannelStats ==
-        counter totals, for every simulated protocol."""
-        for name in ("BMMM", "LAMM", "BMW", "BSMA"):
+    def test_frame_tx_counts_match_counters(self):
+        """Acceptance: per-frame-type trace counts == the ``frames_sent.*``
+        counter totals (summed per node) == ``RunMetrics.frames_sent``, for
+        every simulated protocol, under churn and under a multi-rate
+        profile."""
+        cases = [(name, SMALL) for name in ("BMMM", "LAMM", "BMW", "BSMA")]
+        cases += [("BMMM", CHURN), ("RAM", MILD)]
+        for name, settings in cases:
             rec = TraceRecorder()
-            raw = _run(name, subscribers=[rec])
+            mac_cls, mac_kwargs = protocol_class(name)
+            raw = run_raw(mac_cls, settings, 0, mac_kwargs, subscribers=[rec])
             from_trace = frame_type_counts(rec.events)
-            from_stats = {
-                ft.value: n for ft, n in raw.stats.frames_sent.items() if n
-            }
             from_counters = {
                 key.split(".", 1)[1]: n
                 for key, n in raw.counters.total.items()
                 if key.startswith("frames_sent.") and n
             }
-            assert from_trace == from_stats == from_counters, name
+            assert from_trace == from_counters == raw.metrics().frames_sent, name
+            per_node = {}
+            for e in rec.by_type("frame_tx"):
+                key = (e.node, "frames_sent." + e.data["ftype"])
+                per_node[key] = per_node.get(key, 0) + 1
+            assert per_node == {
+                (node, key): n
+                for node, counts in raw.counters.per_node.items()
+                for key, n in counts.items()
+                if key.startswith("frames_sent.") and n
+            }, name
+            if settings is CHURN:
+                assert raw.counters.get("faults.tx_suppressed") > 0
 
     def test_frame_rx_counts_match_delivery_counters(self):
         rec = TraceRecorder()
@@ -126,12 +152,13 @@ class TestCountersFlow:
 class TestJsonlReplay:
     def test_recorded_trace_replays_to_same_lanes(self, tmp_path):
         """The lane diagram is one renderer over the trace: rendering from
-        the channel's tx_log and from a recorded JSONL file must agree."""
+        the live event stream and from a recorded JSONL file must agree."""
         from repro.experiments.runner import build_network
         from repro.workload.generator import TrafficGenerator
 
         mac_cls, kwargs = protocol_class("BMMM")
-        net = build_network(mac_cls, SMALL, 0, kwargs, record_transmissions=True)
+        net = build_network(mac_cls, SMALL, 0, kwargs)
+        air = air_log(net.env)
         path = tmp_path / "run.jsonl"
         with JsonlTraceWriter(path) as writer:
             net.env.obs.subscribe(writer)
@@ -145,4 +172,22 @@ class TestJsonlReplay:
             ).inject(net)
             net.run(until=SMALL.horizon)
         replayed = transmissions_from_trace(load_trace(path))
-        assert lane_diagram(replayed) == lane_diagram(net.channel.tx_log)
+        assert lane_diagram(replayed) == lane_diagram(air())
+
+    def test_replay_keeps_on_air_airtime_and_mcs(self):
+        """Multi-rate frames replay at the airtime they had on the air
+        (a 3-slot MCS-1 DATA frame is not rebuilt at Table 2's 5 slots),
+        and only frames above the base rate carry ``mcs`` in the trace."""
+        rec = TraceRecorder()
+        mac_cls, mac_kwargs = protocol_class("RAM")
+        run_raw(mac_cls, MILD, 0, mac_kwargs, subscribers=[rec])
+        replayed = transmissions_from_trace(rec.events)
+        for tx in replayed:
+            assert tx.frame.airtime == tx.end - tx.start
+        data = [tx for tx in replayed if tx.frame.ftype is FrameType.DATA]
+        fast = [tx for tx in data if tx.frame.mcs]
+        assert fast and len(fast) < len(data)
+        for tx in data:
+            assert tx.frame.airtime == MILD.phy.data_airtime(tx.frame.mcs)
+        sent = rec.by_type("frame_tx")
+        assert sum("mcs" in e.data for e in sent) == len(fast)

@@ -10,7 +10,7 @@ from repro.protocols.tang_gerla import TangGerlaMac
 from repro.sim.frames import FrameType
 from repro.sim.network import Network
 
-from tests.conftest import make_star
+from tests.conftest import air_log, make_star
 
 ALWAYS = ZorziRaoCapture(c2=1.0, floor=1.0)
 
@@ -18,20 +18,22 @@ ALWAYS = ZorziRaoCapture(c2=1.0, floor=1.0)
 class TestTangGerlaEdges:
     def test_multicast_subset_only_polls_members(self):
         """Only group members answer the broadcast RTS."""
-        net = make_star(TangGerlaMac, 3, capture=ALWAYS, record_transmissions=True)
+        net = make_star(TangGerlaMac, 3, capture=ALWAYS)
+        air = air_log(net.env)
         req = net.mac(0).submit(MessageKind.MULTICAST, frozenset({2}))
         net.run(until=300)
         assert req.status is MessageStatus.COMPLETED
         cts_senders = {
-            t.sender for t in net.channel.tx_log if t.frame.ftype is FrameType.CTS
+            t.sender for t in air() if t.frame.ftype is FrameType.CTS
         }
         assert cts_senders == {2}
 
     def test_rts_carries_group(self):
-        net = make_star(TangGerlaMac, 3, capture=ALWAYS, record_transmissions=True)
+        net = make_star(TangGerlaMac, 3, capture=ALWAYS)
+        air = air_log(net.env)
         req = net.mac(0).submit(MessageKind.MULTICAST, frozenset({1, 3}))
         net.run(until=300)
-        rts = next(t.frame for t in net.channel.tx_log if t.frame.ftype is FrameType.RTS)
+        rts = next(t.frame for t in air() if t.frame.ftype is FrameType.RTS)
         assert rts.group == frozenset({1, 3})
         assert rts.is_group_addressed
 
@@ -44,7 +46,7 @@ class TestBsmaEdges:
         req = net.mac(0).submit(MessageKind.BROADCAST)
         net.run(until=400)
         assert req.status is MessageStatus.COMPLETED
-        assert net.channel.stats.frames_sent.get(FrameType.NAK, 0) == 0
+        assert net.channel.counters.get(FrameType.NAK.sent_key) == 0
 
     def test_colliding_naks_are_silent_at_the_sender(self):
         """The paper's Section 3 point, constructed deterministically:
@@ -60,7 +62,8 @@ class TestBsmaEdges:
         # Sender at origin; receivers bit-identically equidistant so
         # capture (if any) could never pick a strongest NAK.
         pos = np.array([[0.0, 0.0], [0.05, 0.0], [-0.05, 0.0]])
-        net = Network(pos, 0.2, BsmaMac, seed=1, record_transmissions=True)
+        net = Network(pos, 0.2, BsmaMac, seed=1)
+        air = air_log(net.env)
         heard_at_sender = []
         net.mac(0).radio.add_listener(lambda f, c: heard_at_sender.append(f))
 
@@ -71,36 +74,39 @@ class TestBsmaEdges:
         net.channel.transmit(net.mac(0).radio, rts)
         net.run(until=30)
 
-        naks = [t for t in net.channel.tx_log if t.frame.ftype is FrameType.NAK]
+        naks = [t for t in air() if t.frame.ftype is FrameType.NAK]
         assert len(naks) == 2, "both receivers must NAK the missing data"
         assert naks[0].start == naks[1].start, "NAKs go out in the same slot"
         assert all(f.ftype is not FrameType.NAK for f in heard_at_sender), (
             "the collided NAKs must be inaudible to the sender"
         )
-        assert net.channel.stats.collisions >= 2
+        assert net.channel.counters.get("collisions") >= 2
 
 
 class TestBmwEdges:
     def test_single_receiver_equals_unicast_exchange(self):
-        net = make_star(BmwMac, 1, record_transmissions=True)
+        net = make_star(BmwMac, 1)
+        air = air_log(net.env)
         req = net.mac(0).submit(MessageKind.BROADCAST)
         net.run(until=200)
-        kinds = [t.frame.ftype for t in net.channel.tx_log]
+        kinds = [t.frame.ftype for t in air()]
         assert kinds == [FrameType.RTS, FrameType.CTS, FrameType.DATA, FrameType.ACK]
         assert req.contention_phases == 1
 
     def test_have_cts_carries_no_data(self):
         """After overhearing, the CTS suppression means no DATA frame for
         subsequent receivers; the sender proceeds immediately."""
-        net = make_star(BmwMac, 3, record_transmissions=True)
+        net = make_star(BmwMac, 3)
+        # The CTS payload is not traced: read it where the sender decodes it.
+        heard_at_sender = []
+        net.mac(0).radio.add_listener(lambda f, c: heard_at_sender.append(f))
         req = net.mac(0).submit(MessageKind.BROADCAST)
         net.run(until=400)
         assert req.status is MessageStatus.COMPLETED
         from repro.protocols.bmw import HAVE, NEED
 
-        cts_infos = [
-            t.frame.info for t in net.channel.tx_log if t.frame.ftype is FrameType.CTS
-        ]
+        cts_infos = [f.info for f in heard_at_sender if f.ftype is FrameType.CTS]
+        assert len(cts_infos) == 3
         assert cts_infos[0] == NEED
         assert all(i == HAVE for i in cts_infos[1:])
 

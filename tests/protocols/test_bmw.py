@@ -5,7 +5,7 @@ from repro.mac.base import MacConfig, MessageKind, MessageStatus
 from repro.protocols.bmw import BmwMac
 from repro.sim.frames import FrameType
 
-from tests.conftest import make_star, run_one_broadcast
+from tests.conftest import air_log, make_star, run_one_broadcast
 
 
 class TestBmw:
@@ -22,15 +22,15 @@ class TestBmw:
 
     def test_one_rts_per_receiver(self):
         net, req = run_one_broadcast(BmwMac, n_receivers=4)
-        assert net.channel.stats.frames_sent[FrameType.RTS] == 4
-        assert net.channel.stats.frames_sent[FrameType.CTS] == 4
+        assert net.channel.counters.get(FrameType.RTS.sent_key) == 4
+        assert net.channel.counters.get(FrameType.CTS.sent_key) == 4
 
     def test_overhearing_suppresses_data(self):
         """After the first DATA, every other receiver overheard it and its
         CTS suppresses retransmission: exactly one DATA and one ACK."""
         net, req = run_one_broadcast(BmwMac, n_receivers=4)
-        assert net.channel.stats.frames_sent[FrameType.DATA] == 1
-        assert net.channel.stats.frames_sent[FrameType.ACK] == 1
+        assert net.channel.counters.get(FrameType.DATA.sent_key) == 1
+        assert net.channel.counters.get(FrameType.ACK.sent_key) == 1
 
     def test_without_overhearing_every_receiver_needs_data(self):
         """Figure 2's worst-case timeline: n DATA + n ACK."""
@@ -38,17 +38,20 @@ class TestBmw:
             BmwMac, n_receivers=4, until=2000, mac_kwargs={"overhearing": False}
         )
         assert req.status is MessageStatus.COMPLETED
-        assert net.channel.stats.frames_sent[FrameType.DATA] == 4
-        assert net.channel.stats.frames_sent[FrameType.ACK] == 4
+        assert net.channel.counters.get(FrameType.DATA.sent_key) == 4
+        assert net.channel.counters.get(FrameType.ACK.sent_key) == 4
 
     def test_delivery_ground_truth(self):
         net, req = run_one_broadcast(BmwMac, n_receivers=3)
         assert net.channel.stats.data_receipts[req.msg_id] >= req.dests
 
     def test_serves_receivers_in_address_order(self):
-        net, req = run_one_broadcast(BmwMac, n_receivers=3, record_transmissions=True)
+        net = make_star(BmwMac, 3)
+        air = air_log(net.env)
+        net.mac(0).submit(MessageKind.BROADCAST)
+        net.run(until=500)
         rts_ras = [
-            tx.frame.ra for tx in net.channel.tx_log if tx.frame.ftype is FrameType.RTS
+            tx.frame.ra for tx in air() if tx.frame.ftype is FrameType.RTS
         ]
         assert rts_ras == sorted(rts_ras)
 
@@ -66,4 +69,4 @@ class TestBmw:
         net.run(until=500)
         assert req.status is MessageStatus.COMPLETED
         assert req.acked == {1, 3}
-        assert net.channel.stats.frames_sent[FrameType.RTS] == 2
+        assert net.channel.counters.get(FrameType.RTS.sent_key) == 2

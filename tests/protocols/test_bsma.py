@@ -15,7 +15,7 @@ class TestBsma:
     def test_clean_broadcast_completes_without_nak(self):
         net, req = run_one_broadcast(BsmaMac, n_receivers=1)
         assert req.status is MessageStatus.COMPLETED
-        assert net.channel.stats.frames_sent.get(FrameType.NAK, 0) == 0
+        assert net.channel.counters.get(FrameType.NAK.sent_key) == 0
 
     def test_receiver_naks_when_data_missing(self):
         """A receiver that CTS'd but missed the data sends a NAK.  Chain
@@ -30,7 +30,7 @@ class TestBsma:
         # In this contended scenario BSMA must have used its NAK machinery
         # at least once (data losses at node 1 are certain with this much
         # hidden traffic) -- or gotten through cleanly on a lucky gap.
-        naks = net.channel.stats.frames_sent.get(FrameType.NAK, 0)
+        naks = net.channel.counters.get(FrameType.NAK.sent_key)
         retried = req.contention_phases > 1
         assert naks > 0 or (req.status is MessageStatus.COMPLETED and not retried)
 
@@ -64,7 +64,7 @@ class TestBsma:
             net.mac(2).submit(MessageKind.UNICAST, frozenset({1}), timeout=3000)
         req = net.mac(0).submit(MessageKind.MULTICAST, frozenset({1}), timeout=3000)
         net.run(until=3000)
-        data_sent = net.channel.stats.frames_sent.get(FrameType.DATA, 0)
-        if net.channel.stats.frames_sent.get(FrameType.NAK, 0) > 0 and req.status is MessageStatus.COMPLETED:
+        data_sent = net.channel.counters.get(FrameType.DATA.sent_key)
+        if net.channel.counters.get(FrameType.NAK.sent_key) > 0 and req.status is MessageStatus.COMPLETED:
             # At least one extra DATA beyond node 2's unicasts + one try.
             assert data_sent >= 2

@@ -8,15 +8,16 @@ from repro.protocols.leader import LeaderBasedMac
 from repro.sim.frames import FrameType
 from repro.sim.network import Network
 
-from tests.conftest import make_star, run_one_broadcast
+from tests.conftest import air_log, make_star, run_one_broadcast
 
 
 class TestLeaderElection:
     def test_nearest_member_is_leader(self):
-        net = make_star(LeaderBasedMac, 4, record_transmissions=True)
+        net = make_star(LeaderBasedMac, 4)
+        air = air_log(net.env)
         req = net.mac(0).submit(MessageKind.BROADCAST)
         net.run(until=300)
-        rts = [tx.frame for tx in net.channel.tx_log if tx.frame.ftype is FrameType.RTS]
+        rts = [tx.frame for tx in air() if tx.frame.ftype is FrameType.RTS]
         assert rts
         prop = net.propagation
         nearest = min(req.dests, key=lambda d: (prop.distances[0, d], d))
@@ -28,12 +29,12 @@ class TestCleanChannel:
         net, req = run_one_broadcast(LeaderBasedMac, n_receivers=4)
         assert req.status is MessageStatus.COMPLETED
         assert len(req.acked) == 1  # only the leader is ever confirmed
-        sent = net.channel.stats.frames_sent
-        assert sent[FrameType.RTS] == 1
-        assert sent[FrameType.CTS] == 1
-        assert sent[FrameType.DATA] == 1
-        assert sent[FrameType.ACK] == 1
-        assert sent.get(FrameType.NAK, 0) == 0  # everyone got the data
+        sent = net.channel.counters
+        assert sent.get(FrameType.RTS.sent_key) == 1
+        assert sent.get(FrameType.CTS.sent_key) == 1
+        assert sent.get(FrameType.DATA.sent_key) == 1
+        assert sent.get(FrameType.ACK.sent_key) == 1
+        assert sent.get(FrameType.NAK.sent_key) == 0  # everyone got the data
 
     def test_single_contention_phase_on_clean_channel(self):
         net, req = run_one_broadcast(LeaderBasedMac, n_receivers=5)

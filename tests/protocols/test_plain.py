@@ -11,11 +11,11 @@ from repro.sim.network import Network
 class TestPlainMulticast:
     def test_no_handshake_no_ack(self):
         net, req = run_one_broadcast(PlainMulticastMac)
-        sent = net.channel.stats.frames_sent
-        assert FrameType.RTS not in sent
-        assert FrameType.CTS not in sent
-        assert FrameType.ACK not in sent
-        assert sent[FrameType.DATA] == 1
+        sent = net.channel.counters
+        assert sent.get(FrameType.RTS.sent_key) == 0
+        assert sent.get(FrameType.CTS.sent_key) == 0
+        assert sent.get(FrameType.ACK.sent_key) == 0
+        assert sent.get(FrameType.DATA.sent_key) == 1
 
     def test_single_contention_phase(self):
         net, req = run_one_broadcast(PlainMulticastMac)

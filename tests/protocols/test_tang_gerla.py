@@ -13,11 +13,11 @@ class TestTangGerla:
     def test_single_receiver_clean_handshake(self):
         net, req = run_one_broadcast(TangGerlaMac, n_receivers=1)
         assert req.status is MessageStatus.COMPLETED
-        sent = net.channel.stats.frames_sent
-        assert sent[FrameType.RTS] == 1
-        assert sent[FrameType.CTS] == 1
-        assert sent[FrameType.DATA] == 1
-        assert FrameType.ACK not in sent
+        sent = net.channel.counters
+        assert sent.get(FrameType.RTS.sent_key) == 1
+        assert sent.get(FrameType.CTS.sent_key) == 1
+        assert sent.get(FrameType.DATA.sent_key) == 1
+        assert sent.get(FrameType.ACK.sent_key) == 0
 
     def test_multiple_receivers_cts_collide_without_capture(self):
         """Section 3's critique: all intended receivers CTS in the same
@@ -25,7 +25,7 @@ class TestTangGerla:
         the message times out."""
         net, req = run_one_broadcast(TangGerlaMac, n_receivers=4, capture=None)
         assert req.status is MessageStatus.TIMED_OUT
-        assert net.channel.stats.frames_sent.get(FrameType.DATA, 0) == 0
+        assert net.channel.counters.get(FrameType.DATA.sent_key) == 0
         assert req.contention_phases > 1  # kept backing off and retrying
 
     def test_capture_rescues_broadcast(self):
@@ -37,13 +37,13 @@ class TestTangGerla:
             capture=ZorziRaoCapture(c2=1.0, floor=1.0),
         )
         assert req.status is MessageStatus.COMPLETED
-        assert net.channel.stats.captures >= 1
+        assert net.channel.counters.get("captures") >= 1
 
     def test_cts_frames_all_transmitted_same_slot(self):
         net, req = run_one_broadcast(TangGerlaMac, n_receivers=3, capture=None, until=30)
         # 3 CTS were sent in response to the first RTS and collided.
-        assert net.channel.stats.frames_sent[FrameType.CTS] >= 3
-        assert net.channel.stats.collisions >= 3
+        assert net.channel.counters.get(FrameType.CTS.sent_key) >= 3
+        assert net.channel.counters.get("collisions") >= 3
 
     def test_no_reliability_bookkeeping(self):
         net, req = run_one_broadcast(

@@ -98,13 +98,11 @@ class ReferenceChannel(Channel):
                 obs.emit("fault_rx_dropped", node=rid, **about)
             return
         if any(tx.overlaps(own) for own in self.own_tx[rid]):
-            self.stats.half_duplex_losses += 1
             self.counters.inc("half_duplex_losses", node=rid)
             if obs.active:
                 obs.emit("half_duplex_loss", node=rid, **about)
             return
         if frame.mcs and self.propagation.link_mcs(self.phy)[tx.sender][rid] < frame.mcs:
-            self.stats.rate_losses += 1
             self.counters.inc("rate_losses", node=rid)
             if obs.active:
                 obs.emit("rate_loss", node=rid, **about, mcs=frame.mcs)
@@ -115,7 +113,6 @@ class ReferenceChannel(Channel):
         k = len(overlaps)
         clean = k == 1
         if not clean:
-            self.stats.collisions += 1
             self.counters.inc("collisions", node=rid)
             if obs.active:
                 obs.emit("collision", node=rid, **about, k=k)
@@ -124,12 +121,10 @@ class ReferenceChannel(Channel):
             strongest = all(power(t.sender, rid) < mine for t in overlaps if t is not tx)
             if not (strongest and self.capture.attempt(k, self.rng)):
                 return
-            self.stats.captures += 1
             self.counters.inc("captures", node=rid)
             if obs.active:
                 obs.emit("capture", node=rid, **about, k=k)
         if self.frame_error_rate > 0.0 and self.rng.random() < self.frame_error_rate:
-            self.stats.frame_errors += 1
             self.counters.inc("frame_errors", node=rid)
             if obs.active:
                 obs.emit("frame_error", node=rid, **about)

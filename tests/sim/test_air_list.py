@@ -5,7 +5,7 @@ list of the transmissions on the air: ``_finish`` collects the frame's
 rivals and each receiver checks half-duplex, the preamble and ``k`` by set
 membership over them.  :class:`~tests.sim.reference_channel.ReferenceChannel`
 keeps the old verdict, rescanned per receiver from per-radio lists.  The
-two must agree on everything observable: metrics, counters, channel stats,
+two must agree on everything observable: metrics, counters, DATA receipts,
 final NAV state and the observability event stream.
 """
 
@@ -96,13 +96,13 @@ def test_busy_cells_match_overlap_lists(name, phy, faults):
         faults=faults,
     )
     out = assert_same(name, settings, seed=2)
-    stats = out["stats"]
-    assert stats["collisions"] > 0 and stats["captures"] > 0
-    assert stats["half_duplex_losses"] > 0 and stats["frame_errors"] > 0
+    totals = out["counters"][0]
+    assert totals["collisions"] > 0 and totals["captures"] > 0
+    assert totals["half_duplex_losses"] > 0 and totals["frame_errors"] > 0
     if name == "RAM":
-        assert stats["rate_losses"] > 0
+        assert totals["rate_losses"] > 0
     if faults.churn is not None:
-        assert out["counters"][0]["faults.rx_dropped"] > 0
+        assert totals["faults.rx_dropped"] > 0
 
 
 @pytest.mark.parametrize("name", ["BMMM", "LAMM", "BSMA"])
@@ -121,12 +121,13 @@ def test_mobility_matches_overlap_lists(name):
     with mock.patch.object(Channel, "_receive_at", counting):
         out = assert_same(name, settings, seed=4, mobility_speed=0.004)
     assert out["moves"] > 200
-    assert missed and out["stats"]["collisions"] > 0
+    assert missed and out["counters"][0]["collisions"] > 0
 
 
 def _mid_flight_attach(channel_cls):
     """Nodes 0-2 attached; node 3, in range of everyone, attached while
-    node 0's DATA is on the air.  Returns (deliveries at 3, stats)."""
+    node 0's DATA is on the air.  Returns (deliveries at 3, DATA receipts,
+    counter totals)."""
     env = Environment()
     positions = np.array([[0.5, 0.5], [0.55, 0.5], [0.45, 0.5], [0.5, 0.55]])
     ch = channel_cls(env, UnitDiskPropagation(positions, 0.2))
@@ -144,18 +145,18 @@ def _mid_flight_attach(channel_cls):
     ch.transmit(radios[0], data)
     env.timeout(2).callbacks.append(lambda _e: attach_late())
     env.run(until=10)
-    return log, asdict(ch.stats)
+    return log, asdict(ch.stats), ch.finalize_counters().total
 
 
 def test_radio_attached_mid_flight():
     """The late radio neither hears the frame already on the air nor is
     collided by it: the RTS reaches it clean, the DATA never does."""
-    log, stats = _mid_flight_attach(Channel)
+    log, stats, totals = _mid_flight_attach(Channel)
     assert log == [(3, FrameType.RTS, 2, True)]
     # Node 1 heard the DATA collide with the RTS; node 3 is not in it.
     assert stats["data_receipts"] == {}
-    assert stats["collisions"] == 2  # node 1: DATA and RTS (capture off)
-    assert (log, stats) == _mid_flight_attach(ReferenceChannel)
+    assert totals["collisions"] == 2  # node 1: DATA and RTS (capture off)
+    assert (log, stats, totals) == _mid_flight_attach(ReferenceChannel)
 
 
 class TestReferencePrune:

@@ -6,7 +6,7 @@ group, the channel hands the frame straight to the MAC's yield rule
 ``Radio._deliver`` -> ``MacBase._on_frame``.  A no-op extra listener on
 every radio switches the lane off everywhere, which forces the full
 dispatch of every frame.  The two runs must agree on everything
-observable: metrics, counters, channel stats, final NAV state and the
+observable: metrics, counters, DATA receipts, final NAV state and the
 observability event stream.
 """
 

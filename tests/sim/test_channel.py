@@ -12,6 +12,8 @@ from repro.sim.channel import PRUNE_MIN_LEN, Channel, Transmission
 from repro.sim.frames import Frame, FrameType, GROUP_ADDR
 from repro.sim.kernel import Environment
 
+from tests.conftest import air_log
+
 
 def make_channel(positions, radius=0.2, **kwargs):
     env = Environment()
@@ -26,6 +28,11 @@ def listen(radio):
     log = []
     radio.add_listener(lambda f, c: log.append((radio.env.now, f, c)))
     return log
+
+
+def span(transmissions):
+    """(sender, start, end) of each transmission."""
+    return [(t.sender, t.start, t.end) for t in transmissions]
 
 
 def at(env, t, fn):
@@ -91,7 +98,7 @@ class TestCollisions:
         ch.transmit(radios[2], rts(2, ra=0))
         env.run(until=10)
         assert log == []
-        assert ch.stats.collisions == 2  # both frames collided at node 0
+        assert ch.counters.get("collisions") == 2  # both frames collided at node 0
 
     def test_partial_overlap_also_collides(self):
         # DATA [0,5) from node 1; RTS [3,4) from node 2: both die at node 0.
@@ -141,7 +148,7 @@ class TestCapture:
         t, frame, clean = log[0]
         assert frame.src == 1  # the nearer, stronger one
         assert clean is False  # captured, but NOT "received without collision"
-        assert ch.stats.captures == 1
+        assert ch.counters.get("captures") == 1
 
     def test_equal_power_frames_never_captured(self):
         always = ZorziRaoCapture(c2=1.0, floor=1.0)
@@ -195,7 +202,7 @@ class TestHalfDuplex:
         assert log1 == []
         # Both stations were transmitting during the other's frame: the RTS
         # is lost at node 1 and the DATA is lost at node 2.
-        assert ch.stats.half_duplex_losses == 2
+        assert ch.counters.get("half_duplex_losses") == 2
 
     def test_transmit_while_transmitting_raises(self):
         env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]])
@@ -238,7 +245,7 @@ class TestFrameErrors:
             at(env, 2 * i, lambda i=i: ch.transmit(radios[0], rts(0, seq=i)))
         env.run(until=3 * n)
         assert len(log) / n == pytest.approx(0.7, abs=0.05)
-        assert ch.stats.frame_errors == n - len(log)
+        assert ch.counters.get("frame_errors") == n - len(log)
 
     def test_invalid_rate_rejected(self):
         env = Environment()
@@ -272,8 +279,10 @@ class TestGroundTruth:
         ch.transmit(radios[0], rts(0))
         at(env, 1, lambda: ch.transmit(radios[0], data(0, group={1})))
         env.run(until=10)
-        assert ch.stats.frames_sent[FrameType.RTS] == 1
-        assert ch.stats.frames_sent[FrameType.DATA] == 1
+        counts = ch.finalize_counters()
+        assert counts.get(FrameType.RTS.sent_key) == 1
+        assert counts.get(FrameType.DATA.sent_key) == 1
+        assert counts.get(FrameType.RTS.sent_key, node=0) == 1
 
     def test_attach_is_idempotent(self):
         env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]])
@@ -333,28 +342,36 @@ class TestPruneStaleEntries:
     stale tail."""
 
     def test_stale_short_behind_fresh_long_head_is_pruned(self):
-        env, ch, radios = make_channel(
-            [[0.5, 0.5], [0.55, 0.5], [0.45, 0.5]], record_transmissions=True
-        )
+        env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5], [0.45, 0.5]])
         ch.transmit(radios[0], data(0, group={1}))  # [0, 5]: stale at t=10
         at(env, 3, lambda: ch.transmit(radios[2], data(2, group={1})))  # [3, 8]: live head
         for t in (4, 5, 6, 7, 8, 9):  # [4, 5] stale behind the head, then fresh
             at(env, t, lambda: ch.transmit(radios[1], rts(1)))
         # A DATA still in flight at t=10 keeps the horizon at 10 - 5 = 5.
         at(env, 8, lambda: ch.transmit(radios[0], data(0, group={1})))
-        at(env, 10, lambda: ch.transmit(radios[1], rts(1)))
+        before = []
+
+        def last():
+            before.extend(ch.air)
+            ch.transmit(radios[1], rts(1))
+
+        at(env, 10, last)
         env.run(until=10.5)
-        head, stale = ch.tx_log[1], ch.tx_log[2]
+        # Nothing was stale at t=9's prune, so *before* is every frame
+        # sent until t=10.
+        head, stale = before[1], before[2]
         assert (head.start, head.end, stale.start, stale.end) == (3, 8, 4, 5)
-        # The list held PRUNE_MIN_LEN entries when the last frame was
-        # sent, so that transmit compacted it.
-        assert len(ch.tx_log) == PRUNE_MIN_LEN + 2
-        assert ch.air == [t for t in ch.tx_log if t.end > 5]
+        # The list held more than PRUNE_MIN_LEN entries when the last
+        # frame was sent, so that transmit compacted it.
+        assert len(before) == PRUNE_MIN_LEN + 1
+        assert ch.air[:-1] == [t for t in before if t.end > 5]
+        assert (ch.air[-1].sender, ch.air[-1].start) == (1, 10)
         assert ch.air[0] is head and stale not in ch.air
 
     def test_fresh_entries_untouched(self):
         positions = [[0.5 + 0.01 * i, 0.5] for i in range(PRUNE_MIN_LEN + 1)]
-        env, ch, radios = make_channel(positions, record_transmissions=True)
+        env, ch, radios = make_channel(positions)
+        air = air_log(env)
         ch.transmit(radios[0], data(0, group={1}))
         for i in range(1, PRUNE_MIN_LEN + 1):
             at(env, 9, lambda i=i: ch.transmit(radios[i], rts(i, ra=0)))
@@ -364,16 +381,17 @@ class TestPruneStaleEntries:
         # 1-slot floor and the horizon at t=10 is 9: everything sent at
         # t=9 ends at 10 and survives the compaction the last transmit ran.
         assert len(ch.air) == PRUNE_MIN_LEN + 1
-        assert ch.air == ch.tx_log[1:]
+        assert span(ch.air) == span(air()[1:])
 
     def test_short_lists_skip_the_prune_pass(self):
-        env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]], record_transmissions=True)
+        env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]])
+        air = air_log(env)
         ch.transmit(radios[1], rts(1))
         at(env, 10, lambda: ch.transmit(radios[1], rts(1)))
         env.run(until=10.5)
         # Below PRUNE_MIN_LEN scanning the stale entry is cheaper than
         # compacting the list, so the transmit leaves it alone.
-        assert ch.air == ch.tx_log and len(ch.air) == 2
+        assert span(ch.air) == span(air()) and len(ch.air) == 2
 
     def test_max_airtime_tracks_frames_in_flight(self):
         env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]])
@@ -422,5 +440,6 @@ class TestPruneStaleEntries:
         # Live window: <= 2 DATA + ~2x6 control frames + the just-started
         # slot's arrivals.  A head-only prune peaks at 22 here; with no
         # prune at all the list would hold all 2200 frames.
-        assert sum(ch.stats.frames_sent.values()) == 2200
+        counts = ch.finalize_counters()
+        assert sum(counts.get(ft.sent_key) for ft in FrameType) == 2200
         assert PRUNE_MIN_LEN <= max_len <= 16

@@ -88,7 +88,7 @@ class TestMemoryBounds:
             at(env, 2 * i, lambda i=i: ch.transmit(radios[0], Frame(FrameType.RTS, src=0, ra=1, seq=i)))
         env.run(until=1100)
         # Unpruned, the list would hold all 500 frames.
-        assert ch.stats.frames_sent[FrameType.RTS] == 500
+        assert ch.finalize_counters().get(FrameType.RTS.sent_key) == 500
         assert 0 < len(ch.air) < 20
 
 

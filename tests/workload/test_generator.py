@@ -30,6 +30,20 @@ class TestTrafficMix:
         with pytest.raises(ValueError):
             TrafficMix(unicast=-0.2, multicast=0.6, broadcast=0.6)
 
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            dict(unicast=float("nan"), multicast=0.5, broadcast=0.5),
+            dict(unicast=0.5, multicast=float("nan"), broadcast=0.5),
+            dict(unicast=float("inf"), multicast=float("-inf"), broadcast=1.0),
+        ],
+    )
+    def test_nan_rejected(self, mix):
+        """NaN compares false both ways: it must fail the checks, not slip
+        past them (a NaN unicast share made every request a broadcast)."""
+        with pytest.raises(ValueError):
+            TrafficMix(**mix)
+
 
 class TestSchedule:
     def test_arrival_rate_statistics(self):
