@@ -446,15 +446,6 @@ class MacBase:
 
     # -- receiver side -------------------------------------------------------------------
 
-    @staticmethod
-    def _exchange_owner(frame: Frame) -> int:
-        """The station that initiated the exchange this frame belongs to:
-        the transmitter for RTS/DATA/RAK/NAK, the *addressee* for the
-        responses (CTS/ACK)."""
-        if frame.ftype in (FrameType.CTS, FrameType.ACK):
-            return frame.ra
-        return frame.src
-
     def _on_frame(self, frame: Frame, clean: bool) -> None:
         if frame.ftype is FrameType.DATA:
             # A station records a DATA frame when it is the addressee *or*
@@ -467,8 +458,8 @@ class MacBase:
                 self.received_data.add((frame.src, frame.seq))
                 self.data_from[frame.src] = frame.seq
                 self.on_data(frame, clean)
-            else:
-                self._yield_for_duration(frame)
+            elif frame.duration:
+                self._yield_for_duration(frame, frame.exchange_owner)
             return
 
         # Group-addressed RTS frames (Tang-Gerla / BSMA broadcast RTS) are
@@ -486,16 +477,20 @@ class MacBase:
             # CTS/ACK addressed to us outside a sender procedure: stale.
             return
 
-        self._yield_for_duration(frame)
+        if frame.duration:
+            self._yield_for_duration(frame, frame.exchange_owner)
 
-    def _yield_for_duration(self, frame: Frame) -> None:
+    def _yield_for_duration(self, frame: Frame, owner: int) -> None:
         """Figure 3's last receiver rule: a frame not intended for this
         station makes it yield for the frame's Duration, unless its own
-        sender procedure owns the radio.  The channel calls this directly
-        for frames naming this station neither in RA nor in the group
-        (see :meth:`Radio.add_listener <repro.sim.radio.Radio.add_listener>`)."""
-        if frame.duration > 0 and not self._busy_sender:
-            self.nav.set(frame.duration, owner=self._exchange_owner(frame))
+        sender procedure owns the radio.  *owner* is the frame's
+        :attr:`~repro.sim.frames.Frame.exchange_owner`.  Called only for
+        frames with a positive Duration (a zero one yields nothing); the
+        channel calls it directly for frames naming this station neither
+        in RA nor in the group (see :meth:`Radio.add_listener
+        <repro.sim.radio.Radio.add_listener>`)."""
+        if not self._busy_sender:
+            self.nav.set(frame.duration, owner=owner)
 
     # Receiver hooks ----------------------------------------------------------
 

@@ -12,6 +12,8 @@ carrying them ends, so a receiver hearing a foreign control frame at time
 
 from __future__ import annotations
 
+import math
+
 from repro.sim.kernel import Environment
 
 __all__ = ["Nav"]
@@ -44,13 +46,18 @@ class Nav:
         return self.until > self.env.now
 
     def set(self, duration: float, owner: int | None = None) -> None:
-        """Yield for *duration* slots from now (never shortens the NAV)."""
-        if duration < 0:
-            raise ValueError(f"negative NAV duration {duration}")
+        """Yield for *duration* slots from now (never shortens the NAV).
+
+        A reservation reaching at least as far as the current one takes
+        over its owner; an expired NAV (``until <= now``) is always taken
+        over, since ``duration >= 0``.
+        """
+        if not 0 <= duration < math.inf:
+            raise ValueError(f"NAV duration must be finite and >= 0, got {duration}")
         expiry = self.env.now + duration
-        if not self.active or expiry >= self.until:
+        if expiry >= self.until:
             self.owner = owner
-        self.until = max(self.until, expiry)
+            self.until = expiry
         obs = self._obs
         if obs.active:
             obs.emit(

@@ -345,6 +345,19 @@ class Channel:
         verdict can depend on.  They are fixed before the first receiver
         is served: a frame sent from inside the receive loop starts at
         ``tx.end`` and cannot overlap *tx*.
+
+        A *rival-free* frame is clean at every live receiver when, besides
+        having no rivals, it went out at the base rate (``mcs == 0``, so
+        no rate gate), no fault plan is attached (no crashed receiver, no
+        burst loss) and every receiver heard its preamble (``receivers <=
+        hearers``: no node moved into range and no radio was attached
+        since it started).  Such a frame's receivers are served here in
+        one loop; every other frame goes through :meth:`_receive_at` per
+        receiver.  The loop is exact: it visits the receivers in the same
+        order, makes the same frame-error draws, and the conditions
+        cannot change under it (rivals are fixed before it runs, and
+        radios are attached only when a MAC is built, never from inside a
+        frame's dispatch).
         """
         sender = tx.sender
         receivers = self.propagation.neighbors[sender]
@@ -358,16 +371,25 @@ class Channel:
             and t is not tx
             and (t.sender in receivers or not receivers.isdisjoint(t.hearers))
         ]
-        tx.rivals = rivals
-        radios = self.radios
-        receive_at = self._receive_at
-        for nid in self.propagation.neighbor_lists[sender]:
-            radio = radios.get(nid)
-            if radio is not None:
-                receive_at(radio, tx)
-        # Dropped now: a landed frame holding its rivals (which hold
-        # theirs) would keep chains of old transmissions reachable.
-        tx.rivals = ()
+        frame = tx.frame
+        if (
+            not rivals
+            and not frame.mcs
+            and self.faults is None
+            and (receivers is tx.hearers or receivers <= tx.hearers)
+        ):
+            self._deliver_clean(tx)
+        else:
+            tx.rivals = rivals
+            radios = self.radios
+            receive_at = self._receive_at
+            for nid in self.propagation.neighbor_lists[sender]:
+                radio = radios.get(nid)
+                if radio is not None:
+                    receive_at(radio, tx)
+            # Dropped now: a landed frame holding its rivals (which hold
+            # theirs) would keep chains of old transmissions reachable.
+            tx.rivals = ()
         # Retire the frame from the in-flight airtime multiset so the
         # prune horizon tightens back once long frames land.  This MUST
         # happen after the receive loop: listeners transmit synchronously
@@ -376,7 +398,7 @@ class Channel:
         # overlapping tx must stay within the horizon, which requires
         # tx's airtime to still be counted.
         counts = self._airtime_counts
-        airtime = tx.frame.airtime
+        airtime = frame.airtime
         left = counts[airtime] - 1
         if left:
             counts[airtime] = left
@@ -385,6 +407,64 @@ class Channel:
             if airtime >= self._max_airtime:
                 longest = max(counts) if counts else 1.0
                 self._max_airtime = longest if longest > 1.0 else 1.0
+
+    def _deliver_clean(self, tx: Transmission) -> None:
+        """Serve every live receiver of a rival-free frame (see
+        :meth:`_finish`): per receiver, only the frame-error draw, the
+        DATA receipt, the delivered count, the ``frame_rx`` event and the
+        dispatch.  The bystander lane gets the frame's exchange owner,
+        computed once here."""
+        frame = tx.frame
+        sender = tx.sender
+        radios = self.radios
+        obs = self._obs
+        fer = self.frame_error_rate
+        draw = self.rng.random
+        note_delivered = self.stats.note_delivered
+        dkey = tx.dkey
+        ra = frame.ra
+        group = frame.group
+        # None: a zero Duration yields nothing, so the rule is skipped.
+        owner = frame.exchange_owner if frame.duration else None
+        for rid in self.propagation.neighbor_lists[sender]:
+            radio = radios.get(rid)
+            if radio is None:
+                continue
+            if fer > 0.0 and draw() < fer:
+                self._frame_error(rid, tx)
+                continue
+            note_delivered(frame, rid, True)
+            radio._counts[dkey] += 1
+            if obs.active:
+                obs.emit(
+                    "frame_rx",
+                    node=rid,
+                    uid=frame.uid,
+                    ftype=frame.ftype.value,
+                    src=sender,
+                    seq=frame.seq,
+                    msg_id=frame.msg_id,
+                    clean=True,
+                )
+            bystander = radio.bystander
+            if bystander is not None and ra != rid and rid not in group:
+                if owner is not None:
+                    bystander(frame, owner)
+            else:
+                radio._deliver(frame, True)
+
+    def _frame_error(self, rid: int, tx: Transmission) -> None:
+        """Account for *tx* lost at *rid* to an i.i.d. frame error."""
+        self.counters.inc("frame_errors", node=rid)
+        obs = self._obs
+        if obs.active:
+            obs.emit(
+                "frame_error",
+                node=rid,
+                uid=tx.frame.uid,
+                ftype=tx.frame.ftype.value,
+                src=tx.sender,
+            )
 
     def _receive_at(self, radio: Radio, tx: Transmission) -> None:
         obs = self._obs
@@ -497,15 +577,7 @@ class Channel:
             clean = False
 
         if self.frame_error_rate > 0.0 and self.rng.random() < self.frame_error_rate:
-            self.counters.inc("frame_errors", node=rid)
-            if obs.active:
-                obs.emit(
-                    "frame_error",
-                    node=rid,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
-                    src=tx.sender,
-                )
+            self._frame_error(rid, tx)
             return
 
         if faults is not None and faults.ge is not None and faults.frame_lost(
@@ -544,6 +616,7 @@ class Channel:
         frame = tx.frame
         bystander = radio.bystander
         if bystander is not None and frame.ra != rid and rid not in frame.group:
-            bystander(frame)
+            if frame.duration:
+                bystander(frame, frame.exchange_owner)
         else:
             radio._deliver(frame, clean)

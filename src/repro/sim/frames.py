@@ -33,6 +33,7 @@ historical Table 2 values, so legacy construction sites are untouched.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -113,14 +114,17 @@ class Frame:
     uid: int = field(default_factory=lambda: next(_frame_counter))
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError(f"negative duration {self.duration}")
+        # Chained range checks: NaN fails them, and so do +-inf.
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
         if self.ra < GROUP_ADDR:
             raise ValueError(f"invalid receiver address {self.ra}")
-        if self.airtime_slots is not None and self.airtime_slots < 1:
-            raise ValueError(f"airtime_slots must be >= 1, got {self.airtime_slots}")
-        if self.mcs < 0:
-            raise ValueError(f"negative MCS index {self.mcs}")
+        if self.airtime_slots is not None and not 1 <= self.airtime_slots < math.inf:
+            raise ValueError(
+                f"airtime_slots must be finite and >= 1, got {self.airtime_slots}"
+            )
+        if not 0 <= self.mcs < math.inf:
+            raise ValueError(f"mcs must be a finite index >= 0, got {self.mcs}")
 
     @property
     def airtime(self) -> int:
@@ -129,6 +133,15 @@ class Frame:
         if self.airtime_slots is not None:
             return self.airtime_slots
         return _DATA_SLOTS if self.ftype is FrameType.DATA else _SIGNAL_SLOTS
+
+    @property
+    def exchange_owner(self) -> int:
+        """The station that initiated the exchange this frame belongs to:
+        the transmitter for RTS/DATA/RAK/NAK, the *addressee* for the
+        responses (CTS/ACK).  A bystander's NAV records it as its owner."""
+        if self.ftype is FrameType.CTS or self.ftype is FrameType.ACK:
+            return self.ra
+        return self.src
 
     @property
     def is_group_addressed(self) -> bool:

@@ -57,6 +57,23 @@ class TestNav:
         with pytest.raises(ValueError):
             nav.set(-1)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_duration_rejected(self, duration):
+        env = Environment()
+        nav = Nav(env)
+        nav.set(10, owner=1)
+        with pytest.raises(ValueError):
+            nav.set(duration, owner=3)
+        assert (nav.until, nav.owner) == (10, 1)
+
+    def test_expired_nav_taken_over_by_shorter_reservation(self):
+        env = Environment()
+        nav = Nav(env)
+        nav.set(20, owner=1)
+        env.run(until=30)
+        nav.set(5, owner=2)
+        assert (nav.until, nav.owner) == (35, 2)
+
     def test_clear(self):
         env = Environment()
         nav = Nav(env)

@@ -46,6 +46,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PhyProfile(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(signal_slots=float("nan")),
+            dict(signal_slots=float("inf")),
+            dict(data_slots=(float("nan"),)),
+            dict(data_slots=(float("inf"),)),
+        ],
+        ids=["signal-nan", "signal-inf", "data-nan", "data-inf"],
+    )
+    def test_non_finite_slots_rejected(self, kwargs):
+        """Caught here, not as an invalid kernel delay (NaN) or an
+        ``OverflowError`` (infinity) deep inside a run."""
+        with pytest.raises(ValueError, match="slots"):
+            PhyProfile(**kwargs)
+
 
 class TestLookups:
     def test_data_airtime(self):

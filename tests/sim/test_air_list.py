@@ -7,6 +7,11 @@ membership over them.  :class:`~tests.sim.reference_channel.ReferenceChannel`
 keeps the old verdict, rescanned per receiver from per-radio lists.  The
 two must agree on everything observable: metrics, counters, DATA receipts,
 final NAV state and the observability event stream.
+
+A rival-free frame skips ``_receive_at``: ``_finish`` serves its receivers
+in one loop (``Channel._deliver_clean``).  The tests below count the
+frames that loop serves, so they prove it ran, and pin each condition
+that sends a frame back to ``_receive_at``.
 """
 
 from dataclasses import asdict
@@ -17,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings as hsettings, strategies as st
 
 from repro.experiments.config import SimulationSettings
+from repro.experiments.ratesweep import RATE_PROFILES
 from repro.faults import FaultPlan, NodeChurn
 from repro.mac.registry import registered_protocols
 from repro.phy.profile import PhyProfile
@@ -26,7 +32,7 @@ from repro.sim.frames import Frame, FrameType, GROUP_ADDR
 from repro.sim.kernel import Environment
 
 from tests.sim.reference_channel import ReferenceChannel
-from tests.sim.test_bystander_lane import churn_plans, simulate
+from tests.sim.test_bystander_lane import churn_plans, reception_paths, simulate
 
 PROFILES = [
     PhyProfile(),
@@ -43,6 +49,14 @@ def assert_same(name, settings, seed, **kwargs):
     return fast
 
 
+def test_air_list_equals_overlap_lists():
+    """The property below, with the frames the rival-free loop served
+    counted over all drawn examples."""
+    with reception_paths() as (loop, _):
+        air_list_property()
+    assert loop
+
+
 @hsettings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     name=st.sampled_from(registered_protocols()),
@@ -56,7 +70,7 @@ def assert_same(name, settings, seed, **kwargs):
     phy=st.sampled_from(PROFILES),
     faults=churn_plans,
 )
-def test_air_list_equals_overlap_lists(
+def air_list_property(
     name, n_nodes, side, seed, rate, capture, fer, interference, phy, faults
 ):
     settings = SimulationSettings(
@@ -103,6 +117,107 @@ def test_busy_cells_match_overlap_lists(name, phy, faults):
         assert totals["rate_losses"] > 0
     if faults.churn is not None:
         assert totals["faults.rx_dropped"] > 0
+
+
+def test_rival_free_loop_with_frame_errors_matches_overlap_lists():
+    """A fixed cell at ``fer=0.2``: the loop's frame-error draws and
+    losses agree with the reference's."""
+    settings = SimulationSettings(
+        n_nodes=20, side=0.5, horizon=600, message_rate=0.005, frame_error_rate=0.2
+    )
+    with reception_paths() as (loop, per_receiver):
+        out = assert_same("BMMM", settings, seed=5)
+    assert loop and per_receiver
+    assert out["counters"][0]["frame_errors"] > 0
+
+
+@pytest.mark.parametrize(
+    "name, settings, served_by_loop",
+    [
+        # A churn plan attaches the fault machinery: no frame takes the loop.
+        (
+            "BMMM",
+            SimulationSettings(
+                n_nodes=20,
+                side=0.5,
+                horizon=600,
+                message_rate=0.005,
+                faults=FaultPlan(churn=NodeChurn(crash_rate=0.002, mean_downtime=40.0)),
+            ),
+            lambda tx: False,
+        ),
+        # Multi-rate RAM: only base-rate frames take the loop.
+        (
+            "RAM",
+            SimulationSettings(
+                n_nodes=20, side=0.5, horizon=600, message_rate=0.005, phy=RATE_PROFILES["mild"]
+            ),
+            lambda tx: tx.frame.mcs == 0,
+        ),
+    ],
+    ids=["churn", "mcs"],
+)
+def test_fallback_cells_match_overlap_lists(name, settings, served_by_loop):
+    with reception_paths() as (loop, per_receiver):
+        assert_same(name, settings, seed=6)
+    assert per_receiver
+    assert all(served_by_loop(tx) for tx in loop)
+    if settings.faults.churn is None:
+        assert loop and any(tx.frame.mcs for tx in per_receiver)
+
+
+def _fallback(channel_cls, case):
+    """Three stations, 0 and 1 close; 2 in range of both, but beyond the
+    reach of the ``mild`` profile's MCS 1.  For ``"moved"``, 2 starts far
+    away and moves into range while 0's DATA is on the air.  Returns (frames on the per-receiver
+    path, frames on the loop, deliveries, DATA receipts, counter totals)."""
+    env = Environment()
+    near = np.array([[0.5, 0.5], [0.55, 0.5], [0.5, 0.68]])
+    positions = np.array([*near[:2], [0.9, 0.9]]) if case == "moved" else near
+    phy = RATE_PROFILES["mild"] if case == "mcs" else None
+    ch = channel_cls(env, UnitDiskPropagation(positions, 0.2), phy=phy)
+    radios = [ch.attach(i) for i in range(3)]
+    log = []
+    for radio in radios:
+        radio.add_listener(lambda f, c, rid=radio.node_id: log.append((env.now, rid, f.ftype, c)))
+    group = frozenset({1, 2})
+    if case == "mcs":
+        data = Frame(FrameType.DATA, 0, GROUP_ADDR, group=group, msg_id=7, airtime_slots=3, mcs=1)
+    else:
+        data = Frame(FrameType.DATA, 0, GROUP_ADDR, group=group, msg_id=7)
+    ch.transmit(radios[0], data)
+    if case == "rival":
+        rts = Frame(FrameType.RTS, src=2, ra=1)
+        env.timeout(1).callbacks.append(lambda _e: ch.transmit(radios[2], rts))
+    if case == "moved":
+        env.timeout(2).callbacks.append(lambda _e: ch.propagation.update_positions(near))
+    # A rival-free control frame afterwards, for contrast.
+    ack = Frame(FrameType.ACK, src=1, ra=0)
+    env.timeout(8).callbacks.append(lambda _e: ch.transmit(radios[1], ack))
+    with reception_paths() as (loop, per_receiver):
+        env.run(until=12)
+    return (
+        [tx.frame.ftype for tx in per_receiver],
+        [tx.frame.ftype for tx in loop],
+        log,
+        asdict(ch.stats),
+        ch.finalize_counters().total,
+    )
+
+
+@pytest.mark.parametrize("case", ["rival", "mcs", "moved"])
+def test_fallback_frames_take_receive_at(case):
+    """A rival on the air, a frame above the base rate, and a receiver
+    that moved into range after the preamble each send the DATA frame
+    through ``_receive_at``; the verdicts match the reference."""
+    on_receive_at, on_loop, log, stats, totals = _fallback(Channel, case)
+    assert FrameType.DATA in on_receive_at and FrameType.DATA not in on_loop
+    assert on_loop == [FrameType.ACK]
+    assert (log, stats, totals) == _fallback(ReferenceChannel, case)[2:]
+    if case == "mcs":
+        assert totals["rate_losses"] == 1 and stats["data_receipts"] == {7: {1}}
+    if case == "moved":
+        assert stats["data_receipts"] == {7: {1}}
 
 
 @pytest.mark.parametrize("name", ["BMMM", "LAMM", "BSMA"])

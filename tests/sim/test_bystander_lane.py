@@ -1,8 +1,9 @@
 """The bystander lane against full dispatch.
 
 For a frame that names a station neither in its RA field nor in its
-group, the channel hands the frame straight to the MAC's yield rule
-(``MacBase._yield_for_duration``) instead of going through
+group, the channel hands the frame and its exchange owner straight to
+the MAC's yield rule (``MacBase._yield_for_duration``), or skips it when
+its Duration is zero, instead of going through
 ``Radio._deliver`` -> ``MacBase._on_frame``.  A no-op extra listener on
 every radio switches the lane off everywhere, which forces the full
 dispatch of every frame.  The two runs must agree on everything
@@ -10,6 +11,7 @@ observable: metrics, counters, DATA receipts, final NAV state and the
 observability event stream.
 """
 
+import contextlib
 from dataclasses import asdict
 from unittest import mock
 
@@ -112,6 +114,38 @@ churn_plans = st.one_of(
 )
 
 
+@contextlib.contextmanager
+def reception_paths():
+    """Record the transmissions the rival-free loop serves (``loop``) and
+    those served per receiver through ``_receive_at`` (``per_receiver``,
+    once per transmission)."""
+    loop, per_receiver = [], []
+    deliver_clean, receive_at = Channel._deliver_clean, Channel._receive_at
+
+    def clean(self, tx):
+        loop.append(tx)
+        deliver_clean(self, tx)
+
+    def each(self, radio, tx):
+        if not per_receiver or per_receiver[-1] is not tx:
+            per_receiver.append(tx)
+        receive_at(self, radio, tx)
+
+    with mock.patch.object(Channel, "_deliver_clean", clean), mock.patch.object(
+        Channel, "_receive_at", each
+    ):
+        yield loop, per_receiver
+
+
+def test_lane_equals_full_dispatch():
+    """The property below, with the frames the rival-free loop served
+    counted over all drawn examples: the lane is exercised on both
+    reception paths."""
+    with reception_paths() as (loop, _):
+        lane_property()
+    assert loop
+
+
 @hsettings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     name=st.sampled_from(registered_protocols()),
@@ -124,7 +158,7 @@ churn_plans = st.one_of(
     interference=st.sampled_from([1.0, 1.3, 2.0]),
     faults=churn_plans,
 )
-def test_lane_equals_full_dispatch(
+def lane_property(
     name, n_nodes, side, seed, rate, capture, fer, interference, faults
 ):
     settings = SimulationSettings(

@@ -63,6 +63,19 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(FrameType.RTS, src=0, ra=1, duration=-1)
 
+    @pytest.mark.parametrize("field", ["duration", "airtime_slots", "mcs"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Frame(FrameType.RTS, src=0, ra=1, **{field: value})
+
+    def test_exchange_owner(self):
+        """The initiator for RTS/DATA/RAK/NAK, the addressee for CTS/ACK."""
+        for ft in (FrameType.RTS, FrameType.DATA, FrameType.RAK, FrameType.NAK):
+            assert Frame(ft, src=2, ra=5).exchange_owner == 2
+        for ft in (FrameType.CTS, FrameType.ACK):
+            assert Frame(ft, src=2, ra=5).exchange_owner == 5
+
     def test_invalid_ra_rejected(self):
         with pytest.raises(ValueError):
             Frame(FrameType.RTS, src=0, ra=-2)

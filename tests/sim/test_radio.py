@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from repro.faults import FaultPlan
+from repro.faults.inject import FaultInjector
 from repro.phy.propagation import UnitDiskPropagation
 from repro.sim.channel import Channel
 from repro.sim.frames import Frame, FrameType
@@ -137,7 +139,7 @@ class TestBystanderRule:
         def other(f, c):
             pass
 
-        def rule(f):
+        def rule(f, owner):
             pass
 
         r0.add_listener(owner, bystander=rule)
@@ -151,24 +153,43 @@ class TestBystanderRule:
 
     def test_pending_expect_suspends_rule(self):
         env, ch, r0, r1 = pair()
-        r0.add_listener(lambda f, c: None, bystander=lambda f: None)
+        r0.add_listener(lambda f, c: None, bystander=lambda f, owner: None)
         r0.expect(lambda f: False, timeout=3)
         assert r0.bystander is None
         env.run(until=5)
         assert r0.bystander is not None
 
-    def test_channel_calls_rule_only_for_bystander_frames(self):
+    @staticmethod
+    def _bystander_frames(faults: bool):
         env, ch, r0, r1 = pair()
+        if faults:
+            ch.faults = FaultInjector(FaultPlan(), n_nodes=2, seed=0)
         full, lane = [], []
-        r0.add_listener(lambda f, c: full.append(f.ftype), bystander=lambda f: lane.append(f))
+        r0.add_listener(
+            lambda f, c: full.append(f.ftype), bystander=lambda f, owner: lane.append((f, owner))
+        )
         ch.transmit(r1, rts(1, 0))  # addressed to node 0
         env.run(until=2)
-        ch.transmit(r1, Frame(FrameType.CTS, src=1, ra=5))  # bystander
+        cts = Frame(FrameType.CTS, src=1, ra=5, duration=3)  # bystander; 5 owns it
+        ch.transmit(r1, cts)
         env.run(until=4)
+        ch.transmit(r1, Frame(FrameType.RTS, src=1, ra=5))  # bystander, Duration 0
+        env.run(until=6)
         ch.transmit(r1, Frame(FrameType.DATA, src=1, ra=-1, group=frozenset({0})))
-        env.run(until=10)
+        env.run(until=12)
         assert full == [FrameType.RTS, FrameType.DATA]
-        assert [f.ftype for f in lane] == [FrameType.CTS]
+        assert lane == [(cts, 5)]
+        assert ch.finalize_counters().total["frames_delivered.RTS"] == 2
+
+    def test_channel_calls_rule_only_for_bystander_frames(self):
+        """The rival-free loop hands the rule ``(frame, exchange owner)``
+        and skips a zero-Duration bystander frame."""
+        self._bystander_frames(faults=False)
+
+    def test_receive_at_calls_rule_only_for_bystander_frames(self):
+        """So does ``Channel._receive_at``: an attached (empty) fault plan
+        sends every frame through it."""
+        self._bystander_frames(faults=True)
 
 
 class TestState:
