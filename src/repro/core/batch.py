@@ -126,7 +126,7 @@ def batch_mode_procedure(
         return BatchResult(BatchOutcome.RADIO_BUSY)
 
     mac.channel.counters.inc("batch_rounds", node=mac.node_id)
-    if obs.active:
+    if obs.batch_round_start:
         obs.emit(
             "batch_round_start",
             node=mac.node_id,
@@ -136,7 +136,7 @@ def batch_mode_procedure(
         )
 
     def _finish(result: BatchResult) -> BatchResult:
-        if obs.active:
+        if obs.batch_round_end:
             obs.emit(
                 "batch_round_end",
                 node=mac.node_id,

@@ -179,7 +179,7 @@ class LammMac(MacBase):
                     counters.inc(
                         f"{pfx}.coverage_violations", node=self.node_id, n=len(violated)
                     )
-                    if self.env.obs.active:
+                    if getattr(self.env.obs, f"{pfx}_coverage_violation"):
                         self.env.obs.emit(
                             f"{pfx}_coverage_violation",
                             node=self.node_id,
@@ -195,7 +195,7 @@ class LammMac(MacBase):
                 self._note_give_up(req, dropped)
                 next_remaining -= dropped
             obs = self.env.obs
-            if obs.active:
+            if getattr(obs, f"{pfx}_update"):
                 obs.emit(
                     f"{pfx}_update",
                     node=self.node_id,

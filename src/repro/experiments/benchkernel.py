@@ -36,9 +36,10 @@ per case, so a regression can be attributed to the layer that caused it:
     skipper stays event-scaled.  This case pins that concurrent win.
 ``observer_overhead``
     The price of looking: the same traffic-heavy run three times --
-    unobserved (emit sites pay only the ``obs.active`` guard), with a
-    minimal counting subscriber (every site builds and dispatches a
-    :class:`SimEvent`), and with the kernel phase profiler attached.
+    unobserved (emit sites pay only their per-type guard), with a
+    minimal counting subscriber to every type (every site builds and
+    dispatches a :class:`SimEvent`: the worst case), and with the kernel
+    phase profiler attached (only its four phase-starting types do).
     Metrics are bit-identical across the three (the no-op discipline);
     this case pins how much wall clock observation itself costs.
 

@@ -153,7 +153,7 @@ def figure2(n_receivers: int = 4, seed: int = 0) -> FigureResult:
     for name in ("BMW", "BMMM"):
         mac_cls, kwargs = protocol_class(name)
         net = _rebuild_with_positions(mac_cls, settings, seed, kwargs, pos)
-        recorder = net.env.obs.subscribe(TraceRecorder())
+        recorder = net.env.obs.subscribe(TraceRecorder(), types=("frame_tx",))
         req = net.mac(0).submit(MessageKind.BROADCAST)
         net.run(until=2_000)
         series[name] = [float(req.finish_time - req.service_start)]

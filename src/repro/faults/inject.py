@@ -176,10 +176,10 @@ class FaultInjector:
             yield env.timeout(max(rng.expovariate(churn.crash_rate), 1.0))
             self.down.add(node)
             counters.inc("faults.crashes", node=node)
-            if obs.active:
+            if obs.fault_crash:
                 obs.emit("fault_crash", node=node)
             yield env.timeout(max(rng.expovariate(1.0 / churn.mean_downtime), 1.0))
             self.down.discard(node)
             counters.inc("faults.recoveries", node=node)
-            if obs.active:
+            if obs.fault_recover:
                 obs.emit("fault_recover", node=node)

@@ -276,7 +276,7 @@ class MacBase:
         )
         self.queue.append(req)
         obs = self.env.obs
-        if obs.active:
+        if obs.request_submitted:
             obs.emit(
                 "request_submitted",
                 node=self.node_id,
@@ -328,7 +328,7 @@ class MacBase:
         req.finish_time = self.env.now
         self.completed.append(req)
         obs = self.env.obs
-        if obs.active:
+        if obs.request_done:
             obs.emit(
                 "request_done",
                 node=self.node_id,
@@ -394,7 +394,7 @@ class MacBase:
         """
         self.channel.counters.inc("retries", node=self.node_id)
         obs = self.env.obs
-        if obs.active:
+        if obs.retry:
             obs.emit(
                 "retry",
                 node=self.node_id,
@@ -436,7 +436,7 @@ class MacBase:
             "faults.receiver_give_ups", node=self.node_id, n=len(dropped)
         )
         obs = self.env.obs
-        if obs.active:
+        if obs.receiver_give_up:
             obs.emit(
                 "receiver_give_up",
                 node=self.node_id,

@@ -187,7 +187,7 @@ class Contender:
         yield sleep((0.5 - frac) % 1.0)
 
         backoff = randrange(window)
-        if obs.active:
+        if obs.backoff:
             obs.emit(
                 "backoff",
                 node=node,
@@ -219,7 +219,7 @@ class Contender:
                     idle_run = 0
                     if not resume_backoff:
                         backoff = randrange(window)
-                        if obs.active:
+                        if obs.backoff:
                             obs.emit(
                                 "backoff",
                                 node=node,
@@ -288,7 +288,7 @@ class Contender:
             # contender that is no longer sampling.
             horizons.pop(hkey, None)
 
-        if obs.active:
+        if obs.contention_won:
             obs.emit(
                 "contention_won",
                 node=node,

@@ -59,7 +59,7 @@ class Nav:
             self.owner = owner
             self.until = expiry
         obs = self._obs
-        if obs.active:
+        if obs.nav_set:
             obs.emit(
                 "nav_set",
                 node=self.node_id,

@@ -3,23 +3,25 @@
 Instrumented code (channel, contention engine, batch procedure, protocol
 state machines) publishes :class:`SimEvent` records to the
 :class:`EventBus` hanging off :class:`repro.sim.kernel.Environment`.  The
-bus is a plain fan-out with **no queueing and no filtering**: subscribers
-are called synchronously, in subscription order, at the simulated instant
-the event occurs.
+bus is a plain fan-out with **no queueing**: each event goes synchronously
+to the subscribers of its type, in subscription order, at the simulated
+instant the event occurs.
 
 Cost discipline
 ---------------
-Hot paths must pay (almost) nothing when nobody is listening.  Every emit
-site therefore guards on :attr:`EventBus.active` *before* building the
-payload::
+Hot paths must pay (almost) nothing for events nobody reads.  The bus
+keeps one attribute per event type in :data:`EVENT_TYPES`, holding the
+tuple of that type's subscribers (empty: the type is off), and every emit
+site guards on its own type *before* building the payload::
 
     obs = self.env.obs
-    if obs.active:
+    if obs.frame_tx:
         obs.emit("frame_tx", node=sender, ftype=frame.ftype.value, ...)
 
-so an un-observed run only executes one attribute load and one branch per
-site.  Payload construction (dicts, sorted sets) happens only for attached
-subscribers.
+so a bare run executes one attribute load and one branch per site, and a
+subscriber to a few types (the MAC-phase profiler reads four) leaves
+every other site just as cheap.  Payload construction (dicts, sorted
+sets) happens only for types somebody subscribed to.
 
 Payloads must be JSON-safe (str/int/float/bool/None/list/dict): the JSONL
 trace writer (:mod:`repro.obs.trace`) serializes them verbatim.  Convert
@@ -31,9 +33,47 @@ The event taxonomy is documented in ``docs/observability.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
-__all__ = ["SimEvent", "EventBus", "Subscriber"]
+__all__ = ["SimEvent", "EventBus", "Subscriber", "EVENT_TYPES"]
+
+#: Every event type the simulator publishes, in the order of the taxonomy
+#: tables in ``docs/observability.md``.  :meth:`EventBus.subscribe` and
+#: :meth:`EventBus.emit` reject any other type.
+EVENT_TYPES = (
+    # channel
+    "frame_tx",
+    "frame_rx",
+    "collision",
+    "capture",
+    "frame_error",
+    "half_duplex_loss",
+    "rate_loss",
+    # MAC substrate
+    "nav_set",
+    "backoff",
+    "contention_won",
+    "request_submitted",
+    "request_done",
+    "retry",
+    # batch procedure and protocols
+    "batch_round_start",
+    "batch_round_end",
+    "lamm_update",
+    "ram_update",
+    "ram_rate",
+    # fault injection
+    "fault_burst_loss",
+    "fault_crash",
+    "fault_recover",
+    "fault_tx_suppressed",
+    "fault_rx_dropped",
+    "receiver_give_up",
+    "lamm_coverage_violation",
+    "ram_coverage_violation",
+)
+
+_KNOWN = frozenset(EVENT_TYPES)
 
 
 class _Clock(Protocol):  # pragma: no cover - typing helper
@@ -78,17 +118,22 @@ class EventBus:
         Anything with a ``now`` attribute (normally the
         :class:`~repro.sim.kernel.Environment`); events are stamped with
         ``clock.now`` at emit time.
+
+    Each name in :data:`EVENT_TYPES` is an attribute holding the tuple of
+    that type's subscribers in subscription order; an empty tuple is
+    falsy, which is what emit sites test (``if obs.frame_rx:``).
     """
 
-    __slots__ = ("_clock", "_subscribers", "active")
+    __slots__ = ("_clock", "_subscribers", "active", *EVENT_TYPES)
 
     def __init__(self, clock: _Clock):
         self._clock = clock
-        self._subscribers: list[Subscriber] = []
-        #: True iff at least one subscriber is attached.  Emit sites check
-        #: this before building payloads; keep it in sync via
-        #: :meth:`subscribe` / :meth:`unsubscribe` only.
+        #: ``(subscriber, types)`` in subscription order; ``types`` is a
+        #: frozenset, or ``None`` for every type.
+        self._subscribers: list[tuple[Subscriber, frozenset[str] | None]] = []
+        #: True iff at least one subscriber is attached (to any type).
         self.active: bool = False
+        self._route()
 
     def __bool__(self) -> bool:
         return self.active
@@ -97,27 +142,64 @@ class EventBus:
     def n_subscribers(self) -> int:
         return len(self._subscribers)
 
-    def subscribe(self, subscriber: Subscriber) -> Subscriber:
-        """Attach *subscriber*; returns it (usable as a decorator)."""
+    def _route(self) -> None:
+        """Rebuild every type's subscriber tuple from :attr:`_subscribers`.
+
+        The subscriber object itself is stored, not a bound method, so
+        each call looks ``__call__`` up afresh.
+        """
+        for etype in EVENT_TYPES:
+            setattr(
+                self,
+                etype,
+                tuple(s for s, types in self._subscribers if types is None or etype in types),
+            )
+        self.active = bool(self._subscribers)
+
+    def subscribe(
+        self, subscriber: Subscriber, types: Iterable[str] | None = None
+    ) -> Subscriber:
+        """Attach *subscriber* to *types* (default: every type); returns it
+        (usable as a decorator).
+
+        Raises ``ValueError`` for an empty *types* or a type not in
+        :data:`EVENT_TYPES`.
+        """
         if not callable(subscriber):
             raise TypeError(f"{subscriber!r} is not callable")
-        self._subscribers.append(subscriber)
-        self.active = True
+        if types is not None:
+            types = frozenset(types)
+            if not types:
+                raise ValueError("types is empty: the subscriber would receive nothing")
+            unknown = types - _KNOWN
+            if unknown:
+                raise ValueError(f"unknown event types: {sorted(unknown)}")
+        self._subscribers.append((subscriber, types))
+        self._route()
         return subscriber
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
         """Detach *subscriber* (raises ValueError if not attached)."""
-        self._subscribers.remove(subscriber)
-        self.active = bool(self._subscribers)
+        for i, (s, _) in enumerate(self._subscribers):
+            if s == subscriber:
+                del self._subscribers[i]
+                self._route()
+                return
+        raise ValueError(f"{subscriber!r} is not subscribed")
 
     def emit(self, etype: str, node: int | None = None, **data: Any) -> None:
         """Publish one event, stamped with the clock's current time.
 
-        Callers in hot paths should guard on :attr:`active` first; calling
-        ``emit`` with no subscribers is harmless but builds the payload.
+        Callers in hot paths should guard on the type's attribute first;
+        calling ``emit`` for a type nobody reads is harmless but builds
+        the payload.  Raises ``ValueError`` for a type not in
+        :data:`EVENT_TYPES`.
         """
-        if not self._subscribers:
+        if etype not in _KNOWN:
+            raise ValueError(f"unknown event type {etype!r}")
+        subscribers = getattr(self, etype)
+        if not subscribers:
             return
         event = SimEvent(etype, self._clock.now, node, data)
-        for subscriber in self._subscribers:
+        for subscriber in subscribers:
             subscriber(event)

@@ -7,11 +7,12 @@ the interesting stories -- contention collapse, where airtime actually
 goes -- only become visible with per-phase accounting.  This module
 provides exactly that, as a pure event-bus subscriber:
 
-* :class:`KernelPhaseProfiler` attaches to ``env.obs`` (and hangs itself
-  off ``env.profile`` so layered code can find it).  Between two bus
-  events nothing observable happens in the simulated world, so the wall
-  clock consumed between consecutive events is attributed to the *MAC
-  phase the preceding event started*:
+* :class:`KernelPhaseProfiler` subscribes to the four phase-starting
+  event types on ``env.obs`` (and hangs itself off ``env.profile`` so
+  layered code can find it).  Between two of those events the MAC phase
+  does not change, so the wall clock consumed between consecutive
+  phase-starting events is attributed to the *MAC phase the preceding
+  one started*:
 
   ============================  =========================================
   phase key                     started by
@@ -24,10 +25,11 @@ provides exactly that, as a pure event-bus subscriber:
   ``ack_collection``            ``frame_tx`` of ACK / NAK / RAK (the
                                 paper's per-receiver polling rounds)
   ``beacon``                    ``frame_tx`` of a BEACON (BSMA)
-  ``idle``                      startup, and everything after a
-                                ``request_done`` until the next activity
+  ``idle``                      everything after a ``request_done``
+                                until the next activity
   ``other``                     loop residue: simulate-phase wall clock
-                                outside the first..last event window
+                                outside the first..last phase-starting
+                                event window
   ============================  =========================================
 
 * Attribution is *exhaustive*: :meth:`finish` folds the residue into
@@ -40,7 +42,14 @@ a plain subscriber -- it reads the wall clock and writes into its own
 dicts, never touches an RNG stream, a counter or the event queue -- so a
 profiled run is bit-identical to a bare one (pinned by
 ``tests/obs/test_profiler.py``).  Detached (the default), the only cost
-is the ``obs.active`` guard every emit site already pays.
+is the per-type guard every emit site already pays; attached, only the
+four phase-starting sites build an event.
+
+Every other event (receptions, collisions, NAV updates) is bookkeeping
+*of* the current phase: fed one anyway, :meth:`KernelPhaseProfiler.__call__`
+splits the running slice without switching phase, so the slices merge
+back to the same ``phase_seconds`` (pinned by a replay test).  Events
+before the first phase-starting one are ignored for the same reason.
 """
 
 from __future__ import annotations
@@ -79,9 +88,10 @@ _FTYPE_PHASE = {
     "BEACON": "beacon",
 }
 
-#: Event types that switch the current phase (all others -- receptions,
-#: collisions, NAV updates -- are bookkeeping *of* the current phase and
-#: leave the attribution untouched).
+#: Event types that switch the current phase, and the only ones
+#: :meth:`KernelPhaseProfiler.attach` subscribes to (all others --
+#: receptions, collisions, NAV updates -- are bookkeeping *of* the
+#: current phase and leave the attribution untouched).
 _PHASE_STARTERS = frozenset({"backoff", "contention_won", "frame_tx", "request_done"})
 
 
@@ -96,9 +106,9 @@ class KernelPhaseProfiler:
         profiler.finish(simulate_wall_s)
         profiler.phase_seconds        # {"difs_backoff": ..., "data": ...}
 
-    The profiler also counts events per phase (``phase_events``) so a
-    report can distinguish "expensive because many events" from
-    "expensive because each event is slow".
+    The profiler also counts the phase-starting events per phase
+    (``phase_events``) so a report can distinguish "expensive because
+    many phases" from "expensive because each phase is slow".
     """
 
     __slots__ = ("phase_seconds", "phase_events", "_phase", "_last_wall", "_env", "_total")
@@ -106,7 +116,8 @@ class KernelPhaseProfiler:
     def __init__(self):
         #: phase key -> attributed wall-clock seconds.
         self.phase_seconds: dict[str, float] = {}
-        #: phase key -> number of bus events that started a slice there.
+        #: phase key -> number of received events that started a slice
+        #: there (attached: the phase-starting events only).
         self.phase_events: dict[str, int] = {}
         self._phase = "idle"
         self._last_wall: float | None = None
@@ -116,10 +127,11 @@ class KernelPhaseProfiler:
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, env) -> "KernelPhaseProfiler":
-        """Subscribe to *env*'s bus and register as ``env.profile``."""
+        """Subscribe to *env*'s phase-starting events and register as
+        ``env.profile``."""
         if self._env is not None:
             raise RuntimeError("profiler is already attached")
-        env.obs.subscribe(self)
+        env.obs.subscribe(self, types=_PHASE_STARTERS)
         env.profile = self
         self._env = env
         return self
@@ -137,13 +149,15 @@ class KernelPhaseProfiler:
 
     def __call__(self, event: SimEvent) -> None:
         now = perf_counter()
+        etype = event.etype
         if self._last_wall is not None:
             phase = self._phase
             self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + (
                 now - self._last_wall
             )
+        elif etype not in _PHASE_STARTERS:
+            return  # attribution opens at the first phase-starting event
         self._last_wall = now
-        etype = event.etype
         if etype in _PHASE_STARTERS:
             if etype == "frame_tx":
                 self._phase = _FTYPE_PHASE.get(event.data.get("ftype"), "other")

@@ -67,7 +67,7 @@ class RamMac(LammMac):
             # best_mcs clamps it back to the base rate.
             mcs = phy.best_mcs(phy.mcs_for_distance(worst, radius))
         counters.inc(f"ram.rounds_mcs{mcs}", node=self.node_id)
-        if self.env.obs.active:
+        if self.env.obs.ram_rate:
             self.env.obs.emit(
                 "ram_rate",
                 node=self.node_id,

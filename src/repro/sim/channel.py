@@ -269,7 +269,7 @@ class Channel:
             # The sender still experiences the airtime.
             self.counters.inc("faults.tx_suppressed", node=radio.node_id)
             obs = self._obs
-            if obs.active:
+            if obs.fault_tx_suppressed:
                 obs.emit(
                     "fault_tx_suppressed",
                     node=radio.node_id,
@@ -289,7 +289,7 @@ class Channel:
         # Per-node only; finalize_counters() sums the run-wide totals.
         radio._counts[frame.ftype.sent_key] += 1
         obs = self._obs
-        if obs.active:
+        if obs.frame_tx:
             payload = {
                 "ftype": frame.ftype.value,
                 "src": frame.src,
@@ -435,7 +435,7 @@ class Channel:
                 continue
             note_delivered(frame, rid, True)
             radio._counts[dkey] += 1
-            if obs.active:
+            if obs.frame_rx:
                 obs.emit(
                     "frame_rx",
                     node=rid,
@@ -457,7 +457,7 @@ class Channel:
         """Account for *tx* lost at *rid* to an i.i.d. frame error."""
         self.counters.inc("frame_errors", node=rid)
         obs = self._obs
-        if obs.active:
+        if obs.frame_error:
             obs.emit(
                 "frame_error",
                 node=rid,
@@ -475,7 +475,7 @@ class Channel:
             # collision/half-duplex accounting applies (the frame's energy
             # still interferes at *live* receivers: it is their rival).
             self.counters.inc("faults.rx_dropped", node=rid)
-            if obs.active:
+            if obs.fault_rx_dropped:
                 obs.emit(
                     "fault_rx_dropped",
                     node=rid,
@@ -491,7 +491,7 @@ class Channel:
         for t in tx.rivals:
             if t.sender == rid:
                 self.counters.inc("half_duplex_losses", node=rid)
-                if obs.active:
+                if obs.half_duplex_loss:
                     obs.emit(
                         "half_duplex_loss",
                         node=rid,
@@ -512,7 +512,7 @@ class Channel:
         fmcs = tx.frame.mcs
         if fmcs and self.propagation.link_mcs(self.phy)[tx.sender][rid] < fmcs:
             self.counters.inc("rate_losses", node=rid)
-            if obs.active:
+            if obs.rate_loss:
                 obs.emit(
                     "rate_loss",
                     node=rid,
@@ -537,7 +537,7 @@ class Channel:
             clean = True
         else:
             self.counters.inc("collisions", node=rid)
-            if obs.active:
+            if obs.collision:
                 obs.emit(
                     "collision",
                     node=rid,
@@ -565,7 +565,7 @@ class Channel:
             if not (strongest and self.capture.attempt(k, self.rng)):
                 return
             self.counters.inc("captures", node=rid)
-            if obs.active:
+            if obs.capture:
                 obs.emit(
                     "capture",
                     node=rid,
@@ -585,7 +585,7 @@ class Channel:
         ):
             # Bursty (Gilbert-Elliott) loss, on top of the i.i.d. channel.
             self.counters.inc("faults.burst_losses", node=rid)
-            if obs.active:
+            if obs.fault_burst_loss:
                 obs.emit(
                     "fault_burst_loss",
                     node=rid,
@@ -598,7 +598,7 @@ class Channel:
         self.stats.note_delivered(tx.frame, rid, clean)
         # Per-node only; finalize_counters() sums the run-wide totals.
         radio._counts[tx.dkey] += 1
-        if obs.active:
+        if obs.frame_rx:
             obs.emit(
                 "frame_rx",
                 node=rid,

@@ -43,11 +43,11 @@ def run_one_broadcast(mac_cls, n_receivers=4, seed=1, until=500, **net_kwargs):
 def air_log(env):
     """Record the frames put on the air in *env* from now on.
 
-    Subscribes a :class:`TraceRecorder` to the environment's event bus and
-    returns a function that replays the ``frame_tx`` events recorded so
-    far as channel ``Transmission`` objects, in transmit order.
+    Subscribes a :class:`TraceRecorder` to the environment's ``frame_tx``
+    events and returns a function that replays those recorded so far as
+    channel ``Transmission`` objects, in transmit order.
     """
-    recorder = env.obs.subscribe(TraceRecorder())
+    recorder = env.obs.subscribe(TraceRecorder(), types=("frame_tx",))
     return lambda: transmissions_from_trace(recorder.events)
 
 

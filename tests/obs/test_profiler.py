@@ -68,6 +68,15 @@ class TestAttribution:
         profiler(_event("request_done"))
         assert profiler._phase == "idle"
 
+    def test_attribution_opens_at_the_first_phase_starter(self):
+        profiler = KernelPhaseProfiler()
+        profiler(_event("request_submitted"))
+        profiler(_event("nav_set"))
+        assert profiler.phase_seconds == {} and profiler.phase_events == {}
+        assert profiler._last_wall is None
+        profiler(_event("backoff"))
+        assert profiler.phase_events == {"difs_backoff": 1}
+
     def test_attributes_wall_time_to_preceding_phase(self):
         profiler = KernelPhaseProfiler()
         profiler(_event("backoff"))
