@@ -29,11 +29,11 @@ per case, so a regression can be attributed to the layer that caused it:
     fast path collapses each solo phase to a handful of events.
 ``dense_contention``
     Many stations *simultaneously* in backoff with CW = 1024 (20x the
-    contention_heavy arrival rate).  Before commit horizons, every
-    contender's pending mid-slot sample truncated every other
-    contender's skip, so concurrency silently degraded the fast path
-    back toward per-slot stepping; with published commit bounds the
-    skipper stays event-scaled.  This case pins that concurrent win.
+    contention_heavy arrival rate).  A contender sleeps through an idle
+    run and wakes only when a transmission or NAV update changes its
+    own medium, so concurrency neither cuts its sleeps short nor
+    degrades the fast path toward per-slot stepping.  This case pins
+    that concurrent win.
 ``observer_overhead``
     The price of looking: the same traffic-heavy run three times --
     unobserved (emit sites pay only their per-type guard), with a

@@ -26,47 +26,44 @@ Idle-slot skipping (the event-driven fast path)
 -----------------------------------------------
 A naive slotted implementation wakes every contending station once per
 idle slot, so wall-clock scales with *simulated slots*; the fast path
-makes it scale with *events* instead.  The key observation: between two
-scheduler events nothing in the simulated world can change -- a
-transmission, a NAV update or a new arrival all happen inside event
-callbacks -- so every mid-slot carrier-sense sample strictly before the
-kernel's next event time is *guaranteed* to read the same idle medium
-the station sees right now.  The contender
-therefore burns all those samples (DIFS slots, then backoff decrements,
-then the final pre-transmit check) in a single pooled timeout.
+makes it scale with *medium changes* instead.  A sample reads only
+``max(radio.busy_until, nav.until)``, and two places can make a later
+sample read it busy: :meth:`Channel.transmit` (for the sender and every
+interferer whose ``busy_until`` goes up) and :meth:`Nav.set`
+(:meth:`Nav.clear` moves ``nav.until`` only to now).  Each calls the
+*waiters* of the radio or NAV it changed, and every in-phase contender
+is a waiter on its own radio and NAV.
 
-Whenever a *foreign* event sits inside the skip window -- a frame
-delivery, a traffic arrival, a timeout -- the skip is truncated to the
-samples provably idle and the machine re-evaluates at the next sample,
-which degrades gracefully to exact per-slot stepping around busy
-transitions.  Other contenders' pending mid-slot samples do *not*
-truncate the skip: each in-phase contender publishes a **commit
-horizon** -- the earliest instant it could possibly transmit should the
-medium stay idle (``now + remaining DIFS + backoff + 0.5``) -- in the
-kernel's registry ``env._horizons`` under its :meth:`Environment.horizon_key`,
-and peers skip up to ``min(published bounds, next main-queue event)`` via
-:meth:`Environment.commit_horizon`.  Sample wake-ups live in the
-kernel's sample lane (:meth:`Environment.sample_sleep`), which
-:meth:`Environment.commit_horizon` looks past; the final pre-transmit
-sleep stays in the main lane because it *is* the commit.
-The ordering-safety argument (no peer commit can land inside a skip
-window, and same-instant commits keep their pinned order) is written
-out in docs/simulator.md "Fast paths".
+So on an idle sample the contender makes one sample-lane sleep
+(:meth:`Environment.sample_sleep`) to its final pre-transmit sample,
+``now + needed`` (the rest of the DIFS run plus the whole remaining
+backoff).  Until a writer calls it, every elided sample would read the
+same idle medium.  When one does, :meth:`Contender._poke` pulls the
+pending wake to the first sample point at or after the write
+(:meth:`Environment.expedite_sample`).  On waking, the contender counts
+the samples it slept through toward DIFS and backoff and evaluates the
+landing sample for real.  Busy samples skip straight
+to the next sample point after the known-busy span, exactly as the
+reference machine does; the final pre-transmit sleep stays in the main
+lane because it *is* the commit.  The ordering-safety argument is
+written out in docs/simulator.md, "Idle-slot skipping".
 
 The RNG discipline is untouched (one backoff draw per phase; in
 ``resume_backoff=False`` mode one redraw per busy sample, exactly as
 before), and busy samples still go through
 :meth:`Contender._next_sample_point`, so transmit times, backoff
 residues and draw order are bit-identical to the reference per-slot
-machine.  This is pinned by Hypothesis side-by-side properties -- solo
-and arbitrary N-contender interference patterns
-(``tests/mac/test_contention_fastpath.py``) -- and by the repo-wide
-``repro-mac gate`` regression baseline.
+machine.  This is pinned by Hypothesis side-by-side properties -- solo,
+N contenders on one medium, and a MAC plus a beacon contender on one
+radio and NAV (``tests/mac/test_contention_fastpath.py``) -- and by the
+repo-wide ``repro-mac gate`` regression baselines.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -75,6 +72,10 @@ from repro.sim.kernel import Environment
 from repro.sim.radio import Radio
 
 __all__ = ["ContentionParams", "Contender"]
+
+#: Sample ranks in creation order: same-instant samples of different
+#: contenders, and the commits they schedule, run in this order.
+_ranks = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,13 @@ class ContentionParams:
     resume_backoff: bool = True
 
     def __post_init__(self):
+        # DIFS and the windows count whole slots: a fractional DIFS runs
+        # off the slot grid, NaN/inf cannot be counted, and a bool is not
+        # a slot count.
+        for name in ("difs_slots", "cw_min", "cw_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be a whole number of slots, got {value!r}")
         if self.difs_slots < 1:
             raise ValueError(f"difs_slots must be >= 1, got {self.difs_slots}")
         if not 1 <= self.cw_min <= self.cw_max:
@@ -134,8 +142,13 @@ class Contender:
         self.nav = nav
         self.rng = rng
         self.params = params or ContentionParams()
-        #: This contender's key in the commit-horizon registry ``env._horizons``.
-        self._hkey = env.horizon_key()
+        #: Orders this contender's sample wake-ups among same-instant peers.
+        self._rank = next(_ranks)
+        #: The pending sleep of an idle run (None outside one), the sample
+        #: that began the run and the instant the sleep is due.
+        self._wake = None
+        self._begin = 0.0
+        self._wake_at = 0.0
 
     # -- helpers ---------------------------------------------------------------
 
@@ -145,6 +158,20 @@ class Contender:
     def _slot_was_busy(self) -> bool:
         """Sampled mid-slot: is the current slot occupied?"""
         return self._virtual_busy_until() > self.env.now
+
+    def _poke(self) -> None:
+        """A writer changed this contender's radio or NAV: pull a pending
+        idle-run wake to the first sample point of the run at or after
+        now, where the change is first seen."""
+        wake = self._wake
+        if wake is None:
+            return
+        now = self.env.now
+        begin = self._begin
+        at = begin + max(1, math.ceil(now - begin))
+        if at < self._wake_at:
+            self.env.expedite_sample(wake, at - now)
+            self._wake_at = at
 
     def _next_sample_point(self) -> float:
         """Delay from now to the next mid-slot sampling instant, skipping
@@ -178,8 +205,8 @@ class Contender:
         slot_was_busy = self._slot_was_busy
         sleep = env.sleep
         sample_sleep = env.sample_sleep
-        hkey = self._hkey
-        horizons = env._horizons
+        rank = self._rank
+        radio = self.radio
         resume_backoff = params.resume_backoff
 
         # Align to the next mid-slot sampling point.
@@ -198,20 +225,13 @@ class Contender:
         # The DIFS run, the backoff countdown and the final pre-transmit
         # check are one sequence of mid-slot samples; ``idle_run`` tracks
         # progress through the DIFS prefix.  Each loop iteration handles
-        # one sample *or* one guaranteed-idle batch of samples (see the
-        # module docstring); the busy branch is byte-for-byte the
+        # one busy sample *or* one idle run slept through in one wait (see
+        # the module docstring); the busy branch is byte-for-byte the
         # reference machine's (reset DIFS, redraw when not resuming, skip
         # over the known-busy span).
-        #
-        # Sample wake-ups go through ``env.sample_sleep`` with a published
-        # commit horizon covering them: before every tagged sleep, the
-        # contender publishes its commit-if-idle instant (the exact time
-        # it will transmit should the medium stay idle; any busy sample
-        # only pushes the commit later *from the peers' point of view at
-        # read time* -- see the ordering-safety argument in
-        # docs/simulator.md).  Peers may then skip past this contender's
-        # pending samples up to that bound.  The final pre-transmit sleeps
-        # stay in the main lane: they *are* the commit.
+        poke = self._poke
+        radio.waiters.append(poke)
+        self.nav.waiters.append(poke)
         idle_run = 0
         try:
             while True:
@@ -227,12 +247,7 @@ class Contender:
                                 window=window,
                                 backoff=backoff,
                             )
-                    delay = self._next_sample_point()
-                    # Commit-if-idle from the landing sample: a full DIFS
-                    # run plus the (frozen or freshly redrawn) backoff,
-                    # then the half-slot final check.
-                    horizons[hkey] = env.now + delay + difs_slots + backoff + 0.5
-                    yield sample_sleep(delay, hkey)
+                    yield sample_sleep(self._next_sample_point(), rank)
                     continue
 
                 # Idle samples still required before the station may
@@ -245,48 +260,36 @@ class Contender:
                     yield sleep(0.5)
                     break
 
-                # Samples guaranteed idle from here: no *foreign* event --
-                # and no peer commit, per the published bounds -- can
-                # change the world before ``horizon``, so every sample at
-                # now, now+1, ... strictly below it reads the medium
-                # exactly as this (idle) one did.  The current sample is
-                # always safe -- it just happened.
-                horizon = env.commit_horizon(hkey)
-                span = horizon - env.now
-                if span > needed + 0.5:
-                    # The commit instant itself lies *strictly* inside the
-                    # quiet window, so this transmission is provably the
-                    # only commit at that instant (a peer tying on it
-                    # would need a bound <= the commit time): one timeout
-                    # to the slot boundary wins the phase outright.  Main
-                    # lane: this wake commits.  ``span == needed + 0.5``
-                    # (commit exactly at the horizon -- a possible
-                    # same-instant tie) instead batches to the final
-                    # sample below, so tied commits are all scheduled at
-                    # T - 0.5 in rank order.
-                    yield sleep(needed + 0.5)
-                    break
-
-                # Consume the provably idle prefix (>= 1 sample) in one
-                # jump, then re-evaluate at the first sample an event (or
-                # a peer commit) could touch.
-                guaranteed = math.ceil(span) if span > 1.0 else 1
-                batch = needed if needed < guaranteed else guaranteed
+                begin = env.now
+                if radio.busy_until > begin:
+                    # An override (ExposedAwareContender) read a busy
+                    # medium as idle.  That verdict also changes when
+                    # frames end, which no writer reports: step one
+                    # sample, as the reference does.
+                    yield sample_sleep(1.0, rank)
+                    batch = 1
+                else:
+                    # Sleep to the final check sample; a writer pulls the
+                    # wake earlier (_poke).  Every sample slept through
+                    # read this idle medium.
+                    self._begin = begin
+                    self._wake_at = begin + needed
+                    self._wake = sample_sleep(float(needed), rank)
+                    yield self._wake
+                    self._wake = None
+                    batch = int(env.now - begin)
                 difs_part = difs_slots - idle_run
                 if batch < difs_part:
                     idle_run += batch
                 else:
                     idle_run = difs_slots
                     backoff -= batch - difs_part
-                # Commit-if-idle is invariant along an idle run:
-                # now + needed + 0.5 == landing + remaining + 0.5.
-                horizons[hkey] = env.now + needed + 0.5
-                yield sample_sleep(float(batch), hkey)
         finally:
-            # Phase exit (win, timeout upstream, process death):
-            # withdraw the bound so peers stop truncating their skips on a
-            # contender that is no longer sampling.
-            horizons.pop(hkey, None)
+            # Phase exit (win, or the process dying mid-phase): stop
+            # listening to the medium.
+            self._wake = None
+            radio.waiters.remove(poke)
+            self.nav.waiters.remove(poke)
 
         if obs.contention_won:
             obs.emit(

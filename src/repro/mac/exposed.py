@@ -101,6 +101,12 @@ class ExposedAwareContender(Contender):
     Call :meth:`set_intent` with the intended receiver set before running
     a contention phase; without an intent the contender behaves exactly
     like the base CSMA/CA machine.
+
+    An override reads a busy medium as idle, and it depends on the air
+    list, which also changes when frames *end* -- a change no medium
+    writer reports.  So while one is in force (idle with ``busy_until >
+    now``) the contention loop steps one sample at a time instead of
+    sleeping through the idle run (see :mod:`repro.mac.contention`).
     """
 
     def __init__(

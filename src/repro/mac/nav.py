@@ -13,6 +13,7 @@ carrying them ends, so a receiver hearing a foreign control frame at time
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from repro.sim.kernel import Environment
 
@@ -37,6 +38,11 @@ class Nav:
         self.node_id = node_id
         self.until: float = env.now
         self.owner: int | None = None
+        #: Callables :meth:`set` calls, with no arguments, after moving
+        #: :attr:`until`: the pokes of contenders in a contention phase.
+        #: :meth:`clear` calls none: it moves :attr:`until` only to now,
+        #: which no later carrier-sense sample reads as busy.
+        self.waiters: list[Callable[[], None]] = []
         # The environment's bus never changes; cache it off the hot path.
         self._obs = env.obs
 
@@ -58,6 +64,8 @@ class Nav:
         if expiry >= self.until:
             self.owner = owner
             self.until = expiry
+            for poke in self.waiters:
+                poke()
         obs = self._obs
         if obs.nav_set:
             obs.emit(

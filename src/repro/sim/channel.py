@@ -318,15 +318,22 @@ class Channel:
         radio.tx_until = end
         if end > radio.busy_until:
             radio.busy_until = end
+            for poke in radio.waiters:
+                poke()
 
         # Carrier sense extends to the interference range; decodability
         # (see _finish) only to the transmission radius.  They coincide
-        # in the paper's model.
+        # in the paper's model.  A contender waiting out an idle run has
+        # ``busy_until <= now < end``, so every write it must hear about
+        # lands in this branch.
         radios = self.radios
         for nid in self.propagation.interferer_lists[sender]:
             r = radios.get(nid)
             if r is not None and end > r.busy_until:
                 r.busy_until = end
+                if r.waiters:
+                    for poke in r.waiters:
+                        poke()
 
         done = self.env.timeout(airtime, value=tx, priority=PRIORITY_DELIVERY)
         done.callbacks.append(lambda _ev: self._finish(tx))

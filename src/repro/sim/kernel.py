@@ -221,25 +221,15 @@ class Environment:
         self._now = 0
         self._queue: list[tuple[float, int, int, Event]] = []
         #: The sample lane: carrier-sense wake-ups scheduled via
-        #: :meth:`sample_sleep`.  Kept out of :attr:`_queue` so
-        #: :meth:`commit_horizon` reads the next *world-changing* event
-        #: without scanning past pending mid-slot samples.  Both lanes share
-        #: one ``_eid`` counter, so the merged dispatch order is exactly the
-        #: order a single queue would produce.
+        #: :meth:`sample_sleep`, ordered by ``(time, priority, rank)`` so
+        #: same-instant samples run in their owners' rank order whatever
+        #: their scheduling history.  Both lanes share one ``_eid``
+        #: counter; cross-lane ties go to the main queue.
         self._sample_queue: list[tuple[float, int, int, int, Event]] = []
         self._eid = 0
         self._unhandled: BaseException | None = None
         #: Free list of retired :meth:`sleep` timeouts awaiting reuse.
         self._timeout_pool: list[Timeout] = []
-        #: Commit-horizon registry: key from :meth:`horizon_key` -> the
-        #: earliest instant that owner could possibly begin a transmission.
-        #: Owners write and pop their own entry directly.  The contract: the
-        #: bound is at or below the owner's true commit-if-the-medium-stays-
-        #: idle time at every instant, and changes only inside the owner's
-        #: own wake-up callbacks.  Bounds need *not* be monotone (see
-        #: docs/simulator.md, "Commit horizons").
-        self._horizons: dict[int, float] = {}
-        self._next_horizon_key = 0
         #: Observability event bus (see :mod:`repro.obs.events`).  Created
         #: once per environment and never replaced, so instrumented layers
         #: may cache the reference.
@@ -296,23 +286,20 @@ class Environment:
     def sample_sleep(self, delay: float, rank: int, priority: int = PRIORITY_NORMAL) -> Timeout:
         """A pooled timeout scheduled into the *sample lane*.
 
-        Same clock as :meth:`sleep`, but (a) the event is invisible to
-        :meth:`commit_horizon`, and (b) same-instant sample wake-ups are
+        Same clock as :meth:`sleep`, but same-instant sample wake-ups are
         ordered by *rank* -- a stable per-owner key (the contender's
-        horizon key) -- instead of by scheduling history.  Rank ordering
-        is what pins same-instant commit order: contenders tying on a
-        commit instant all schedule their commit timeouts from their
+        creation order) -- instead of by scheduling history.  Rank
+        ordering is what pins same-instant commit order: contenders tying
+        on a commit instant all schedule their commit timeouts from their
         final samples at ``T - 0.5``, so those commits inherit the rank
-        order regardless of how each contender batched its way there.
-        Main-queue events win cross-lane ties at equal (time, priority).
+        order however each contender slept its way there.  Main-queue
+        events win cross-lane ties at equal (time, priority), so a sample
+        sees every same-instant delivery and commit already applied.
 
-        Reserved for carrier-sense sample wake-ups whose callbacks cannot
-        change the simulated world before the bound their owner has
-        published in the commit-horizon registry (the per-slot reference
-        machine, which never batches, needs no bound: its samples are
-        world-read-only by construction).  Scheduling a batched skip
-        without a covering published horizon voids the commit-horizon
-        safety argument (see docs/simulator.md, "Fast paths").
+        Reserved for carrier-sense sample wake-ups, whose callbacks only
+        read the medium and schedule further waits (see docs/simulator.md,
+        "Idle-slot skipping").  :meth:`expedite_sample` pulls a pending
+        wake earlier.
         """
         if not delay >= 0:
             raise ValueError(f"invalid delay {delay}")
@@ -338,6 +325,36 @@ class Environment:
         )
         return timeout
 
+    def expedite_sample(self, wake: Timeout, delay: float) -> None:
+        """Move the pending sample-lane *wake* earlier, to *delay* from now.
+
+        The wake keeps its rank, priority and event id -- it is the same
+        event, due sooner -- so this schedules nothing new and leaves no
+        stale entry behind: the heap entry is re-keyed in place and
+        sifted toward the root.  Raises :class:`ValueError` for a later
+        instant and :class:`RuntimeError` for anything not pending in the
+        sample lane.
+        """
+        squeue = self._sample_queue
+        for pos, entry in enumerate(squeue):
+            if entry[4] is wake:
+                break
+        else:
+            raise RuntimeError(f"{wake!r} is not pending in the sample lane")
+        when = self._now + delay
+        if not self._now <= when <= entry[0]:
+            raise ValueError(f"cannot move a wake due at {entry[0]} to {when}")
+        wake.delay = delay
+        entry = (when,) + entry[1:]
+        while pos:
+            parent = (pos - 1) >> 1
+            if entry < squeue[parent]:
+                squeue[pos] = squeue[parent]
+                pos = parent
+            else:
+                break
+        squeue[pos] = entry
+
     def process(self, generator: Generator, name: str | None = None) -> Process:
         """Start *generator* as a :class:`Process`."""
         return Process(self, generator, name)
@@ -350,23 +367,6 @@ class Environment:
         event._scheduled = True
         self._eid += 1
         heappush(self._queue, (self._now + delay, priority, self._eid, event))
-
-    # -- commit-horizon registry --------------------------------------------
-
-    def horizon_key(self) -> int:
-        """A fresh opaque commit-horizon registry key (one per owner)."""
-        self._next_horizon_key += 1
-        return self._next_horizon_key
-
-    def commit_horizon(self, exclude_key: int = 0) -> float:
-        """The earliest instant any *other* actor could change the world:
-        ``min`` of the next main-queue event time and every registered
-        bound except *exclude_key*'s own (``inf`` when there is none)."""
-        horizon = self._queue[0][0] if self._queue else float("inf")
-        for key, bound in self._horizons.items():
-            if bound < horizon and key != exclude_key:
-                horizon = bound
-        return horizon
 
     # -- execution -----------------------------------------------------------
 

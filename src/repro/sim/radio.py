@@ -52,6 +52,10 @@ class Radio:
         self.busy_until: float = channel.env.now
         #: End time of this node's latest own transmission.
         self.tx_until: float = channel.env.now
+        #: Callables the channel calls, with no arguments, after raising
+        #: :attr:`busy_until`: the pokes of contenders in a contention
+        #: phase on this radio (a MAC and its beacon service may both be).
+        self.waiters: list[Callable[[], None]] = []
         self._listeners: list[FrameListener] = []
         #: The listener that declared a bystander rule, with that rule.
         self._owner: tuple[FrameListener, BystanderRule] | None = None

@@ -45,6 +45,29 @@ class TestContentionParams:
         with pytest.raises(ValueError):
             ContentionParams().window(-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("difs_slots", float("nan")),
+            ("difs_slots", float("inf")),
+            ("difs_slots", 2.5),
+            ("difs_slots", 2.0),
+            ("difs_slots", True),
+            ("cw_min", 15.5),
+            ("cw_min", True),
+            ("cw_max", 256.0),
+            ("cw_max", float("inf")),
+            ("cw_max", "256"),
+        ],
+    )
+    def test_slot_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ContentionParams(**{field: value})
+
+    def test_integer_like_slot_counts_are_accepted(self):
+        p = ContentionParams(difs_slots=np.int64(3), cw_min=np.int32(8), cw_max=64)
+        assert p.window(1) == 16
+
 
 class TestContentionPhase:
     def test_idle_medium_grants_access_after_difs_plus_backoff(self):

@@ -324,7 +324,18 @@ class TestBusyTracking:
         assert len(env._queue) - queued0 == 1
         assert not env._sample_queue
         assert env._queue[0][3] is done and done.delay == 1
-        assert env.commit_horizon() == 1
+        assert env._queue[0][0] == 1  # the airtime end is the next event
+
+    def test_transmit_pokes_waiters_whose_busy_until_rises(self):
+        # The sender and both interferers are written; a radio whose
+        # busy_until already reaches past the frame's end is not.
+        env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5], [0.45, 0.5]])
+        pokes = []
+        for nid, radio in enumerate(radios):
+            radio.waiters.append(lambda nid=nid: pokes.append((nid, radios[nid].busy_until)))
+        radios[2].busy_until = 10
+        ch.transmit(radios[0], rts(0))
+        assert sorted(pokes) == [(0, 1), (1, 1)]
 
     def test_transmission_overlap_helper(self):
         f = Frame(FrameType.RTS, src=0, ra=1)

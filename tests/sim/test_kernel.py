@@ -369,8 +369,8 @@ class TestPublicSurface:
             return {name for name in dir(obj) if not name.startswith("_")}
 
         assert public(Environment()) == {
-            "now", "event", "timeout", "sleep", "sample_sleep", "process",
-            "horizon_key", "commit_horizon", "run", "obs", "profile",
+            "now", "event", "timeout", "sleep", "sample_sleep", "expedite_sample",
+            "process", "run", "obs", "profile",
         }
         event_api = {"succeed", "triggered", "processed", "callbacks", "env", "defused"}
         assert public(Event) == event_api

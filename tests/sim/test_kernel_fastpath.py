@@ -217,3 +217,51 @@ class TestRunLoopEquivalence:
         env.run()
         assert got == ["done"]
         assert env.now == 3
+
+
+class TestExpediteSample:
+    def test_moved_wake_fires_earlier_as_the_same_event(self):
+        env = Environment()
+        log = []
+
+        def proc():
+            wake = env.sample_sleep(10, rank=1)
+            env.timeout(3).callbacks.append(lambda _e: env.expedite_sample(wake, 0.5))
+            got = yield wake
+            log.append((env.now, got))
+
+        env.process(proc())
+        env.run()
+        assert log == [(3.5, None)]
+        # One event, re-keyed in place: no new id, no stale entry left.
+        assert env._eid == 4  # process start, the wake, the timeout, process exit
+        assert env._sample_queue == []
+
+    def test_heap_order_survives_moves(self):
+        env = Environment()
+        fired = []
+        wakes = {}
+        for rank, delay in enumerate([9.5, 4.5, 7.5, 12.5, 6.5, 10.5, 8.5], start=1):
+            wake = env.sample_sleep(delay, rank)
+            wake.callbacks.append(lambda _e, rank=rank: fired.append((env.now, rank)))
+            wakes[rank] = wake
+        env.expedite_sample(wakes[4], 5.5)
+        env.expedite_sample(wakes[6], 0.5)
+        env.expedite_sample(wakes[1], 4.5)  # ties with rank 2: rank decides
+        env.run()
+        assert fired == [
+            (0.5, 6), (4.5, 1), (4.5, 2), (5.5, 4), (6.5, 5), (7.5, 3), (8.5, 7)
+        ]
+
+    def test_later_instant_and_non_pending_wakes_are_rejected(self):
+        env = Environment()
+        wake = env.sample_sleep(2, rank=1)
+        with pytest.raises(ValueError):
+            env.expedite_sample(wake, 3)
+        with pytest.raises(ValueError):
+            env.expedite_sample(wake, -1)
+        with pytest.raises(RuntimeError):
+            env.expedite_sample(env.sleep(1), 0.5)  # main lane
+        env.run()
+        with pytest.raises(RuntimeError):
+            env.expedite_sample(wake, 0)  # already fired
