@@ -33,13 +33,14 @@ thins out.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.batch import BatchOutcome, batch_mode_procedure
-from repro.geometry.cover import update_uncovered
+from repro.geometry.cover import CoverGeometry, update_uncovered
 from repro.geometry.mcs import greedy_cover_set, minimum_cover_set
 from repro.mac.base import MacBase, MacRequest, MessageStatus
 from repro.mac.registry import register_protocol
@@ -59,15 +60,31 @@ class LammPolicy:
     #: Exact search size limit before falling back to greedy.
     max_exact: int = 24
 
-    def cover_set(self, ids: Iterable[int], positions: np.ndarray, radius: float) -> set[int]:
+    def __post_init__(self):
+        if self.mcs not in ("greedy", "exact"):
+            raise ValueError(f"unknown MCS policy {self.mcs!r}")
+        # A member count: a bool or a float is not one, and a negative
+        # limit would silently mean "always greedy".
+        if isinstance(self.max_exact, bool) or not isinstance(self.max_exact, numbers.Integral):
+            raise ValueError(f"max_exact must be a whole number, got {self.max_exact!r}")
+        if self.max_exact < 0:
+            raise ValueError(f"max_exact must be >= 0, got {self.max_exact}")
+
+    def cover_set(
+        self,
+        ids: Iterable[int],
+        positions: np.ndarray,
+        radius: float,
+        geometry: CoverGeometry | None = None,
+    ) -> set[int]:
         ids = list(ids)
         if not ids:
             return set()
         if self.mcs == "exact":
-            return minimum_cover_set(ids, positions, radius, max_exact=self.max_exact)
-        if self.mcs == "greedy":
-            return greedy_cover_set(ids, positions, radius)
-        raise ValueError(f"unknown MCS policy {self.mcs!r}")
+            return minimum_cover_set(
+                ids, positions, radius, max_exact=self.max_exact, geometry=geometry
+            )
+        return greedy_cover_set(ids, positions, radius, geometry=geometry)
 
 
 @register_protocol("LAMM", needs_positions=True, paper_rank=4)
@@ -115,6 +132,18 @@ class LammMac(MacBase):
                 known.add(p)
         return known, members - known, positions
 
+    def _cover_geometry(self, positions: np.ndarray, radius: float) -> CoverGeometry:
+        """The network's cover geometry for *positions*.
+
+        One geometry per positions array object is shared by every node on
+        the channel; a new array (mobility moved the nodes, or a
+        beacon-mode round built its own) gets a new geometry.
+        """
+        geometry = self.channel.cover_geometry
+        if geometry is None or geometry.positions is not positions or geometry.radius != radius:
+            geometry = self.channel.cover_geometry = CoverGeometry(positions, radius)
+        return geometry
+
     # -- rate choice ---------------------------------------------------------------
 
     def _choose_mcs(self, known, unknown, positions, radius) -> int:
@@ -136,7 +165,8 @@ class LammMac(MacBase):
             if req.expired(self.env.now):
                 return MessageStatus.TIMED_OUT
             known, unknown, positions = self._split_by_location(remaining)
-            cover = self.policy.cover_set(known, positions, radius)
+            geometry = self._cover_geometry(positions, radius)
+            cover = self.policy.cover_set(known, positions, radius, geometry)
             # Members without location knowledge are polled directly.
             polled = sorted(cover | unknown)
             mcs = self._choose_mcs(known, unknown, positions, radius)
@@ -153,7 +183,9 @@ class LammMac(MacBase):
             req.acked |= acked
             # Coverage inference (Theorem 3) uses only ACKers with known
             # locations; unknown members leave the set only by ACKing.
-            next_known = update_uncovered(known, acked & known, positions, radius)
+            next_known = update_uncovered(
+                known, acked & known, positions, radius, geometry=geometry
+            )
             inferred = known - next_known - acked
             req.inferred |= inferred
             req.acked |= inferred

@@ -17,7 +17,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["Arc", "ArcUnion", "normalize_deg"]
+__all__ = [
+    "Arc",
+    "ArcUnion",
+    "arc_intervals",
+    "covers_full_circle",
+    "merge_intervals",
+    "normalize_deg",
+    "span_from_endpoints",
+]
 
 #: Slack used when merging/measuring arcs, absorbing float noise from the
 #: acos/atan2 computations upstream.
@@ -31,6 +39,53 @@ def normalize_deg(angle: float) -> float:
         a += 360.0
     # A tiny negative input rounds to exactly 360.0 above.
     return 0.0 if a >= 360.0 else a
+
+
+def span_from_endpoints(alpha: float, beta: float) -> tuple[float, float]:
+    """``(start, extent)`` of the arc from *alpha* counter-clockwise to
+    *beta*; equal endpoints denote the full circle."""
+    alpha, beta = normalize_deg(alpha), normalize_deg(beta)
+    extent = normalize_deg(beta - alpha)
+    if extent == 0.0:
+        extent = 360.0
+    return alpha, extent
+
+
+def arc_intervals(start: float, extent: float) -> tuple[tuple[float, float], ...]:
+    """The arc ``[start, start + extent]`` (*start* normalized) as one or
+    two non-wrapping intervals within ``[0, 360]``."""
+    if extent >= 360.0 - EPS:
+        return ((0.0, 360.0),)
+    end = start + extent
+    if end <= 360.0:
+        return ((start, end),)
+    return ((start, 360.0), (0.0, end - 360.0))
+
+
+def merge_intervals(raw: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Sort *raw* in place and merge it into sorted components; intervals
+    less than ``EPS`` apart join.
+
+    Each component joins the closed intervals ``[lo, hi + EPS]`` of its
+    members and reports ``(min lo, max hi)``, so merging an already merged
+    list with more intervals gives exactly the components of merging all
+    of them at once.
+    """
+    raw.sort()
+    it = iter(raw)
+    merged = [next(it)] if raw else []
+    for lo, hi in it:
+        last_lo, last_hi = merged[-1]
+        if lo > last_hi + EPS:
+            merged.append((lo, hi))
+        elif hi > last_hi:
+            merged[-1] = (last_lo, hi)
+    return merged
+
+
+def covers_full_circle(merged: list[tuple[float, float]]) -> bool:
+    """Do merged intervals (:func:`merge_intervals`) cover ``[0, 360]``?"""
+    return len(merged) == 1 and merged[0][0] <= EPS and merged[0][1] >= 360.0 - EPS
 
 
 @dataclass(frozen=True)
@@ -50,11 +105,7 @@ class Arc:
         """Arc from *alpha* counter-clockwise to *beta* (paper's
         ``[angle(cpa), angle(cpb)]`` notation).  Equal endpoints denote the
         full circle."""
-        alpha, beta = normalize_deg(alpha), normalize_deg(beta)
-        extent = normalize_deg(beta - alpha)
-        if extent == 0.0:
-            extent = 360.0
-        return cls(alpha, extent)
+        return cls(*span_from_endpoints(alpha, beta))
 
     @classmethod
     def full(cls) -> "Arc":
@@ -77,12 +128,7 @@ class Arc:
 
     def intervals(self) -> list[tuple[float, float]]:
         """The arc as non-wrapping intervals within ``[0, 360]``."""
-        if self.is_full:
-            return [(0.0, 360.0)]
-        end = self.start + self.extent
-        if end <= 360.0:
-            return [(self.start, end)]
-        return [(self.start, 360.0), (0.0, end - 360.0)]
+        return list(arc_intervals(self.start, self.extent))
 
 
 class ArcUnion:
@@ -101,29 +147,14 @@ class ArcUnion:
         raw: list[tuple[float, float]] = []
         for arc in self.arcs:
             raw.extend(arc.intervals())
-        if not raw:
-            return []
-        raw.sort()
-        merged = [raw[0]]
-        for lo, hi in raw[1:]:
-            last_lo, last_hi = merged[-1]
-            if lo <= last_hi + EPS:
-                merged[-1] = (last_lo, max(last_hi, hi))
-            else:
-                merged.append((lo, hi))
-        return merged
+        return merge_intervals(raw)
 
     @property
     def is_full_circle(self) -> bool:
         """Does the union cover all of ``[0, 360]``?  (Theorem 4's test.)"""
         if any(arc.is_full for arc in self.arcs):
             return True
-        merged = self._merged_intervals()
-        return (
-            len(merged) == 1
-            and merged[0][0] <= EPS
-            and merged[0][1] >= 360.0 - EPS
-        )
+        return covers_full_circle(self._merged_intervals())
 
     def measure(self) -> float:
         """Total angular measure of the union, in degrees (<= 360)."""

@@ -17,6 +17,12 @@ Both operate over the paper's own coverage predicate (Theorem 4's angle
 test), so any returned set satisfies Definition 1 by construction --
 exactly what Theorem 1 needs for LAMM's correctness.  Minimality only
 affects the constant-factor control-frame savings.
+
+Both run on a :class:`~repro.geometry.cover.CoverGeometry`: the one passed
+as ``geometry=`` (LAMM keeps one per topology), else a one-shot geometry
+over *positions*.  A result depends only on the member set, the positions
+and the radius, so each is memoised on the geometry by the sorted tuple of
+member ids; callers get a fresh ``set`` they may mutate.
 """
 
 from __future__ import annotations
@@ -25,30 +31,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.geometry.arcs import ArcUnion
-from repro.geometry.cover import cover_angle, is_disk_covered
+from repro.geometry.arcs import covers_full_circle, merge_intervals
+from repro.geometry.cover import CoverGeometry, _resolve
 
 __all__ = ["greedy_cover_set", "minimum_cover_set", "forced_members"]
 
 
-def _coverage_arcs(ids: Sequence[int], positions: np.ndarray, radius: float):
-    """arcs[p][q] = cover angle of p for q (None when empty), for p, q in S."""
-    arcs = {}
+def _forced(arcs: dict[int, dict], ids: Sequence[int]) -> set[int]:
+    """Forced members of *ids* from their :meth:`CoverGeometry.table`."""
+    forced = set()
     for p in ids:
-        row = {}
-        for q in ids:
-            row[q] = cover_angle(positions[p], positions[q], radius)
-        arcs[p] = row
-    return arcs
-
-
-def _covered(p: int, chosen: Iterable[int], arcs) -> bool:
-    union = ArcUnion()
-    for q in chosen:
-        arc = arcs[p][q]
-        if arc is not None:
-            union.add(arc)
-    return union.is_full_circle
+        row = arcs[p]
+        raw = [iv for q in ids if q != p and row[q] is not None for iv in row[q][0]]
+        if not covers_full_circle(merge_intervals(raw)):
+            forced.add(p)
+    return forced
 
 
 def forced_members(
@@ -58,34 +55,29 @@ def forced_members(
 ) -> set[int]:
     """Members that belong to *every* cover set of ``S``: nodes whose disk
     is not covered even by all the other members together."""
-    positions = np.asarray(positions, dtype=float)
     ids = list(ids)
-    forced = set()
-    for p in ids:
-        others = [positions[q] for q in ids if q != p]
-        if not is_disk_covered(positions[p], others, radius):
-            forced.add(p)
-    return forced
+    return _forced(CoverGeometry(positions, radius).table(ids), ids)
 
 
-def greedy_cover_set(
-    ids: Iterable[int],
-    positions: np.ndarray,
-    radius: float,
-) -> set[int]:
-    """Greedy cover set of ``S`` (ids index into *positions*).
+def _greedy(geometry: CoverGeometry, ids: list[int]) -> set[int]:
+    """The greedy loop over sorted, distinct *ids*.
 
-    Starts from the forced members, then repeatedly adds the candidate that
-    newly covers the most still-uncovered members (ties: larger total
-    residual arc measure, then smaller id, for determinism).
+    ``merged[p]`` holds the merged intervals of *p*'s cover angles for the
+    members chosen so far, so testing a candidate merges in only its one
+    or two intervals (exact: see :func:`~repro.geometry.arcs.merge_intervals`).
     """
-    positions = np.asarray(positions, dtype=float)
-    ids = sorted(set(ids))
-    if not ids:
-        return set()
-    arcs = _coverage_arcs(ids, positions, radius)
-    chosen = forced_members(ids, positions, radius)
-    uncovered = {p for p in ids if p not in chosen and not _covered(p, chosen, arcs)}
+    arcs = geometry.table(ids)
+    chosen = _forced(arcs, ids)
+    merged = {}
+    for p in ids:
+        if p not in chosen:
+            row = arcs[p]
+            merged[p] = merge_intervals(
+                [iv for q in chosen if row[q] is not None for iv in row[q][0]]
+            )
+    # Keep building this set by these comprehensions: its iteration order
+    # fixes the order of the float ``gain`` sums below, which break ties.
+    uncovered = {p for p in ids if p not in chosen and not covers_full_circle(merged[p])}
 
     while uncovered:
         best = None
@@ -93,20 +85,50 @@ def greedy_cover_set(
         for cand in ids:
             if cand in chosen:
                 continue
-            with_cand = chosen | {cand}
-            newly = sum(1 for p in uncovered if _covered(p, with_cand, arcs))
+            newly = 0
             gain = 0.0
             for p in uncovered:
-                arc = arcs[p][cand]
-                if arc is not None:
-                    gain += arc.extent
+                entry = arcs[p][cand]
+                if entry is not None:
+                    gain += entry[1]
+                    if p == cand or covers_full_circle(merge_intervals([*merged[p], *entry[0]])):
+                        newly += 1
             key = (newly, gain, -cand)
             if best_key is None or key > best_key:
                 best, best_key = cand, key
-        assert best is not None  # a candidate always covers itself
-        chosen.add(best)
-        uncovered = {p for p in uncovered if not _covered(p, chosen, arcs)}
+        chosen.add(best)  # a candidate always covers itself
+        for p in uncovered:
+            entry = arcs[p][best]
+            if entry is not None:
+                merged[p] = merge_intervals([*merged[p], *entry[0]])
+        uncovered = {p for p in uncovered if not covers_full_circle(merged[p])}
     return chosen
+
+
+def _greedy_set(geometry: CoverGeometry, key: tuple[int, ...]) -> tuple[int, ...]:
+    found = geometry.greedy_sets.get(key)
+    if found is None:
+        found = geometry.greedy_sets[key] = tuple(sorted(_greedy(geometry, list(key))))
+    return found
+
+
+def greedy_cover_set(
+    ids: Iterable[int],
+    positions: np.ndarray,
+    radius: float,
+    *,
+    geometry: CoverGeometry | None = None,
+) -> set[int]:
+    """Greedy cover set of ``S`` (ids index into *positions*).
+
+    Starts from the forced members, then repeatedly adds the candidate that
+    newly covers the most still-uncovered members (ties: larger total
+    residual arc measure, then smaller id, for determinism).
+    """
+    key = tuple(sorted(set(ids)))
+    if not key:
+        return set()
+    return set(_greedy_set(_resolve(geometry, positions, radius), key))
 
 
 def minimum_cover_set(
@@ -114,6 +136,8 @@ def minimum_cover_set(
     positions: np.ndarray,
     radius: float,
     max_exact: int = 24,
+    *,
+    geometry: CoverGeometry | None = None,
 ) -> set[int]:
     """Exact minimum cover set of ``S`` by branch & bound.
 
@@ -121,23 +145,26 @@ def minimum_cover_set(
     is exponential in the worst case; the paper's neighborhoods stay well
     under this limit at its default density).
     """
-    positions = np.asarray(positions, dtype=float)
-    ids = sorted(set(ids))
-    if not ids:
+    key = tuple(sorted(set(ids)))
+    if not key:
         return set()
-    greedy = greedy_cover_set(ids, positions, radius)
-    if len(ids) > max_exact:
-        return greedy
+    geometry = _resolve(geometry, positions, radius)
+    greedy = _greedy_set(geometry, key)
+    if len(key) > max_exact:
+        return set(greedy)
+    found = geometry.exact_sets.get(key)
+    if found is None:
+        found = geometry.exact_sets[key] = tuple(sorted(_exact(geometry, list(key), greedy)))
+    return set(found)
 
-    arcs = _coverage_arcs(ids, positions, radius)
-    forced = forced_members(ids, positions, radius)
+
+def _exact(geometry: CoverGeometry, ids: list[int], greedy: tuple[int, ...]) -> set[int]:
+    covered = geometry.covered
+    forced = _forced(geometry.table(ids), ids)
     # Candidates that could still help: everything not forced.
     free = [p for p in ids if p not in forced]
 
     best: set[int] = set(greedy)
-
-    def initially_uncovered(chosen: set[int]) -> set[int]:
-        return {p for p in ids if p not in chosen and not _covered(p, chosen, arcs)}
 
     def search(index: int, chosen: set[int], uncovered: set[int]) -> None:
         nonlocal best
@@ -153,17 +180,17 @@ def minimum_cover_set(
         # unless skipped).  Prune nodes that can no longer be covered.
         remaining = free[index:]
         for p in uncovered:
-            if p not in remaining and not _covered(p, chosen | set(remaining), arcs):
+            if p not in remaining and not covered(p, chosen | set(remaining)):
                 return
 
         cand = free[index]
         # Branch 1: include cand.
         with_cand = chosen | {cand}
-        newly = {p for p in uncovered if p == cand or _covered(p, with_cand, arcs)}
+        newly = {p for p in uncovered if p == cand or covered(p, with_cand)}
         search(index + 1, with_cand, uncovered - newly)
         # Branch 2: exclude cand.
         search(index + 1, chosen, uncovered)
 
     start = set(forced)
-    search(0, start, initially_uncovered(start))
+    search(0, start, {p for p in ids if p not in start and not covered(p, start)})
     return best

@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.faults.inject import FaultInjector
+    from repro.geometry.cover import CoverGeometry
 
 __all__ = ["Transmission", "Channel", "ChannelStats", "PRUNE_MIN_LEN"]
 
@@ -178,6 +179,10 @@ class Channel:
         #: Positions as the protocols *perceive* them (location-error fault);
         #: None means perception == truth.
         self.perceived_positions: "np.ndarray | None" = None
+        #: LAMM's cover angles over the sensed positions array it was
+        #: built on (:meth:`repro.core.lamm.LammMac._cover_geometry`),
+        #: shared by every node; None until a LAMM sender asks.
+        self.cover_geometry: "CoverGeometry | None" = None
         #: The air list: every transmission that may still overlap a frame
         #: in flight, in start order (pruned in :meth:`transmit`).  Each
         #: frame's collisions are decided from it once, in :meth:`_finish`.

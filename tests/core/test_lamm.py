@@ -37,8 +37,17 @@ class TestLammPolicy:
             assert is_cover_set(cs, ids, pos, 0.2)
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            LammPolicy(mcs="nope").cover_set([0], np.array([[0.5, 0.5]]), 0.2)
+        with pytest.raises(ValueError, match="unknown MCS policy"):
+            LammPolicy(mcs="nope")
+
+    @pytest.mark.parametrize("max_exact", [-1, 2.0, 24.5, True, "24", None])
+    def test_bad_max_exact_rejected(self, max_exact):
+        with pytest.raises(ValueError, match="max_exact"):
+            LammPolicy(mcs="exact", max_exact=max_exact)
+
+    @pytest.mark.parametrize("max_exact", [0, 24, np.int64(8)])
+    def test_whole_max_exact_accepted(self, max_exact):
+        assert LammPolicy(max_exact=max_exact).max_exact == max_exact
 
 
 class TestLammCleanChannel:

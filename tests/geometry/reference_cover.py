@@ -1,0 +1,157 @@
+"""Reference cover-set geometry: the straightforward ``ArcUnion`` version.
+
+Every predicate call here rebuilds an :class:`~repro.geometry.arcs.ArcUnion`
+from fresh :func:`~repro.geometry.cover.cover_angle` arcs, with no pair
+cache, no incremental merging and no memo.  :class:`CoverGeometry`
+(``repro.geometry.cover``) must return exactly what these functions
+return; ``tests/geometry/test_cover_geometry.py`` and the LAMM cache tests
+compare the two.
+
+The cover-set functions take (and ignore) a ``geometry=`` keyword so a
+test can monkeypatch them over ``repro.core.lamm``'s names.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from repro.geometry.arcs import ArcUnion
+from repro.geometry.cover import cover_angle, disk_cover_union
+
+
+def is_disk_covered(p, covers, radius) -> bool:
+    return disk_cover_union(p, covers, radius).is_full_circle
+
+
+def uncovered_points(
+    p: Sequence[float],
+    covers: Iterable[Sequence[float]],
+    radius: float,
+    samples: int = 64,
+) -> list[tuple[float, float]]:
+    """Boundary points of :math:`A(p)` not covered by any cover disk
+    (uses true membership, not cover angles)."""
+    px, py = float(p[0]), float(p[1])
+    cov = [(float(q[0]), float(q[1])) for q in covers]
+    out = []
+    for i in range(samples):
+        ang = 2.0 * math.pi * i / samples
+        x, y = px + radius * math.cos(ang), py + radius * math.sin(ang)
+        if not any(math.hypot(x - cx, y - cy) <= radius + 1e-9 for cx, cy in cov):
+            out.append((x, y))
+    return out
+
+
+def update_uncovered(remaining_ids, acked_ids, positions, radius, *, geometry=None) -> set[int]:
+    acked = set(acked_ids)
+    positions = np.asarray(positions, dtype=float)
+    ack_pts = [positions[i] for i in acked]
+    out: set[int] = set()
+    for p in remaining_ids:
+        if p in acked:
+            continue
+        if not is_disk_covered(positions[p], ack_pts, radius):
+            out.add(p)
+    return out
+
+
+def _coverage_arcs(ids, positions, radius):
+    arcs = {}
+    for p in ids:
+        row = {}
+        for q in ids:
+            row[q] = cover_angle(positions[p], positions[q], radius)
+        arcs[p] = row
+    return arcs
+
+
+def _covered(p, chosen, arcs) -> bool:
+    union = ArcUnion()
+    for q in chosen:
+        arc = arcs[p][q]
+        if arc is not None:
+            union.add(arc)
+    return union.is_full_circle
+
+
+def forced_members(ids, positions, radius) -> set[int]:
+    positions = np.asarray(positions, dtype=float)
+    ids = list(ids)
+    forced = set()
+    for p in ids:
+        others = [positions[q] for q in ids if q != p]
+        if not is_disk_covered(positions[p], others, radius):
+            forced.add(p)
+    return forced
+
+
+def greedy_cover_set(ids, positions, radius, *, geometry=None) -> set[int]:
+    positions = np.asarray(positions, dtype=float)
+    ids = sorted(set(ids))
+    if not ids:
+        return set()
+    arcs = _coverage_arcs(ids, positions, radius)
+    chosen = forced_members(ids, positions, radius)
+    uncovered = {p for p in ids if p not in chosen and not _covered(p, chosen, arcs)}
+
+    while uncovered:
+        best = None
+        best_key = None
+        for cand in ids:
+            if cand in chosen:
+                continue
+            with_cand = chosen | {cand}
+            newly = sum(1 for p in uncovered if _covered(p, with_cand, arcs))
+            gain = 0.0
+            for p in uncovered:
+                arc = arcs[p][cand]
+                if arc is not None:
+                    gain += arc.extent
+            key = (newly, gain, -cand)
+            if best_key is None or key > best_key:
+                best, best_key = cand, key
+        chosen.add(best)
+        uncovered = {p for p in uncovered if not _covered(p, chosen, arcs)}
+    return chosen
+
+
+def minimum_cover_set(ids, positions, radius, max_exact=24, *, geometry=None) -> set[int]:
+    positions = np.asarray(positions, dtype=float)
+    ids = sorted(set(ids))
+    if not ids:
+        return set()
+    greedy = greedy_cover_set(ids, positions, radius)
+    if len(ids) > max_exact:
+        return greedy
+
+    arcs = _coverage_arcs(ids, positions, radius)
+    forced = forced_members(ids, positions, radius)
+    free = [p for p in ids if p not in forced]
+
+    best: set[int] = set(greedy)
+
+    def search(index, chosen, uncovered):
+        nonlocal best
+        if len(chosen) >= len(best):
+            return
+        if not uncovered:
+            best = set(chosen)
+            return
+        if index == len(free):
+            return
+        remaining = free[index:]
+        for p in uncovered:
+            if p not in remaining and not _covered(p, chosen | set(remaining), arcs):
+                return
+        cand = free[index]
+        with_cand = chosen | {cand}
+        newly = {p for p in uncovered if p == cand or _covered(p, with_cand, arcs)}
+        search(index + 1, with_cand, uncovered - newly)
+        search(index + 1, chosen, uncovered)
+
+    start = set(forced)
+    search(0, start, {p for p in ids if p not in start and not _covered(p, start, arcs)})
+    return best

@@ -4,7 +4,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry.arcs import Arc, ArcUnion, normalize_deg
+from repro.geometry.arcs import EPS, Arc, ArcUnion, merge_intervals, normalize_deg
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 extents = st.floats(min_value=1e-6, max_value=360.0, allow_nan=False)
@@ -157,3 +157,30 @@ class TestArcUnion:
             if hi - lo > 1e-3:
                 mid = (lo + hi) / 2
                 assert not u.contains(mid)
+
+
+#: Endpoints on a coarse grid, nudged by fractions of EPS, so intervals
+#: touch, overlap and sit just inside or outside the merge slack.
+endpoints = st.builds(
+    lambda k, nudge: min(360.0, max(0.0, 45.0 * k + nudge * EPS)),
+    st.integers(0, 8),
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0]),
+)
+intervals = st.tuples(endpoints, endpoints).map(lambda t: (min(t), max(t)))
+
+
+class TestMergeIntervals:
+    @given(st.lists(intervals), st.lists(intervals))
+    def test_merging_a_merged_list_is_exact(self, first, more):
+        """What lets the cover geometry keep each member's merged
+        intervals and merge in one candidate at a time."""
+        assert merge_intervals([*merge_intervals(list(first)), *more]) == merge_intervals(
+            [*first, *more]
+        )
+
+    def test_gap_of_eps_joins_and_wider_gap_splits(self):
+        assert merge_intervals([(0.0, 10.0), (10.0 + EPS, 20.0)]) == [(0.0, 20.0)]
+        assert merge_intervals([(0.0, 10.0), (10.0 + 2 * EPS, 20.0)]) == [
+            (0.0, 10.0),
+            (10.0 + 2 * EPS, 20.0),
+        ]

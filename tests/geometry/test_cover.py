@@ -70,9 +70,19 @@ class TestCoverAngle:
         far = cover_angle((0.0, 0.0), (0.15, 0.0), R)
         assert near.extent > far.extent
 
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            cover_angle((0, 0), (0, 0), 0.0)
+    @pytest.mark.parametrize("radius", [0.0, -0.2, math.nan, math.inf, -math.inf])
+    def test_invalid_radius(self, radius):
+        """A NaN radius used to give a full-circle arc (coverage UPDATE
+        does not have) and an infinite one a half circle."""
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            cover_angle((0.0, 0.0), (0.1, 0.0), radius)
+
+    @pytest.mark.parametrize(
+        "p, q", [((math.nan, 0.0), (0.1, 0.0)), ((0.0, 0.0), (0.1, math.inf))]
+    )
+    def test_non_finite_position(self, p, q):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            cover_angle(p, q, R)
 
     @given(points, points)
     def test_cover_angle_formula(self, p, q):
@@ -157,7 +167,7 @@ class TestIsDiskCovered:
         deliberately conservative there -- so restrict to neighbors.)
 
         The membership check here is *exact* (strict ``> R``), unlike the
-        diagnostic ``uncovered_points`` oracle whose ``+1e-9`` tolerance
+        ``reference_cover.uncovered_points`` oracle whose ``+1e-9`` tolerance
         swallows the sub-tolerance gap a cover at distance ~1e-9 from
         ``p`` leaves (the angle test correctly reports that gap)."""
         neigh = [q for q in covers if math.dist(p, q) <= R]
