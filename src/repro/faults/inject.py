@@ -132,18 +132,18 @@ class FaultInjector:
 
     # -- location error --------------------------------------------------------
 
-    def perceive(self, positions: np.ndarray) -> np.ndarray:
-        """Positions as the protocols *believe* them: truth + N(0, sigma^2).
+    def location_offset(self) -> "np.ndarray | None":
+        """Each node's location error, an (n_nodes, 2) N(0, sigma^2) draw.
 
-        Drawn once per run (a fixed survey/GPS error per node, not
-        per-query noise) from a dedicated numpy stream.  Returns the
-        input array untouched when ``location_sigma`` is zero.
+        Drawn from a dedicated numpy stream: a fixed survey/GPS error per
+        node, not per-query noise, so every call returns the same offsets.
+        None when ``location_sigma`` is zero.
         """
         sigma = self.plan.location_sigma
         if sigma <= 0.0:
-            return positions
+            return None
         rng = np.random.default_rng((abs(self.seed), _JITTER_TAG))
-        return positions + rng.normal(0.0, sigma, size=positions.shape)
+        return rng.normal(0.0, sigma, size=(self.n_nodes, 2))
 
     # -- churn -----------------------------------------------------------------
 

@@ -9,6 +9,8 @@ crash processes, perceived positions) lives in
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 
@@ -156,9 +158,17 @@ class FaultPlan:
     (the paper's behaviour)."""
 
     def __post_init__(self) -> None:
-        if self.location_sigma < 0.0:
+        # Written so NaN fails too: it would jitter every perceived
+        # position into NaN.
+        if not 0.0 <= self.location_sigma < math.inf:
             raise ValueError(
-                f"FaultPlan.location_sigma must be >= 0, got {self.location_sigma!r}"
+                f"FaultPlan.location_sigma must be finite and >= 0, got {self.location_sigma!r}"
+            )
+        # A count of DATA rounds: a fraction or a bool is not one.
+        give_up = self.receiver_give_up
+        if isinstance(give_up, bool) or not isinstance(give_up, numbers.Integral):
+            raise ValueError(
+                f"FaultPlan.receiver_give_up must be a whole number, got {give_up!r}"
             )
         if self.receiver_give_up < 0:
             raise ValueError(

@@ -176,9 +176,15 @@ class Channel:
         #: the settings carry a plan that needs it.  None keeps the benign
         #: hot paths at one attribute load + branch per frame.
         self.faults: "FaultInjector | None" = None
-        #: Positions as the protocols *perceive* them (location-error fault);
-        #: None means perception == truth.
-        self.perceived_positions: "np.ndarray | None" = None
+        #: Each node's fixed location error (location-error fault), added
+        #: to the current truth by :meth:`sensed_positions`; None means
+        #: perception == truth.
+        self.location_offset: "np.ndarray | None" = None
+        # The sensed array and the truth array it was built from: rebuilt
+        # only when mobility replaces ``propagation.positions``, so LAMM
+        # keeps one cover geometry per mobility epoch.
+        self._sensed: "np.ndarray | None" = None
+        self._sensed_truth: "np.ndarray | None" = None
         #: LAMM's cover angles over the sensed positions array it was
         #: built on (:meth:`repro.core.lamm.LammMac._cover_geometry`),
         #: shared by every node; None until a LAMM sender asks.
@@ -232,14 +238,19 @@ class Channel:
         """Positions as protocol/beacon code should see them.
 
         Equal to the ground-truth ``propagation.positions`` unless a
-        location-error fault is active, in which case each node's
-        coordinates carry a fixed Gaussian jitter.  Propagation,
-        collisions and delivery always use the truth; only *beliefs*
-        (LAMM's cover geometry, beacon payloads) go through here.
+        location-error fault is active, in which case each node's current
+        coordinates carry its fixed Gaussian :attr:`location_offset`.
+        Propagation, collisions and delivery always use the truth; only
+        *beliefs* (LAMM's cover geometry, beacon payloads) go through
+        here.
         """
-        if self.perceived_positions is not None:
-            return self.perceived_positions
-        return self.propagation.positions
+        truth = self.propagation.positions
+        if self.location_offset is None:
+            return truth
+        if self._sensed_truth is not truth:
+            self._sensed = truth + self.location_offset
+            self._sensed_truth = truth
+        return self._sensed
 
     def finalize_counters(self) -> Counters:
         """Fold the run-wide frame totals into ``counters.total``.

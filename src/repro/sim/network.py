@@ -115,10 +115,7 @@ class Network:
                 counters=self.channel.counters,
             )
             self.channel.faults = self.faults
-            if faults.location_sigma > 0.0:
-                self.channel.perceived_positions = self.faults.perceive(
-                    self.propagation.positions
-                )
+            self.channel.location_offset = self.faults.location_offset()
             self.faults.start_churn()
         # Heterogeneous networks (Section 4's coexistence claim): pass a
         # sequence of MAC classes, one per node.

@@ -4,7 +4,8 @@ A sweep point runs every protocol at every seed, but the *world* each run
 faces -- node positions, the unit-disk neighbor/interferer sets and the
 precomputed traffic schedule -- depends only on ``(settings, seed)``, not
 on the protocol.  Rebuilding it per protocol repeats the O(n^2) distance
-matrix and the ``n_nodes x horizon`` arrival draw four times per cell.
+matrix and the arrival draw (``n_nodes x horizon`` Bernoulli trials, drawn
+a block at a time) four times per cell.
 
 :class:`WorldCache` memoizes those artifacts per worker process so the
 four protocols at one (point, seed) share a single build.  Everything

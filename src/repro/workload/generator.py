@@ -14,10 +14,20 @@ Isolated nodes (no neighbors) generate no traffic.  All arrival times and
 destination draws are precomputed from a dedicated seeded NumPy generator,
 so a workload is fully reproducible and independent of protocol behaviour
 -- every protocol in a comparison faces the *same* request sequence.
+
+The arrival draw walks the ``n_nodes x horizon`` (node, slot) grid in
+row-major order, :data:`ARRIVAL_BLOCK` uniforms at a time, and keeps only
+the hits.  ``Generator.random`` fills doubles from one sequential stream,
+so the blocks see exactly the values one dense ``(n_nodes, horizon)``
+draw would, in the same order, and leave the generator in the same state
+for the destination draws: the schedule is the dense draw's, bit for bit
+(pinned against ``tests/workload/reference_schedule.py``), while memory
+is O(block + arrivals) instead of O(n_nodes x horizon).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +35,10 @@ import numpy as np
 from repro.mac.base import MessageKind
 from repro.sim.network import Network
 
-__all__ = ["TrafficMix", "TrafficGenerator", "ScheduledMessage"]
+__all__ = ["TrafficMix", "TrafficGenerator", "ScheduledMessage", "ARRIVAL_BLOCK"]
+
+#: Uniforms drawn per block of the arrival scan (512 KiB of float64).
+ARRIVAL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,11 +80,20 @@ class TrafficGenerator:
         mix: TrafficMix | None = None,
         seed: int = 0,
     ):
-        if horizon < 0:
-            raise ValueError(f"horizon must be non-negative, got {horizon}")
+        # Both count whole things: a fraction, NaN, inf or a bool is not a
+        # node or slot count.
+        for name, value in (("n_nodes", n_nodes), ("horizon", horizon)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+        if len(neighbor_sets) != n_nodes:
+            raise ValueError(
+                f"got {len(neighbor_sets)} neighbor sets for {n_nodes} nodes"
+            )
         if not 0.0 <= message_rate <= 1.0:
             raise ValueError(f"message_rate must be in [0, 1], got {message_rate}")
-        self.n_nodes = n_nodes
+        self.n_nodes = int(n_nodes)
         self.neighbor_sets = neighbor_sets
         self.horizon = int(horizon)
         self.message_rate = message_rate
@@ -84,14 +106,13 @@ class TrafficGenerator:
         out: list[ScheduledMessage] = []
         if self.horizon == 0 or self.message_rate == 0.0:
             return out
-        # Bernoulli per (node, slot); arrivals are sparse so draw the whole
-        # matrix at once and keep only the hits.
-        hits = rng.random((self.n_nodes, self.horizon)) < self.message_rate
-        nodes, slots = np.nonzero(hits)
+        flat = self._arrivals(rng)
+        nodes, slots = np.divmod(flat, self.horizon)
         order = np.argsort(slots, kind="stable")
         kinds_cdf = np.cumsum([self.mix.unicast, self.mix.multicast, self.mix.broadcast])
-        for node, slot in zip(nodes[order], slots[order]):
-            neigh = sorted(self.neighbor_sets[node])
+        sorted_neighbors = [sorted(s) for s in self.neighbor_sets]
+        for node, slot in zip(nodes[order].tolist(), slots[order].tolist()):
+            neigh = sorted_neighbors[node]
             if not neigh:
                 continue
             u = rng.random()
@@ -105,8 +126,23 @@ class TrafficGenerator:
             else:
                 kind = MessageKind.BROADCAST
                 dests = frozenset(neigh)
-            out.append(ScheduledMessage(int(slot), int(node), kind, dests))
+            out.append(ScheduledMessage(slot, node, kind, dests))
         return out
+
+    def _arrivals(self, rng: np.random.Generator) -> np.ndarray:
+        """Row-major flat indices ``node * horizon + slot`` of every
+        Bernoulli hit, ascending, drawn :data:`ARRIVAL_BLOCK` cells at a
+        time into one reused buffer."""
+        total = self.n_nodes * self.horizon
+        buf = np.empty(min(ARRIVAL_BLOCK, total))
+        hits = []
+        for start in range(0, total, ARRIVAL_BLOCK):
+            block = buf[: min(ARRIVAL_BLOCK, total - start)]
+            rng.random(out=block)
+            hit = np.flatnonzero(block < self.message_rate)
+            if hit.size:
+                hits.append(hit + start)
+        return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
 
     # -- injection ----------------------------------------------------------------
 

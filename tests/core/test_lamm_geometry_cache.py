@@ -4,9 +4,10 @@ array changes.
 The channel holds one :class:`~repro.geometry.cover.CoverGeometry` per
 sensed-positions array.  Each cell below moves the array LAMM reads in a
 different way -- mobility replaces the truth, a location-error fault puts a
-perceived array in front of it, beacon mode builds a fresh array per
-round -- and must give the same metrics and counters as a run whose
-``repro.core.lamm`` geometry is the uncached reference.
+perceived array in front of it (moving with the truth under mobility),
+beacon mode builds a fresh array per round -- and must give the same
+metrics and counters as a run whose ``repro.core.lamm`` geometry is the
+uncached reference.
 """
 
 import dataclasses
@@ -27,18 +28,21 @@ from repro.workload.topology import uniform_square
 from tests.geometry import reference_cover
 
 N, HORIZON, RATE, SEED = 80, 3000, 0.002, 3
+EPOCH = 25
+#: The cells whose nodes move.
+MOBILE = ("mobility", "mobile_location_error")
 
 
 def _cell(kind: str):
     kwargs = {}
-    if kind == "location_error":
+    if kind in ("location_error", "mobile_location_error"):
         kwargs["faults"] = FaultPlan(location_sigma=0.05)
     if kind == "beacons":
         kwargs["beacons"] = BeaconConfig(period=100, jitter=10, lifetime=350)
         kwargs["mac_kwargs"] = {"location_source": "beacons"}
     net = Network(uniform_square(N, seed=SEED), 0.2, LammMac, seed=SEED, **kwargs)
-    if kind == "mobility":
-        RandomWaypointMobility(net, speed=0.0005, epoch=25, seed=SEED)
+    if kind in MOBILE:
+        RandomWaypointMobility(net, speed=0.0005, epoch=EPOCH, seed=SEED)
     requests = TrafficGenerator(N, net.propagation.neighbors, HORIZON, RATE, seed=SEED).inject(net)
     net.run(until=HORIZON)
     counters = net.channel.counters
@@ -52,7 +56,9 @@ def _cell(kind: str):
     return metrics, dict(counters.total), {n: dict(c) for n, c in counters.per_node.items()}
 
 
-@pytest.mark.parametrize("kind", ["mobility", "location_error", "beacons"])
+@pytest.mark.parametrize(
+    "kind", ["mobility", "location_error", "mobile_location_error", "beacons"]
+)
 def test_cached_geometry_matches_reference(kind, monkeypatch):
     built = []
     init = cover_mod.CoverGeometry.__init__
@@ -72,8 +78,9 @@ def test_cached_geometry_matches_reference(kind, monkeypatch):
     same_metrics, same_counters = cached[0] == reference[0], cached[1:] == reference[1:]
     assert same_metrics and same_counters
     # The cell exercised what it is meant to: coverage inference ran, and
-    # the geometry followed each new positions array (mobility: one per
-    # epoch; beacons: one per round; location error: the one perceived map).
+    # the geometry followed each new positions array (mobility, with or
+    # without location error: at most one per epoch; beacons: one per
+    # round; location error alone: the one perceived map).
     assert cached[1]["lamm.inferred"] > 0
     distinct = len({id(p) for p in built})
     assert distinct == len(built)
@@ -81,3 +88,5 @@ def test_cached_geometry_matches_reference(kind, monkeypatch):
         assert len(built) == 1
     else:
         assert len(built) > 10
+    if kind in MOBILE:
+        assert len(built) <= HORIZON // EPOCH + 1

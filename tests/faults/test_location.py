@@ -28,26 +28,23 @@ JITTERY = SimulationSettings(
 )
 
 
-class TestPerceive:
-    def test_sigma_zero_returns_input_untouched(self):
+class TestLocationOffset:
+    def test_sigma_zero_draws_no_offset(self):
         inj = FaultInjector(FaultPlan(), n_nodes=3, seed=0)
-        pos = np.zeros((3, 2))
-        assert inj.perceive(pos) is pos
+        assert inj.location_offset() is None
 
     def test_jitter_is_gaussian_scale(self):
         inj = FaultInjector(FaultPlan(location_sigma=0.05), n_nodes=500, seed=1)
-        pos = np.full((500, 2), 0.5)
-        jittered = inj.perceive(pos)
-        offsets = jittered - pos
+        offsets = inj.location_offset()
+        assert offsets.shape == (500, 2)
         assert offsets.std() == pytest.approx(0.05, rel=0.15)
         assert abs(offsets.mean()) < 0.01
 
     def test_jitter_deterministic_in_seed(self):
         plan = FaultPlan(location_sigma=0.05)
-        pos = np.random.default_rng(0).random((10, 2))
-        a = FaultInjector(plan, 10, seed=4).perceive(pos)
-        b = FaultInjector(plan, 10, seed=4).perceive(pos)
-        c = FaultInjector(plan, 10, seed=5).perceive(pos)
+        a = FaultInjector(plan, 10, seed=4).location_offset()
+        b = FaultInjector(plan, 10, seed=4).location_offset()
+        c = FaultInjector(plan, 10, seed=5).location_offset()
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -74,6 +71,34 @@ class TestSensedPositions:
 
         net = Network(uniform_square(12, seed=0), 0.2, LammMac, seed=0)
         assert net.channel.sensed_positions() is net.propagation.positions
+
+
+class TestSensedUnderMobility:
+    def test_belief_moves_with_the_truth(self):
+        """The jitter is drawn once and rides on the *current* truth: the
+        belief error stays exactly the drawn offset while the nodes move.
+        (The perceived map used to be drawn from the t=0 truth and never
+        refreshed, so this scenario's belief error reached 0.88.)"""
+        from repro.core.lamm import LammMac
+        from repro.sim.network import Network
+        from repro.workload.mobility import RandomWaypointMobility
+        from repro.workload.topology import uniform_square
+
+        plan = FaultPlan(location_sigma=0.01)
+        net = Network(uniform_square(40, seed=1), 0.2, LammMac, seed=1, faults=plan)
+        RandomWaypointMobility(net, speed=0.001, epoch=25)
+        start = net.propagation.positions.copy()
+        assert np.array_equal(net.channel.sensed_positions(), start + net.channel.location_offset)
+        offset = net.channel.sensed_positions() - start
+        for until in range(250, 2001, 250):
+            net.run(until=until)
+            truth = net.propagation.positions
+            sensed = net.channel.sensed_positions()
+            assert np.allclose(sensed - truth, offset, rtol=0.0, atol=1e-12)
+            # One array per truth array, so LAMM keeps its geometry
+            # between mobility epochs.
+            assert net.channel.sensed_positions() is sensed
+        assert np.abs(net.propagation.positions - start).max() > 0.5
 
 
 class TestCoverageViolations:

@@ -58,7 +58,7 @@ def test_noop_plan_attaches_no_machinery():
     net = build_network(BmmmMac, BASE.with_(faults=ZERO_PLANS[1]), seed=0)
     assert net.faults is None
     assert net.channel.faults is None
-    assert net.channel.perceived_positions is None
+    assert net.channel.location_offset is None
 
 
 def test_active_plan_changes_outcomes():

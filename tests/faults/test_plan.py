@@ -74,6 +74,17 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="receiver_give_up"):
             FaultPlan(receiver_give_up=-1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        """NaN passed ``< 0`` and turned every perceived position into NaN."""
+        with pytest.raises(ValueError, match="location_sigma"):
+            FaultPlan(location_sigma=sigma)
+
+    @pytest.mark.parametrize("give_up", [True, 2.5, 3.0, float("nan")])
+    def test_give_up_must_be_whole(self, give_up):
+        with pytest.raises(ValueError, match="receiver_give_up"):
+            FaultPlan(receiver_give_up=give_up)
+
     def test_give_up_is_not_noop_but_needs_no_injector(self):
         # A retry cap changes MAC behaviour even on a perfect channel
         # (silence can come from collisions), but all its machinery lives

@@ -106,6 +106,30 @@ class TestSchedule:
         with pytest.raises(ValueError):
             TrafficGenerator(1, [frozenset()], 10, 2.0)
 
+    @pytest.mark.parametrize("horizon", [2.7, 2.0, True, float("nan"), float("inf"), "10"])
+    def test_horizon_must_be_whole(self, horizon):
+        """2.7 used to be truncated to 2 and True read as 1; NaN died in
+        int() and inf raised OverflowError."""
+        with pytest.raises(ValueError, match="horizon"):
+            TrafficGenerator(1, [frozenset()], horizon, 0.1)
+
+    def test_numpy_integer_horizon_accepted(self):
+        gen = TrafficGenerator(2, [frozenset({1}), frozenset({0})], np.int64(500), 0.01)
+        assert gen.horizon == 500 and type(gen.horizon) is int
+
+    @pytest.mark.parametrize("n_nodes, n_sets", [(1, 2), (3, 2), (0, 1)])
+    def test_neighbor_sets_must_match_nodes(self, n_nodes, n_sets):
+        """One node with two sets silently dropped node 1's traffic; three
+        nodes with two sets raised IndexError only if node 2 drew a hit."""
+        sets = [frozenset()] * n_sets
+        with pytest.raises(ValueError, match="neighbor sets"):
+            TrafficGenerator(n_nodes, sets, 100, 0.5)
+
+    @pytest.mark.parametrize("n_nodes", [-1, 1.5, True])
+    def test_n_nodes_must_be_non_negative_whole(self, n_nodes):
+        with pytest.raises(ValueError, match="n_nodes"):
+            TrafficGenerator(n_nodes, [frozenset()], 100, 0.5)
+
 
 class TestInjection:
     def test_inject_submits_all_messages(self):
