@@ -5,8 +5,9 @@ the average number of contention phases in Figure 9(a) very well'.
 
 Also home of the *figure-5-sized grid* engine benchmark: 4 protocols x 5
 sweep points x ``REPRO_BENCH_RUNS`` seeds through the sweep engine vs the
-serial per-point ``run(Scenario)`` loop, asserting bit-identical metrics
-and recording the speedup in ``results/BENCH_sweep.json``."""
+reference loop (a cold ``run_raw`` per protocol and seed,
+``tests/experiments/reference_runner.py``), asserting bit-identical
+metrics and recording the speedup in ``results/BENCH_sweep.json``."""
 
 import os
 import random
@@ -42,7 +43,7 @@ def test_figure5(benchmark):
 
 
 def test_figure5_sized_grid_through_sweep_engine():
-    """4 protocols x 5 points x N seeds: engine vs serial ``run`` per point.
+    """4 protocols x 5 points x N seeds: engine vs the serial reference loop.
 
     The engine must return bit-identical ``MeanMetrics`` and counter
     totals while sharing topology builds and fanning cells out over
@@ -53,9 +54,9 @@ def test_figure5_sized_grid_through_sweep_engine():
     (20 seeds, Table 2 horizon).
     """
     from repro.experiments.config import SIMULATED_PROTOCOLS
-    from repro.experiments.runner import run
     from repro.experiments.scenario import Scenario
     from repro.experiments.sweep import bench_record, run_sweep, save_bench
+    from tests.experiments.reference_runner import reference_run
 
     protocols = list(SIMULATED_PROTOCOLS)
     points = [bench_settings(n_nodes=n) for n in (40, 60, 80, 100, 120)]
@@ -64,7 +65,7 @@ def test_figure5_sized_grid_through_sweep_engine():
 
     scenario = Scenario(settings=points[0], protocols=tuple(protocols), seeds=tuple(seeds))
     t0 = time.perf_counter()
-    serial = [run(scenario.with_(settings=st)) for st in points]
+    serial = [reference_run(protocols, st, seeds) for st in points]
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -12,12 +12,20 @@ Environment knobs:
 """
 
 import os
+import sys
 from pathlib import Path
 
 from repro.experiments.config import SimulationSettings
 from repro.experiments.report import format_figure, save_json
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The reference implementations the fast paths are pinned to live in the
+# test tree (``tests.<area>.reference_*``); make them importable however
+# pytest was started.
+_REPO_ROOT = str(Path(__file__).resolve().parents[1])
+if _REPO_ROOT not in sys.path:
+    sys.path.append(_REPO_ROOT)
 
 
 def n_runs() -> int:

@@ -17,14 +17,15 @@ The package provides:
   (:mod:`repro.workload`, :mod:`repro.metrics`, :mod:`repro.experiments`).
 
 The stable public API is the Scenario surface (documented in
-``docs/index.md``)::
+``docs/index.md``): ``run`` for one point, ``run_once`` for one run and
+``run_sweep`` for a grid -- ``run`` is a one-point ``run_sweep``::
 
-    from repro import FaultPlan, Scenario, SimulationSettings, run, sweep
+    from repro import FaultPlan, Scenario, SimulationSettings, run, run_sweep
 
     settings = SimulationSettings(n_nodes=50, faults=FaultPlan(location_sigma=0.05))
     results = run(Scenario(settings=settings, protocols=("BMMM", "LAMM"), seeds=range(10)))
-    grid = sweep(Scenario(settings=settings, protocols="LAMM", seeds=range(10)),
-                 points=[settings.with_(n_nodes=n) for n in (40, 70, 100)])
+    grid = run_sweep(Scenario(settings=settings, protocols="LAMM", seeds=range(10)),
+                     points=[settings.with_(n_nodes=n) for n in (40, 70, 100)])
 
 Quickstart at the frame level::
 
@@ -45,8 +46,7 @@ from repro.experiments import (
     SimulationSettings,
     run,
     run_once,
-    run_protocol,
-    sweep,
+    run_sweep,
 )
 from repro.faults import FaultPlan, GilbertElliott, NodeChurn
 from repro.geometry import (
@@ -116,9 +116,8 @@ __all__ = [
     "NodeChurn",
     "PROTOCOLS",
     "run",
-    "sweep",
     "run_once",
-    "run_protocol",
+    "run_sweep",
     # the results store (durable memoisation + regression gate)
     "ResultStore",
     "scenario_digest",

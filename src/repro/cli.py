@@ -192,8 +192,6 @@ def _run_one(name: str, args_ns) -> None:
     with timer.phase("compute"):
         if name in _ANALYTIC:
             result = _ANALYTIC[name]()
-        elif name == "figure8":
-            result = _SIMULATED[name](seeds=range(seeds))  # re-scoring; serial
         else:
             result = _SIMULATED[name](seeds=range(seeds), processes=jobs)
     with timer.phase("render"):

@@ -7,11 +7,10 @@ from repro.experiments.runner import (
     RawRun,
     run,
     run_once,
-    run_protocol,
     run_raw,
 )
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import SweepResult, run_sweep, sweep
+from repro.experiments.sweep import SweepResult, run_sweep
 from repro.experiments.figures import (
     FigureResult,
     figure2,
@@ -38,10 +37,8 @@ __all__ = [
     "run_raw",
     "run",
     "run_once",
-    "run_protocol",
     "SweepResult",
     "run_sweep",
-    "sweep",
     "degradation_points",
     "degradation_study",
     "FigureResult",

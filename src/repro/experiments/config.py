@@ -20,7 +20,7 @@ from repro.mac.base import MacBase, MacConfig
 from repro.mac.contention import ContentionParams
 from repro.mac.registry import paper_protocols, protocol_info, registered_protocols
 from repro.phy.profile import PhyProfile
-from repro.workload.generator import TrafficMix
+from repro.workload.generator import TrafficMix, check_count
 
 # Importing the protocol modules registers them; the import order fixes
 # the classic PROTOCOLS iteration order (802.11 first, paper four in the
@@ -85,6 +85,9 @@ class SimulationSettings:
 
     def __post_init__(self) -> None:
         MacConfig.check_timeout(self.timeout_slots)
+        # Checked here, not first inside a (possibly remote) sweep worker.
+        check_count("n_nodes", self.n_nodes)
+        check_count("horizon", self.horizon)
         # Written so NaN fails every comparison: a NaN geometry would
         # otherwise simulate an empty (or mirrored) world without a word.
         for name in ("side", "radius"):

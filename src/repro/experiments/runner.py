@@ -1,10 +1,13 @@
 """Run protocols under :class:`SimulationSettings` and aggregate metrics.
 
+:func:`run_raw` is one simulation run; :func:`run_once` scores one.
 "All the simulation results were the means of 100 runs of simulations with
-different random seeds" (Section 7); :func:`run_protocol` averages
-:class:`~repro.metrics.aggregate.RunMetrics` over a seed list the caller
+different random seeds" (Section 7); :func:`run` averages
+:class:`~repro.metrics.aggregate.RunMetrics` over the seed list the caller
 chooses (the benchmarks default to fewer runs for wall-clock reasons and
-record how many in their output).
+record how many in their output).  Every multi-seed campaign, ``run``
+included, goes through the sweep engine
+(:func:`repro.experiments.sweep.run_sweep`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "run_raw",
     "run",
     "run_once",
-    "run_protocol",
 ]
 
 
@@ -245,42 +247,16 @@ def run_once(scenario: Scenario) -> RunMetrics:
     return run_raw(cls, scenario.settings, scenario.seed, kwargs).metrics(scenario.threshold)
 
 
-def _mean_metrics(
-    name: str,
-    settings: SimulationSettings,
-    seeds: Sequence[int],
-    threshold: float | None = None,
-) -> MeanMetrics:
-    mac_cls, kwargs = protocol_class(name)
-    runs: list[RunMetrics] = []
-    degrees: list[float] = []
-    for seed in seeds:
-        raw = run_raw(mac_cls, settings, seed, kwargs)
-        runs.append(raw.metrics(threshold))
-        degrees.append(raw.average_degree)
-    return MeanMetrics.from_runs(runs, degrees)
-
-
-def run_protocol(scenario: Scenario) -> MeanMetrics:
-    """Seed-averaged metrics of a single-protocol scenario, e.g.
-    ``run_protocol(Scenario(protocols="LAMM", seeds=range(100)))``."""
-    _require_scenario("run_protocol", scenario)
-    return _mean_metrics(
-        scenario.protocol, scenario.settings, scenario.seeds, scenario.threshold
-    )
-
-
 def run(scenario: Scenario) -> dict[str, MeanMetrics]:
     """Run every protocol of *scenario* on identical workloads.
 
-    The canonical entry point for one-point experiments (the sweep engine
-    handles grids): returns ``{protocol: MeanMetrics}`` in the scenario's
-    protocol order.  Topology and traffic depend only on (settings, seed),
-    so all protocols face the same workloads.
+    The canonical entry point for one-point experiments: returns
+    ``{protocol: MeanMetrics}`` in the scenario's protocol order.  It is
+    a one-point, in-process :func:`~repro.experiments.sweep.run_sweep`;
+    topology and traffic depend only on (settings, seed), so all
+    protocols face the same workloads.
     """
-    _require_scenario("run", scenario)
-    return {
-        name: _mean_metrics(name, scenario.settings, scenario.seeds, scenario.threshold)
-        for name in scenario.protocols
-    }
+    from repro.experiments.sweep import run_sweep
 
+    _require_scenario("run", scenario)
+    return run_sweep(scenario, processes=1).grid()[0]

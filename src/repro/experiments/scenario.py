@@ -3,8 +3,7 @@
 A :class:`Scenario` bundles the three things every entry point needs --
 settings (including the fault plan), protocol names and seeds -- and is
 the one argument :func:`~repro.experiments.runner.run_once`,
-:func:`~repro.experiments.runner.run_protocol`, :func:`repro.run`,
-:func:`~repro.experiments.sweep.run_sweep` and :func:`repro.sweep` take
+:func:`repro.run` and :func:`~repro.experiments.sweep.run_sweep` take
 (grids add a list of per-point settings).  Anything else raises
 ``TypeError``.
 """
@@ -12,7 +11,7 @@ the one argument :func:`~repro.experiments.runner.run_once`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any
 
 from repro.experiments.config import (
     PROTOCOLS,
@@ -53,7 +52,7 @@ class Scenario:
     """What to simulate: settings + protocols + seeds (+ scoring threshold).
 
     Accepted by every experiment entry point (``run``, ``run_once``,
-    ``run_protocol``, ``compare``, ``sweep``).  Frozen and normalised:
+    ``run_sweep``).  Frozen and normalised:
     ``protocols`` accepts a single name or an iterable of registry names,
     ``seeds`` a single int or any iterable of ints (e.g. ``range(100)``
     for the paper's "means of 100 runs").
@@ -111,8 +110,3 @@ class Scenario:
         from repro.store.digests import scenario_digest
 
         return scenario_digest(self)
-
-    def per_protocol(self) -> Iterable["Scenario"]:
-        """Split into single-protocol scenarios (same settings and seeds)."""
-        for name in self.protocols:
-            yield replace(self, protocols=(name,))

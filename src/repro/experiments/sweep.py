@@ -2,8 +2,9 @@
 
 The paper's evaluation (Section 7) is a grid -- four protocols, several
 sweep points, 100 seeds per point -- and :func:`run_sweep` is the one
-path every campaign runs through (figures, degradation study, rate
-sweep, regression gate, the distributed service and the CLI):
+path every campaign runs through (``repro.run``, every simulated figure,
+degradation study, rate sweep, regression gate, the distributed service
+and the CLI):
 
 * the whole grid is flattened into one job list and dispatched through a
   **single long-lived** :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -69,7 +70,6 @@ __all__ = [
     "plan_jobs",
     "run_job",
     "run_sweep",
-    "sweep",
     "sweep_manifest",
     "bench_record",
     "save_bench",
@@ -413,7 +413,6 @@ def run_sweep(
     *,
     processes: int | None = None,
     chunksize: int | None = None,
-    threshold: float | None = None,
     store=None,
     telemetry=None,
     profile: bool = False,
@@ -466,8 +465,7 @@ def run_sweep(
     protocols = list(scenario.protocols)
     points = list(points) if points is not None else [scenario.settings]
     seeds = list(scenario.seeds)
-    if threshold is None:
-        threshold = scenario.threshold
+    threshold = scenario.threshold
     if not points:
         raise ValueError("sweep needs at least one point")
     timer = PhaseTimer()
@@ -641,39 +639,6 @@ def run_sweep(
             # An exception escaped mid-campaign: leave the stream as-is
             # (no `end` record -- the watcher reports it interrupted).
             opened_telemetry.__exit__(Exception, None, None)
-
-
-def sweep(
-    scenario: Scenario,
-    points: Sequence[SimulationSettings] | None = None,
-    *,
-    processes: int | None = None,
-    chunksize: int | None = None,
-    store=None,
-    telemetry=None,
-    profile: bool = False,
-    campaign: str = "sweep",
-    backend: DispatchBackend | None = None,
-) -> SweepResult:
-    """The canonical grid entry point: :func:`run_sweep` over a Scenario.
-
-    ``sweep(Scenario(...))`` runs the scenario's settings as a single
-    point; pass *points* for a real grid (each point a
-    :class:`SimulationSettings`, typically built with
-    ``scenario.settings.with_(...)``), and *store* (path or
-    :class:`~repro.store.db.ResultStore`) to memoise/resume the campaign.
-    """
-    return run_sweep(
-        scenario,
-        points,
-        processes=processes,
-        chunksize=chunksize,
-        store=store,
-        telemetry=telemetry,
-        profile=profile,
-        campaign=campaign,
-        backend=backend,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,8 @@ this is what exposes BSMA's "complete but undelivered" behaviour the paper
 discusses in Section 7.3.
 
 The reliability threshold enters only at scoring time, so Figure 8's
-threshold sweep re-scores a single set of runs.
+threshold sweep re-scores a single set of runs
+(:meth:`RunMetrics.delivery_rate_at`).
 """
 
 from __future__ import annotations
@@ -109,6 +110,14 @@ class RunMetrics:
     def delivery_rate(self) -> float:
         """Successful transmissions / total requests (Figures 6-8)."""
         return self.n_successful / self.n_requests if self.n_requests else 0.0
+
+    def delivery_rate_at(self, threshold: float) -> float:
+        """:attr:`delivery_rate` re-scored at another reliability
+        *threshold* (Figure 8): ``all_scores`` holds every scored
+        request, so no re-simulation is needed."""
+        if not self.n_requests:
+            return 0.0
+        return sum(s.successful(threshold) for s in self.all_scores) / self.n_requests
 
     @property
     def avg_contention_phases(self) -> float:

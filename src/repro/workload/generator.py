@@ -35,10 +35,20 @@ import numpy as np
 from repro.mac.base import MessageKind
 from repro.sim.network import Network
 
-__all__ = ["TrafficMix", "TrafficGenerator", "ScheduledMessage", "ARRIVAL_BLOCK"]
+__all__ = ["TrafficMix", "TrafficGenerator", "ScheduledMessage", "ARRIVAL_BLOCK", "check_count"]
 
 #: Uniforms drawn per block of the arrival scan (512 KiB of float64).
 ARRIVAL_BLOCK = 1 << 16
+
+
+def check_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless *value* counts whole things (nodes,
+    slots): a fraction, NaN, inf, a bool or a negative number is not a
+    node or slot count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,13 +90,8 @@ class TrafficGenerator:
         mix: TrafficMix | None = None,
         seed: int = 0,
     ):
-        # Both count whole things: a fraction, NaN, inf or a bool is not a
-        # node or slot count.
-        for name, value in (("n_nodes", n_nodes), ("horizon", horizon)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+        check_count("n_nodes", n_nodes)
+        check_count("horizon", horizon)
         if len(neighbor_sets) != n_nodes:
             raise ValueError(
                 f"got {len(neighbor_sets)} neighbor sets for {n_nodes} nodes"

@@ -81,6 +81,35 @@ class TestSimulationSettings:
         s = SimulationSettings(side=0.5, radius=0.3, interference_factor=2.0)
         assert (s.side, s.radius, s.interference_factor) == (0.5, 0.3, 2.0)
 
+    @pytest.mark.parametrize("field", ["n_nodes", "horizon"])
+    @pytest.mark.parametrize(
+        "value, match",
+        [
+            (True, "a whole number"),
+            (False, "a whole number"),
+            (300.5, "a whole number"),
+            (300.0, "a whole number"),
+            (float("nan"), "a whole number"),
+            (float("inf"), "a whole number"),
+            ("300", "a whole number"),
+            (-1, "non-negative"),
+        ],
+    )
+    def test_rejects_non_count_nodes_and_horizon(self, field, value, match):
+        """The same rule as ``TrafficGenerator``, checked at construction:
+        a fractional horizon used to construct and fail only later,
+        inside the run (or a sweep worker)."""
+        with pytest.raises(ValueError, match=f"{field} must be {match}"):
+            SimulationSettings(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            SimulationSettings().with_(**{field: value})
+
+    def test_accepts_whole_counts(self):
+        import numpy as np
+
+        s = SimulationSettings(n_nodes=np.int64(12), horizon=0)
+        assert (s.n_nodes, s.horizon) == (12, 0)
+
 
 class TestRegistry:
     def test_all_protocols_registered(self):

@@ -1,9 +1,12 @@
 """Tests for the per-figure experiment harnesses (tiny settings)."""
 
+from statistics import mean
+
 import pytest
 
 from repro.experiments.config import SimulationSettings
 from repro.experiments.figures import (
+    THRESHOLD_SWEEP,
     figure2,
     figure5,
     figure6a,
@@ -12,6 +15,7 @@ from repro.experiments.figures import (
     figure8,
     table1,
 )
+from tests.experiments.reference_runner import reference_raws
 
 TINY = SimulationSettings(n_nodes=20, horizon=800, message_rate=0.002)
 
@@ -96,3 +100,17 @@ class TestSimulatedSweeps:
         r = figure8(settings=TINY, seeds=[0], thresholds=(0.5, 1.0))
         for proto, ys in r.series.items():
             assert ys[0] >= ys[1], f"{proto}: stricter threshold must not help"
+
+    def test_figure8_equals_reference_rescoring(self):
+        """One engine sweep re-scored per threshold equals the reference
+        loop (a cold run per protocol and seed, each re-scored), bit for
+        bit -- serial or pooled."""
+        r = figure8(settings=TINY, seeds=range(2))
+        assert r.xs == list(THRESHOLD_SWEEP)
+        for proto, ys in r.series.items():
+            raws = reference_raws(proto, TINY, range(2))
+            assert ys == [
+                mean(raw.metrics(threshold=th).delivery_rate for raw in raws)
+                for th in THRESHOLD_SWEEP
+            ], proto
+        assert figure8(settings=TINY, seeds=range(2), processes=2).series == r.series

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.config import SimulationSettings
-from repro.experiments.runner import MeanMetrics, run, run_once, run_protocol, run_raw
+from repro.experiments.runner import MeanMetrics, run, run_once, run_raw
 from repro.experiments.scenario import Scenario
 from repro.core.bmmm import BmmmMac
 
@@ -46,9 +46,9 @@ class TestRunRaw:
         )
 
 
-class TestRunProtocol:
+class TestRun:
     def test_averages_over_seeds(self):
-        mm = run_protocol(Scenario(settings=SMALL, protocols="BMMM", seeds=range(2)))
+        mm = run(Scenario(settings=SMALL, protocols="BMMM", seeds=range(2)))["BMMM"]
         assert mm.n_runs == 2
         assert 0.0 <= mm.delivery_rate <= 1.0
         assert mm.n_requests > 0

@@ -1,16 +1,16 @@
 """Tests for the unified Scenario surface.
 
 One frozen :class:`repro.Scenario` is what every entry point takes
-(``run`` / ``run_once`` / ``run_protocol`` / ``run_sweep`` / ``sweep``);
-the retired positional signatures raise ``TypeError``.
+(``run`` / ``run_once`` / ``run_sweep``); the retired positional
+signatures raise ``TypeError``.
 """
 
 import pytest
 
 from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings, protocol_class
-from repro.experiments.runner import run, run_once, run_protocol
+from repro.experiments.runner import run, run_once
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import run_sweep, sweep
+from repro.experiments.sweep import run_sweep
 
 SMALL = SimulationSettings(n_nodes=16, horizon=600, message_rate=0.003)
 
@@ -65,12 +65,9 @@ class TestNormalization:
         with pytest.raises(ValueError):
             sc.seed
 
-    def test_with_and_per_protocol(self):
+    def test_with(self):
         sc = Scenario(protocols=("BMMM", "LAMM"), seeds=(0, 1))
         assert sc.with_(seeds=(5,)).seeds == (5,)
-        split = list(sc.per_protocol())
-        assert [s.protocol for s in split] == ["BMMM", "LAMM"]
-        assert all(s.seeds == (0, 1) for s in split)
 
     def test_hashable(self):
         assert len({Scenario(), Scenario(), Scenario(seeds=1)}) == 2
@@ -81,11 +78,10 @@ class TestDualAcceptance:
         "entry,legacy_args",
         [
             (run_once, (protocol_class("BMMM")[0], SMALL, 3)),
-            (run_protocol, ("LAMM", SMALL, [0, 1])),
             (run, (["BMMM"], SMALL, [0])),
             (run_sweep, (["BMMM", "LAMM"], [SMALL], [0, 1])),
         ],
-        ids=["run_once", "run_protocol", "run", "run_sweep"],
+        ids=["run_once", "run", "run_sweep"],
     )
     def test_positional_call_rejected(self, entry, legacy_args):
         """The retired positional signatures are gone: both the full legacy
@@ -110,7 +106,7 @@ class TestDualAcceptance:
 class TestSweepScenario:
     def test_sweep_requires_scenario(self):
         with pytest.raises(TypeError, match="Scenario"):
-            sweep(["BMMM"])
+            run_sweep(["BMMM"])
 
     def test_scenario_seeds_conflict_rejected(self):
         with pytest.raises(TypeError, match="seeds"):
@@ -118,15 +114,21 @@ class TestSweepScenario:
 
     def test_sweep_defaults_to_single_point(self):
         sc = Scenario(settings=SMALL, protocols="BMMM", seeds=0)
-        result = sweep(sc, processes=1)
+        result = run_sweep(sc, processes=1)
         assert result.points == [SMALL]
         assert result.mean(0, "BMMM").n_runs == 1
 
     def test_scenario_threshold_flows_to_scoring(self):
         sc = Scenario(settings=SMALL, protocols="BMMM", seeds=0, threshold=1.0)
-        strict = sweep(sc, processes=1).mean(0, "BMMM")
-        lax = sweep(sc.with_(threshold=None), processes=1).mean(0, "BMMM")
+        strict = run_sweep(sc, processes=1).mean(0, "BMMM")
+        lax = run_sweep(sc.with_(threshold=None), processes=1).mean(0, "BMMM")
         assert strict.delivery_rate <= lax.delivery_rate
+
+    def test_threshold_is_the_scenarios_alone(self):
+        """The scoring threshold travels on the Scenario; ``run_sweep``
+        has no keyword that could disagree with it."""
+        with pytest.raises(TypeError, match="threshold"):
+            run_sweep(Scenario(settings=SMALL, protocols="BMMM"), threshold=0.5)
 
 
 class TestPublicSurface:
@@ -141,12 +143,28 @@ class TestPublicSurface:
             "NodeChurn",
             "PROTOCOLS",
             "run",
-            "sweep",
             "run_once",
-            "run_protocol",
+            "run_sweep",
         ):
             assert name in repro.__all__, name
             assert getattr(repro, name) is not None
+
+    def test_deleted_entry_points_stay_gone(self):
+        """One runner: the campaign wrappers beside ``run_sweep`` are gone,
+        so ``repro.experiments.sweep`` is the engine module again."""
+        import types
+
+        import repro
+        import repro.experiments as experiments
+        from repro.experiments import runner
+
+        for name in ("sweep", "run_protocol"):
+            assert name not in repro.__all__, name
+            assert name not in experiments.__all__, name
+            assert not hasattr(runner, name), name
+        assert not hasattr(repro, "run_protocol")
+        assert isinstance(experiments.sweep, types.ModuleType)
+        assert not hasattr(Scenario, "per_protocol")
 
     def test_the_api_one_scenario_in_metrics_out(self):
         """The documented idiom works verbatim from the package root."""

@@ -25,6 +25,7 @@ from repro.experiments.sweep import (
 )
 from repro.obs.counters import merge_counter_dicts
 from repro.workload.cache import WorldCache, schedule_key, topology_key
+from tests.experiments.reference_runner import reference_run
 
 SMALL = SimulationSettings(n_nodes=20, horizon=800, message_rate=0.003)
 POINTS = [SMALL, SMALL.with_(n_nodes=28)]
@@ -61,15 +62,21 @@ def serial_sweep():
 class TestBitIdentity:
     def test_cached_serial_equals_legacy_serial(self, serial_sweep):
         """All four protocols at two sweep points: the engine's cached
-        path must reproduce the per-run serial path (:func:`run`, no
-        world cache, no pool) exactly -- metrics AND merged counter
-        totals."""
+        path must reproduce the per-run serial path (the reference loop:
+        cold ``run_raw`` per seed, no world cache, no pool) exactly --
+        metrics AND merged counter totals."""
         for idx, point in enumerate(POINTS):
-            serial = run(SCENARIO.with_(settings=point))
+            serial = reference_run(SIMULATED_PROTOCOLS, point, SEEDS)
             for proto in SIMULATED_PROTOCOLS:
                 mm = serial_sweep.mean(idx, proto)
                 assert mm == serial[proto], (idx, proto)
                 assert mm.counters == serial[proto].counters, (idx, proto)
+
+    def test_run_is_a_one_point_sweep(self, serial_sweep):
+        """``repro.run`` returns the engine's grid row, in protocol order."""
+        out = run(SCENARIO.with_(settings=POINTS[1]))
+        assert list(out) == list(SIMULATED_PROTOCOLS)
+        assert out == serial_sweep.grid()[1]
 
     def test_pooled_equals_cached_serial(self, serial_sweep):
         pooled = run_sweep(SCENARIO, POINTS, processes=2)

@@ -16,7 +16,6 @@ from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import (
     bench_record,
     run_sweep,
-    sweep,
     sweep_manifest,
 )
 from repro.store.db import ResultStore
@@ -90,11 +89,6 @@ class TestWarmRerun:
         assert warm.store_hits == N_JOBS and warm.processes == 0
         assert_bit_identical(warm, storeless)
 
-    def test_sweep_wrapper_accepts_store(self, cold):
-        _, _, path = cold
-        warm = sweep(SCENARIO, POINTS, store=path)
-        assert warm.store_hits == N_JOBS
-
 
 class TestResume:
     def test_partial_campaign_completes_only_missing_point(self, cold, tmp_path):
@@ -110,11 +104,8 @@ class TestResume:
     def test_kill_mid_grid_then_resume(self, cold, tmp_path, monkeypatch):
         """A campaign killed after K cells keeps exactly K rows; the rerun
         dispatches only the other N-K and still matches the cold run."""
-        # ``repro.experiments.sweep`` the attribute is the sweep() function
-        # (re-exported by the package), so fetch the module explicitly.
-        import sys
+        from repro.experiments import sweep as sweep_mod
 
-        sweep_mod = sys.modules["repro.experiments.sweep"]
         storeless, _, _ = cold
         path = tmp_path / "killed.sqlite"
         kill_after = 5

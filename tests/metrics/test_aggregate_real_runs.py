@@ -11,6 +11,7 @@ from repro.experiments.runner import MeanMetrics, run_raw
 from repro.mac.base import MessageKind, MessageStatus
 
 SMALL = SimulationSettings(n_nodes=25, horizon=1500, message_rate=0.002)
+BUSY = SMALL.with_(n_nodes=60)
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +98,41 @@ class TestFrameOverheadAccounting:
             ]
             per_msg[proto] = mean(vals)
         assert per_msg["LAMM"] < per_msg["BMMM"]
+
+
+class TestRescoring:
+    """``RunMetrics.delivery_rate_at`` is the Figure 8 re-scoring rule: it
+    must equal a full re-score at that threshold, also for the
+    ``JobResult`` the results store keeps (pickled)."""
+
+    @pytest.fixture(scope="class")
+    def job_and_raw(self):
+        import pickle
+
+        from repro.experiments.sweep import SweepJob, run_job
+
+        # BSMA completes without delivering, so on a busy enough network
+        # its rate moves with the threshold and the check is not vacuous.
+        job = SweepJob(point=0, protocol="BSMA", seed=4, settings=BUSY)
+        stored = pickle.loads(pickle.dumps(run_job(job)))
+        mac_cls, kwargs = protocol_class("BSMA")
+        return stored, run_raw(mac_cls, BUSY, seed=4, mac_kwargs=kwargs)
+
+    def test_equals_rescored_run_at_every_threshold(self, job_and_raw):
+        from repro.experiments.figures import THRESHOLD_SWEEP
+        from repro.metrics.aggregate import summarize_run
+
+        stored, raw = job_and_raw
+        thresholds = (*THRESHOLD_SWEEP, 0.0, BUSY.threshold)
+        rates = []
+        for th in thresholds:
+            expected = summarize_run(raw.requests, raw.stats, threshold=th).delivery_rate
+            assert stored.metrics.delivery_rate_at(th) == expected, th
+            rates.append(expected)
+        assert len(set(rates)) > 1, "threshold never changed the score"
+        assert stored.metrics.delivery_rate_at(BUSY.threshold) == stored.metrics.delivery_rate
+
+    def test_no_requests_scores_zero(self):
+        from repro.metrics.aggregate import RunMetrics
+
+        assert RunMetrics(threshold=0.9).delivery_rate_at(0.5) == 0.0
