@@ -723,7 +723,7 @@ def build_bench_kernel_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--protocol", default="BMMM", metavar="NAME",
-        help="protocol for the network cases (default BMMM)",
+        help="protocol for the network cases that name none (default BMMM)",
     )
     parser.add_argument(
         "--name", default="kernel", metavar="NAME",

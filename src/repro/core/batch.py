@@ -147,7 +147,7 @@ def batch_mode_procedure(
             )
         return result
 
-    mac._busy_sender = True
+    mac.nav.sending = True
     try:
         # --- RTS/CTS phase -------------------------------------------------
         cts_from: set[int] = set()
@@ -200,4 +200,4 @@ def batch_mode_procedure(
                 acked.add(p)
         return _finish(BatchResult(BatchOutcome.DATA_SENT, frozenset(acked), frozenset(cts_from)))
     finally:
-        mac._busy_sender = False
+        mac.nav.sending = False

@@ -34,6 +34,13 @@ per case, so a regression can be attributed to the layer that caused it:
     own medium, so concurrency neither cuts its sleeps short nor
     degrades the fast path toward per-slot stepping.  This case pins
     that concurrent win.
+``bsma_storm``
+    BSMA at the top of the paper's density sweep (140 stations, Table 2
+    rate, capture on): every receiver of a broadcast RTS answers with
+    CTS or NAK in the same slot, so reception is dominated by *storms*
+    of frames sharing one ``(start, end)``, decided from one storm
+    record per instant (slots/sec).  The only case not run with the
+    record's protocol.
 ``observer_overhead``
     The price of looking: the same traffic-heavy run three times --
     unobserved (emit sites pay only their per-type guard), with a
@@ -124,10 +131,12 @@ def bench_sleep_churn(n_events: int = 200_000) -> dict:
     }
 
 
-#: The full-simulation cases: name -> settings overrides (seed 0, BMMM).
-#: A ``"cw"`` key is not a :class:`SimulationSettings` field -- it expands
-#: to ``contention=ContentionParams(cw_min=cw, cw_max=cw)`` so the case
-#: table stays JSON-serializable for the bench record's settings echo.
+#: The full-simulation cases: name -> settings overrides (seed 0).
+#: Two keys are not :class:`SimulationSettings` fields, so the case table
+#: stays JSON-serializable for the bench record's settings echo: ``"cw"``
+#: expands to ``contention=ContentionParams(cw_min=cw, cw_max=cw)``, and
+#: ``"protocol"`` names the protocol the case runs instead of the one
+#: :func:`bench_network_case` is given (BMMM by default).
 NETWORK_CASES: dict[str, dict] = {
     "idle_network": {"n_nodes": 100, "horizon": 50_000, "message_rate": 0.0},
     "sparse_network": {"n_nodes": 60, "horizon": 20_000, "message_rate": 0.0001},
@@ -144,13 +153,22 @@ NETWORK_CASES: dict[str, dict] = {
         "message_rate": 0.0002,
         "cw": 1024,
     },
+    "bsma_storm": {
+        "n_nodes": 140,
+        "horizon": 5_000,
+        "message_rate": 0.0005,
+        "protocol": "BSMA",
+    },
 }
 
 
 def bench_network_case(case: str, *, protocol: str = "BMMM", seed: int = 0) -> dict:
-    """Run one :data:`NETWORK_CASES` scenario; report simulated slots/sec."""
+    """Run one :data:`NETWORK_CASES` scenario; report simulated slots/sec.
+
+    *protocol* applies unless the case names its own."""
     overrides = NETWORK_CASES[case]
     kwargs_settings = dict(overrides)
+    protocol = kwargs_settings.pop("protocol", protocol)
     cw = kwargs_settings.pop("cw", None)
     if cw is not None:
         kwargs_settings["contention"] = ContentionParams(cw_min=cw, cw_max=cw)

@@ -208,15 +208,11 @@ class MacBase:
         self.data_from: dict[int, int] = {}
         #: Finished requests, for metrics collection.
         self.completed: list[MacRequest] = []
-        #: True between the first frame of an exchange this node initiates
-        #: and its end; suppresses answering other stations' polls.
-        self._busy_sender = False
 
-        # A subclass that reimplements _on_frame sees every frame through it.
+        # A subclass that reimplements _on_frame sees every frame through
+        # it; otherwise the bystander rule is the NAV's own set().
         own_dispatch = type(self)._on_frame is MacBase._on_frame
-        self.radio.add_listener(
-            self._on_frame, bystander=self._yield_for_duration if own_dispatch else None
-        )
+        self.radio.add_listener(self._on_frame, bystander=self.nav.set if own_dispatch else None)
         self.process = env.process(self._main_loop(), name=f"mac-{node_id}")
 
     # -- neighbor / topology helpers --------------------------------------------
@@ -314,7 +310,7 @@ class MacBase:
                 else:
                     status = yield from self.serve_group(req)
             finally:
-                self._busy_sender = False
+                self.nav.sending = False
             self._finalize(req, status)
 
     def _finalize(self, req: MacRequest, status: MessageStatus) -> None:
@@ -459,13 +455,13 @@ class MacBase:
                 self.data_from[frame.src] = frame.seq
                 self.on_data(frame, clean)
             elif frame.duration:
-                self._yield_for_duration(frame, frame.exchange_owner)
+                self.nav.set(frame.duration, frame.exchange_owner)
             return
 
         # Group-addressed RTS frames (Tang-Gerla / BSMA broadcast RTS) are
         # "intended for" every member of the group.
         if frame.addressed_to(self.node_id):
-            if self._busy_sender:
+            if self.nav.sending:
                 # Mid-exchange: our own sender procedure owns the radio.
                 return
             if frame.ftype is FrameType.RTS:
@@ -477,20 +473,13 @@ class MacBase:
             # CTS/ACK addressed to us outside a sender procedure: stale.
             return
 
+        # Figure 3's last receiver rule: a frame not intended for this
+        # station makes it yield for the frame's Duration (Nav.set ignores
+        # it while this station's own sender procedure owns the radio).
+        # The channel calls Nav.set itself for frames naming this station
+        # neither in RA nor in the group (see Radio.add_listener).
         if frame.duration:
-            self._yield_for_duration(frame, frame.exchange_owner)
-
-    def _yield_for_duration(self, frame: Frame, owner: int) -> None:
-        """Figure 3's last receiver rule: a frame not intended for this
-        station makes it yield for the frame's Duration, unless its own
-        sender procedure owns the radio.  *owner* is the frame's
-        :attr:`~repro.sim.frames.Frame.exchange_owner`.  Called only for
-        frames with a positive Duration (a zero one yields nothing); the
-        channel calls it directly for frames naming this station neither
-        in RA nor in the group (see :meth:`Radio.add_listener
-        <repro.sim.radio.Radio.add_listener>`)."""
-        if not self._busy_sender:
-            self.nav.set(frame.duration, owner=owner)
+            self.nav.set(frame.duration, frame.exchange_owner)
 
     # Receiver hooks ----------------------------------------------------------
 
@@ -548,7 +537,7 @@ class MacBase:
             if self.radio.is_transmitting:
                 continue  # our own SIFS response won the slot; re-contend
 
-            self._busy_sender = True
+            self.nav.sending = True
             try:
                 # RTS reserves CTS + DATA + ACK.
                 nav_rts = t + self.config.t_data + t
@@ -574,7 +563,7 @@ class MacBase:
                 attempt += 1
                 self._note_retry(req, "no_ack", attempt)
             finally:
-                self._busy_sender = False
+                self.nav.sending = False
             if req.expired(self.env.now):
                 return MessageStatus.TIMED_OUT
         return MessageStatus.ABANDONED

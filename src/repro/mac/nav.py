@@ -38,6 +38,11 @@ class Nav:
         self.node_id = node_id
         self.until: float = env.now
         self.owner: int | None = None
+        #: True between the first frame of an exchange this station
+        #: initiates and its end: its own sender procedure owns the radio,
+        #: so it neither yields to overheard reservations (:meth:`set`)
+        #: nor answers other stations' polls.
+        self.sending = False
         #: Callables :meth:`set` calls, with no arguments, after moving
         #: :attr:`until`: the pokes of contenders in a contention phase.
         #: :meth:`clear` calls none: it moves :attr:`until` only to now,
@@ -52,15 +57,23 @@ class Nav:
         return self.until > self.env.now
 
     def set(self, duration: float, owner: int | None = None) -> None:
-        """Yield for *duration* slots from now (never shortens the NAV).
+        """Yield for *duration* slots from now (never shortens the NAV),
+        unless :attr:`sending`.
 
         A reservation reaching at least as far as the current one takes
         over its owner; an expired NAV (``until <= now``) is always taken
-        over, since ``duration >= 0``.
+        over, since ``duration >= 0``.  Every call that is not ignored
+        publishes ``nav_set``, also when the NAV does not move.  This is
+        the MAC's bystander rule: the channel calls it once per overheard
+        frame (see :meth:`Radio.add_listener
+        <repro.sim.radio.Radio.add_listener>`), so it reads the clock's
+        slot directly instead of through the ``now`` property.
         """
         if not 0 <= duration < math.inf:
             raise ValueError(f"NAV duration must be finite and >= 0, got {duration}")
-        expiry = self.env.now + duration
+        if self.sending:
+            return
+        expiry = self.env._now + duration
         if expiry >= self.until:
             self.owner = owner
             self.until = expiry

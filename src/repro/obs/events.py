@@ -85,7 +85,7 @@ class _Clock(Protocol):  # pragma: no cover - typing helper
 Subscriber = Callable[["SimEvent"], None]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SimEvent:
     """One observability event.
 
@@ -101,12 +101,44 @@ class SimEvent:
         receiver for reception outcomes), or ``None`` for global events.
     data:
         JSON-safe payload, keyed per event type.
+
+    Built like :class:`~repro.sim.frames.Frame`: the fields are stored
+    into a plain slotted :class:`_EventDraft`, which then becomes a
+    ``SimEvent`` by a class switch, instead of one ``object.__setattr__``
+    per field.
     """
 
     etype: str
     time: float
     node: int | None = None
     data: dict[str, Any] = field(default_factory=dict)
+
+    def __new__(
+        cls,
+        etype: str,
+        time: float,
+        node: int | None = None,
+        data: dict[str, Any] | None = None,
+    ) -> "SimEvent":
+        self = _new_draft(_EventDraft)
+        self.etype = etype
+        self.time = time
+        self.node = node
+        self.data = {} if data is None else data
+        self.__class__ = cls
+        return self
+
+    def __reduce__(self):
+        return (type(self), (self.etype, self.time, self.node, self.data))
+
+
+class _EventDraft:
+    """A :class:`SimEvent` under construction: same slots, plain stores."""
+
+    __slots__ = SimEvent.__slots__
+
+
+_new_draft = object.__new__
 
 
 class EventBus:
@@ -200,6 +232,12 @@ class EventBus:
         subscribers = getattr(self, etype)
         if not subscribers:
             return
-        event = SimEvent(etype, self._clock.now, node, data)
+        # SimEvent.__new__'s body, without the call.
+        event = _new_draft(_EventDraft)
+        event.etype = etype
+        event.time = self._clock.now
+        event.node = node
+        event.data = data
+        event.__class__ = SimEvent
         for subscriber in subscribers:
             subscriber(event)

@@ -27,6 +27,7 @@ Both expose ``probability(k)`` (used by the Section 6 analysis) and
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -75,10 +76,11 @@ class ZorziRaoCapture(CaptureModel):
     """
 
     def __init__(self, c2: float = 0.55, floor: float = 0.2, decay: float = 2.5):
+        # Chained range checks: NaN fails them, and so does an infinite decay.
         if not 0.0 <= floor <= c2 <= 1.0:
             raise ValueError(f"need 0 <= floor <= c2 <= 1, got floor={floor}, c2={c2}")
-        if decay <= 0:
-            raise ValueError(f"decay must be positive, got {decay}")
+        if not 0 < decay < math.inf:
+            raise ValueError(f"decay must be finite and positive, got {decay}")
         self.c2 = float(c2)
         self.floor = float(floor)
         self.decay = float(decay)
@@ -115,8 +117,18 @@ class MonteCarloCapture(CaptureModel):
         samples: int = 20_000,
         seed: int = 0x5EED,
     ):
+        for name, value in (("samples", samples), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
         if samples <= 0:
             raise ValueError(f"samples must be positive, got {samples}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        # Chained range checks: NaN fails them, and so do +-inf.
+        if not -math.inf < capture_ratio_db < math.inf:
+            raise ValueError(f"capture_ratio_db must be finite, got {capture_ratio_db}")
+        if not -math.inf < eta < math.inf:
+            raise ValueError(f"eta must be finite, got {eta}")
         self.z = 10.0 ** (capture_ratio_db / 10.0)
         self.eta = float(eta)
         self.samples = int(samples)

@@ -61,7 +61,7 @@ class BmwMac(MacBase):
                 if self.radio.is_transmitting:
                     continue
 
-                self._busy_sender = True
+                self.nav.sending = True
                 try:
                     rts = self.control(
                         FrameType.RTS,
@@ -114,7 +114,7 @@ class BmwMac(MacBase):
                         attempt += 1
                         self._note_retry(req, "no_ack", attempt)
                 finally:
-                    self._busy_sender = False
+                    self.nav.sending = False
                 if not served and req.expired(self.env.now):
                     return MessageStatus.TIMED_OUT
         return MessageStatus.COMPLETED

@@ -48,7 +48,7 @@ class BsmaMac(MacBase):
             if self.radio.is_transmitting:
                 continue
 
-            self._busy_sender = True
+            self.nav.sending = True
             try:
                 # RTS reserves CTS + DATA + the NAK window.
                 rts = self.control(
@@ -83,7 +83,7 @@ class BsmaMac(MacBase):
                 attempt += 1
                 self._note_retry(req, "nak", attempt)
             finally:
-                self._busy_sender = False
+                self.nav.sending = False
             if req.expired(self.env.now):
                 return MessageStatus.TIMED_OUT
 

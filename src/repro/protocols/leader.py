@@ -63,7 +63,7 @@ class LeaderBasedMac(MacBase):
             if self.radio.is_transmitting:
                 continue
 
-            self._busy_sender = True
+            self.nav.sending = True
             try:
                 # RTS reserves CTS + DATA + the ACK/NAK slot.  It is
                 # addressed to the leader but carries the group so members
@@ -101,7 +101,7 @@ class LeaderBasedMac(MacBase):
                     return MessageStatus.COMPLETED
                 attempt += 1
             finally:
-                self._busy_sender = False
+                self.nav.sending = False
             if req.expired(self.env.now):
                 return MessageStatus.TIMED_OUT
 

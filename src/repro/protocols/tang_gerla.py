@@ -39,7 +39,7 @@ class TangGerlaMac(MacBase):
             if self.radio.is_transmitting:
                 continue
 
-            self._busy_sender = True
+            self.nav.sending = True
             try:
                 # The broadcast RTS reserves CTS + DATA.
                 rts = self.control(
@@ -63,4 +63,4 @@ class TangGerlaMac(MacBase):
                 req.rounds += 1
                 return MessageStatus.COMPLETED
             finally:
-                self._busy_sender = False
+                self.nav.sending = False

@@ -47,12 +47,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.inject import FaultInjector
     from repro.geometry.cover import CoverGeometry
 
-__all__ = ["Transmission", "Channel", "ChannelStats", "PRUNE_MIN_LEN"]
+__all__ = ["Transmission", "Channel", "ChannelStats", "PRUNE_MIN_LEN", "LOSS_KEYS"]
 
 #: The air list is left unpruned while shorter than this: scanning a
 #: handful of provably-stale entries is cheaper than compacting the list
 #: on every transmit.
 PRUNE_MIN_LEN = 8
+
+#: Reception losses counted per receiver, in its radio's slice of the
+#: per-node counters; :meth:`Channel.finalize_counters` sums the totals.
+LOSS_KEYS = ("collisions", "captures", "half_duplex_losses")
 
 
 @dataclass(slots=True, eq=False)
@@ -73,16 +77,17 @@ class Transmission:
     #: ``t.hearers``; a radio attached while ``t`` is on the air is
     #: removed from it (see :meth:`Channel.attach`).
     hearers: frozenset[int] = frozenset()
-    #: While :meth:`Channel._finish` runs: the other frames on the air
-    #: that overlap this one and were sent by, or audible at, one of its
-    #: receivers.  Empty otherwise.
-    rivals: "list[Transmission] | tuple[()]" = field(default=(), repr=False)
     #: Counter key cached once per transmission instead of being chased
     #: through frame.ftype at every receiver (the reception hot path).
     dkey: str = field(init=False, repr=False)
+    #: The frame's exchange owner, passed to every bystander's yield
+    #: rule; None when its Duration is zero (such a frame yields nothing).
+    owner: int | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.dkey = self.frame.ftype.delivered_key
+        frame = self.frame
+        self.dkey = frame.ftype.delivered_key
+        self.owner = frame.exchange_owner if frame.duration else None
 
     def overlaps(self, other: "Transmission") -> bool:
         return self.start < other.end and other.start < self.end
@@ -202,6 +207,15 @@ class Channel:
         # behind ``now`` even on a silent channel.
         self._max_airtime = 1.0
         self._airtime_counts: dict[float, int] = {}
+        # The storm record (see _finish): the instant's (start, end), the
+        # power table it was ranked on (replaced when nodes move), the
+        # frames on the air overlapping [start, end), and each receiver's
+        # verdict inputs, filled on its first frame of the instant.
+        self._storm_start: float | None = None
+        self._storm_end: float | None = None
+        self._storm_rows: "list[list[float]] | None" = None
+        self._overlap: list[Transmission] = []
+        self._verdicts: dict[int, tuple[bool, int, float, int]] = {}
 
     # -- attachment -----------------------------------------------------------
 
@@ -219,6 +233,8 @@ class Channel:
             for t in self.air:
                 if node_id in t.hearers:
                     t.hearers = t.hearers - {node_id}
+            # Hearers changed: no storm record survives.
+            self._storm_rows = None
             radio = Radio(self, node_id)
             # The radio's slice of the per-node counters, cached (and its
             # frame keys pre-seeded) so the per-frame hot paths below are
@@ -253,13 +269,16 @@ class Channel:
         return self._sensed
 
     def finalize_counters(self) -> Counters:
-        """Fold the run-wide frame totals into ``counters.total``.
+        """Fold the run-wide frame and loss totals into ``counters.total``.
 
         The per-frame hot paths only maintain per-node attribution (one
         dict increment each); the ``frames_sent.*`` and
-        ``frames_delivered.*`` totals are summed over the nodes.
-        Idempotent; :class:`~repro.sim.network.Network` calls it after
-        every ``run()``, so code reading ``channel.counters`` after a
+        ``frames_delivered.*`` totals are summed over the nodes, and so
+        are the :data:`LOSS_KEYS` (``collisions``, ``captures``,
+        ``half_duplex_losses``), each written only when nonzero: a loss
+        that never happened leaves its key absent.  Idempotent;
+        :class:`~repro.sim.network.Network` calls it after every
+        ``run()``, so code reading ``channel.counters`` after a
         simulation sees complete totals.
         """
         total = self.counters.total
@@ -267,6 +286,10 @@ class Channel:
         for ft in FrameType:
             for key in (ft.sent_key, ft.delivered_key):
                 total[key] = sum(counts.get(key, 0) for counts in per_node)
+        for key in LOSS_KEYS:
+            n = sum(counts.get(key, 0) for counts in per_node)
+            if n:
+                total[key] = n
         return self.counters
 
     # -- transmission ----------------------------------------------------------
@@ -306,21 +329,25 @@ class Channel:
         radio._counts[frame.ftype.sent_key] += 1
         obs = self._obs
         if obs.frame_tx:
-            payload = {
-                "ftype": frame.ftype.value,
-                "src": frame.src,
-                "ra": frame.ra,
-                "dur": frame.duration,
-                "seq": frame.seq,
-                "msg_id": frame.msg_id,
-                "uid": frame.uid,
-                "end": tx.end,
-            }
-            if frame.group:
-                payload["group"] = sorted(frame.group)
-            if frame.mcs:
-                payload["mcs"] = frame.mcs
-            obs.emit("frame_tx", node=radio.node_id, **payload)
+            # Keywords go straight into the payload, no dict re-packed
+            # through ``**``, except the optional "group" and "mcs" keys,
+            # which follow "end" (the trace's byte order).
+            group = frame.group
+            if group or frame.mcs:
+                extra = {"group": sorted(group)} if group else {}
+                if frame.mcs:
+                    extra["mcs"] = frame.mcs
+                obs.emit(
+                    "frame_tx", node=sender, ftype=frame.ftype.value, src=frame.src,
+                    ra=frame.ra, dur=frame.duration, seq=frame.seq, msg_id=frame.msg_id,
+                    uid=frame.uid, end=end, **extra,
+                )
+            else:
+                obs.emit(
+                    "frame_tx", node=sender, ftype=frame.ftype.value, src=frame.src,
+                    ra=frame.ra, dur=frame.duration, seq=frame.seq, msg_id=frame.msg_id,
+                    uid=frame.uid, end=end,
+                )
 
         # A frame finishing at ``T >= now`` started at ``T - airtime >=
         # now - max_airtime``: anything ending by then overlaps nothing in
@@ -362,57 +389,64 @@ class Channel:
         within *decode* range; farther stations only suffered
         interference).
 
-        The frame's *rivals* are found once for all its receivers: every
-        other frame on the air that overlaps *tx* and was sent by, or is
-        audible at, one of them -- exactly the frames any receiver's
-        verdict can depend on.  They are fixed before the first receiver
-        is served: a frame sent from inside the receive loop starts at
-        ``tx.end`` and cannot overlap *tx*.
+        Frames that share *tx*'s ``(start, end)`` are its *storm mates*
+        (BSMA's CTS/NAK answers all go out in one slot), and they finish
+        at one instant, one after the other.  The frames on the air that
+        overlap ``[start, end)`` are listed once per instant, for every
+        mate, and each receiver's verdict inputs (half-duplex, ``k``, the
+        top received power and how many senders tie at it) are worked
+        out from that list once per instant, on its first frame (see
+        :meth:`_receive_at`).  This *storm record* holds for the whole
+        instant: the overlap list is a snapshot, and no frame that could
+        join it appears later in the instant (a frame sent from inside a
+        receive loop starts at ``end``).  :meth:`attach` (it edits
+        hearers) drops the record, and so does a new power table (nodes
+        moved).
 
-        A *rival-free* frame is clean at every live receiver when, besides
-        having no rivals, it went out at the base rate (``mcs == 0``, so
-        no rate gate), no fault plan is attached (no crashed receiver, no
-        burst loss) and every receiver heard its preamble (``receivers <=
-        hearers``: no node moved into range and no radio was attached
-        since it started).  Such a frame's receivers are served here in
-        one loop; every other frame goes through :meth:`_receive_at` per
-        receiver.  The loop is exact: it visits the receivers in the same
-        order, makes the same frame-error draws, and the conditions
-        cannot change under it (rivals are fixed before it runs, and
-        radios are attached only when a MAC is built, never from inside a
-        frame's dispatch).
+        A *rival-free* frame is clean at every live receiver: no other
+        frame in the overlap list was sent by, or is audible at, one of
+        its receivers; it went out at the base rate (``mcs == 0``, so no
+        rate gate); no fault plan is attached (no crashed receiver, no
+        burst loss); and every receiver heard its preamble (``receivers
+        <= hearers``: no node moved into range and no radio was attached
+        since it started).  Such a frame's receivers are served by
+        :meth:`_deliver_clean` in one loop; every other frame goes
+        through :meth:`_receive_at` per receiver.  Both visit the
+        receivers in ``neighbor_lists`` order, so the capture and
+        frame-error draws come in the same order either way.
         """
         sender = tx.sender
-        receivers = self.propagation.neighbors[sender]
+        propagation = self.propagation
+        receivers = propagation.neighbors[sender]
         start = tx.start
         end = tx.end
-        rivals = [
-            t
-            for t in self.air
-            if t.end > start
-            and t.start < end
-            and t is not tx
-            and (t.sender in receivers or not receivers.isdisjoint(t.hearers))
-        ]
+        rows = propagation.power_rows
+        if start != self._storm_start or end != self._storm_end or rows is not self._storm_rows:
+            self._storm_start = start
+            self._storm_end = end
+            self._storm_rows = rows
+            self._overlap = [t for t in self.air if t.end > start and t.start < end]
+            self._verdicts = {}
         frame = tx.frame
-        if (
-            not rivals
-            and not frame.mcs
+        rival_free = (
+            not frame.mcs
             and self.faults is None
             and (receivers is tx.hearers or receivers <= tx.hearers)
-        ):
+        )
+        if rival_free:
+            for t in self._overlap:
+                if t is not tx and (t.sender in receivers or not receivers.isdisjoint(t.hearers)):
+                    rival_free = False
+                    break
+        if rival_free:
             self._deliver_clean(tx)
         else:
-            tx.rivals = rivals
             radios = self.radios
             receive_at = self._receive_at
-            for nid in self.propagation.neighbor_lists[sender]:
+            for nid in propagation.neighbor_lists[sender]:
                 radio = radios.get(nid)
                 if radio is not None:
                     receive_at(radio, tx)
-            # Dropped now: a landed frame holding its rivals (which hold
-            # theirs) would keep chains of old transmissions reachable.
-            tx.rivals = ()
         # Retire the frame from the in-flight airtime multiset so the
         # prune horizon tightens back once long frames land.  This MUST
         # happen after the receive loop: listeners transmit synchronously
@@ -435,20 +469,21 @@ class Channel:
         """Serve every live receiver of a rival-free frame (see
         :meth:`_finish`): per receiver, only the frame-error draw, the
         DATA receipt, the delivered count, the ``frame_rx`` event and the
-        dispatch.  The bystander lane gets the frame's exchange owner,
-        computed once here."""
+        dispatch.  A DATA frame's receipt sets are looked up once, on its
+        first delivery (a frame every receiver loses leaves none)."""
         frame = tx.frame
         sender = tx.sender
         radios = self.radios
         obs = self._obs
         fer = self.frame_error_rate
         draw = self.rng.random
-        note_delivered = self.stats.note_delivered
         dkey = tx.dkey
         ra = frame.ra
         group = frame.group
-        # None: a zero Duration yields nothing, so the rule is skipped.
-        owner = frame.exchange_owner if frame.duration else None
+        duration = frame.duration
+        owner = tx.owner
+        msg_id = frame.msg_id if frame.ftype is FrameType.DATA else None
+        receipts = clean_receipts = None
         for rid in self.propagation.neighbor_lists[sender]:
             radio = radios.get(rid)
             if radio is None:
@@ -456,7 +491,13 @@ class Channel:
             if fer > 0.0 and draw() < fer:
                 self._frame_error(rid, tx)
                 continue
-            note_delivered(frame, rid, True)
+            if msg_id is not None:
+                if receipts is None:
+                    stats = self.stats
+                    receipts = stats.data_receipts.setdefault(msg_id, set())
+                    clean_receipts = stats.clean_data_receipts.setdefault(msg_id, set())
+                receipts.add(rid)
+                clean_receipts.add(rid)
             radio._counts[dkey] += 1
             if obs.frame_rx:
                 obs.emit(
@@ -472,7 +513,7 @@ class Channel:
             bystander = radio.bystander
             if bystander is not None and ra != rid and rid not in group:
                 if owner is not None:
-                    bystander(frame, owner)
+                    bystander(duration, owner)
             else:
                 radio._deliver(frame, True)
 
@@ -490,6 +531,8 @@ class Channel:
             )
 
     def _receive_at(self, radio: Radio, tx: Transmission) -> None:
+        """Decide *tx* at one receiver, from the instant's storm record
+        (see :meth:`_finish`)."""
         obs = self._obs
         faults = self.faults
         rid = radio.node_id
@@ -507,24 +550,45 @@ class Channel:
                     src=tx.sender,
                 )
             return
-        # The rivals audible here.  Own transmissions never overlap each
-        # other, so "this radio transmitted during tx" is exactly "a rival
-        # was sent by this radio": half-duplex.
-        heard = []
-        for t in tx.rivals:
-            if t.sender == rid:
-                self.counters.inc("half_duplex_losses", node=rid)
-                if obs.half_duplex_loss:
-                    obs.emit(
-                        "half_duplex_loss",
-                        node=rid,
-                        uid=tx.frame.uid,
-                        ftype=tx.frame.ftype.value,
-                        src=tx.sender,
-                    )
-                return
-            if rid in t.hearers:
-                heard.append(t)
+        verdict = self._verdicts.get(rid)
+        if verdict is None:
+            # This receiver's first frame of the instant.  Own
+            # transmissions never overlap each other, so "this radio
+            # transmitted during the instant's frames" is exactly "one of
+            # them was sent by this radio": half-duplex.  Otherwise count
+            # the frames audible here (k) and rank their received powers:
+            # the top one and how many senders tie at it.
+            rows = self._storm_rows
+            own = False
+            k = ties = 0
+            top = -1.0
+            for t in self._overlap:
+                if t.sender == rid:
+                    own = True
+                    break
+                if rid in t.hearers:
+                    k += 1
+                    power = rows[t.sender][rid]
+                    if power > top:
+                        top = power
+                        ties = 1
+                    elif power == top:
+                        ties += 1
+            verdict = self._verdicts[rid] = (own, k, top, ties)
+        own, k, top, ties = verdict
+        counts = radio._counts
+        frame = tx.frame
+        if own:
+            counts["half_duplex_losses"] = counts.get("half_duplex_losses", 0) + 1
+            if obs.half_duplex_loss:
+                obs.emit(
+                    "half_duplex_loss",
+                    node=rid,
+                    uid=frame.uid,
+                    ftype=frame.ftype.value,
+                    src=tx.sender,
+                )
+            return
 
         # Rate gate: a frame at MCS m > 0 carries more bits per slot than
         # this link's SNR sustains -- the receiver hears energy it cannot
@@ -532,15 +596,15 @@ class Channel:
         # collisions; resolved *before* any RNG draw so the default base
         # rate (mcs == 0, branch never taken) stays bit-identical.  The
         # frame still interferes at this receiver (it is in ``hearers``).
-        fmcs = tx.frame.mcs
+        fmcs = frame.mcs
         if fmcs and self.propagation.link_mcs(self.phy)[tx.sender][rid] < fmcs:
             self.counters.inc("rate_losses", node=rid)
             if obs.rate_loss:
                 obs.emit(
                     "rate_loss",
                     node=rid,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
+                    uid=frame.uid,
+                    ftype=frame.ftype.value,
                     src=tx.sender,
                     mcs=fmcs,
                 )
@@ -549,51 +613,41 @@ class Channel:
         # tx itself is audible here by construction -- unless the node
         # moved into range *after* the transmission started (mobility) or
         # was attached mid-flight: then it never heard the preamble and
-        # cannot decode.
+        # cannot decode.  Otherwise k counts tx among the audible frames.
         if rid not in tx.hearers:
             return
-        # k counts tx and every audible rival; capture below asks whether
-        # any of them is at least as strong, so their order cannot matter.
-        k = len(heard) + 1
 
         if k == 1:
             clean = True
         else:
-            self.counters.inc("collisions", node=rid)
+            counts["collisions"] = counts.get("collisions", 0) + 1
             if obs.collision:
                 obs.emit(
                     "collision",
                     node=rid,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
+                    uid=frame.uid,
+                    ftype=frame.ftype.value,
                     src=tx.sender,
                     k=k,
                 )
-            # Capture ranking by *distance*: ``d**-eta`` is strictly
-            # decreasing in ``d``, so "every other frame strictly weaker"
-            # is exactly "every other sender strictly farther" -- same
-            # verdict as comparing rx_power(), without any pow() calls
-            # (co-located senders tie at distance 0 just as they tie at
-            # infinite power).
-            # Rank via the precomputed scalar power table (bit-identical
-            # to calling rx_power per frame, without the per-call
-            # attribute/array traffic).
-            rows = self.propagation.power_rows
-            mine = rows[tx.sender][rid]
-            strongest = True
-            for t in heard:
-                if rows[t.sender][rid] >= mine:
-                    strongest = False
-                    break
-            if not (strongest and self.capture.attempt(k, self.rng)):
+            # Capture needs tx strictly the strongest frame here: its
+            # received power is the top one and no other sender ties at
+            # it (co-located senders tie at infinite power).  The powers
+            # come from the precomputed scalar table, bit-identical to
+            # calling rx_power per frame.
+            if not (
+                ties == 1
+                and self._storm_rows[tx.sender][rid] == top
+                and self.capture.attempt(k, self.rng)
+            ):
                 return
-            self.counters.inc("captures", node=rid)
+            counts["captures"] = counts.get("captures", 0) + 1
             if obs.capture:
                 obs.emit(
                     "capture",
                     node=rid,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
+                    uid=frame.uid,
+                    ftype=frame.ftype.value,
                     src=tx.sender,
                     k=k,
                 )
@@ -612,34 +666,34 @@ class Channel:
                 obs.emit(
                     "fault_burst_loss",
                     node=rid,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
+                    uid=frame.uid,
+                    ftype=frame.ftype.value,
                     src=tx.sender,
                 )
             return
 
-        self.stats.note_delivered(tx.frame, rid, clean)
+        if frame.ftype is FrameType.DATA:
+            self.stats.note_delivered(frame, rid, clean)
         # Per-node only; finalize_counters() sums the run-wide totals.
-        radio._counts[tx.dkey] += 1
+        counts[tx.dkey] += 1
         if obs.frame_rx:
             obs.emit(
                 "frame_rx",
                 node=rid,
-                uid=tx.frame.uid,
-                ftype=tx.frame.ftype.value,
+                uid=frame.uid,
+                ftype=frame.ftype.value,
                 src=tx.sender,
-                seq=tx.frame.seq,
-                msg_id=tx.frame.msg_id,
+                seq=frame.seq,
+                msg_id=frame.msg_id,
                 clean=clean,
             )
         # Bystander lane: a frame naming this node neither in RA nor in
         # its group goes straight to the MAC's yield rule when nothing
         # else listens (see Radio.add_listener) -- same outcome as the
         # full dispatch, no RNG draw, one call instead of three.
-        frame = tx.frame
         bystander = radio.bystander
         if bystander is not None and frame.ra != rid and rid not in frame.group:
-            if frame.duration:
-                bystander(frame, frame.exchange_owner)
+            if tx.owner is not None:
+                bystander(frame.duration, tx.owner)
         else:
             radio._deliver(frame, clean)

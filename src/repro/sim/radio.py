@@ -35,10 +35,10 @@ __all__ = ["Radio"]
 #: "received without collision" flag of Theorems 1/3.
 FrameListener = Callable[[Frame, bool], None]
 
-#: Bystander rule signature: ``(frame, owner)`` for a received frame with
-#: a positive Duration that names this node neither in its RA field nor
-#: in its group; *owner* is the frame's ``exchange_owner``.
-BystanderRule = Callable[[Frame, int], None]
+#: Bystander rule signature: ``(duration, owner)`` for a received frame
+#: with a positive Duration that names this node neither in its RA field
+#: nor in its group; *owner* is the frame's ``exchange_owner``.
+BystanderRule = Callable[[int, int], None]
 
 
 class Radio:
@@ -84,8 +84,8 @@ class Radio:
 
         *bystander* declares that, for a frame naming this node neither in
         its RA field nor in its group, *listener* does exactly
-        ``bystander(frame, frame.exchange_owner)`` when the frame's
-        Duration is positive, and nothing when it is zero.  While
+        ``bystander(frame.duration, frame.exchange_owner)`` when the
+        frame's Duration is positive, and nothing when it is zero.  While
         *listener* is the only listener, the channel then handles such
         frames itself, skipping :meth:`_deliver`: it calls the rule, with
         the owner computed once per frame, and skips zero-Duration frames.

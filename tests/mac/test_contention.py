@@ -146,7 +146,7 @@ class TestContentionPhase:
         env.run(until=50)
         assert len(tx_times) == 2
         assert tx_times[0][0] == tx_times[1][0], "same-slot access -> collision"
-        assert ch.counters.get("collisions") > 0
+        assert ch.finalize_counters().get("collisions") > 0
 
     def test_different_backoffs_serialize(self):
         """The loser of the backoff race freezes and transmits later."""
@@ -167,7 +167,7 @@ class TestContentionPhase:
         if t0 != t1:  # distinct draws (true for this seed)
             # Second access must come at least 1 frame + DIFS later.
             assert t1 >= t0 + 1 + 2
-            assert ch.counters.get("collisions") == 0
+            assert ch.finalize_counters().get("collisions") == 0
 
     def test_backoff_resumes_after_freeze(self):
         """With resume_backoff, the counter is not redrawn after a freeze:

@@ -95,3 +95,32 @@ class TestNav:
         env = Environment()
         nav = Nav(env)
         assert not nav.blocks_response_to(1)
+
+    def test_ignored_while_sending(self):
+        """While the station's own sender procedure owns the radio, an
+        overheard reservation changes nothing: no expiry, no owner, no
+        waiter poke and no ``nav_set`` event.  Afterwards it applies."""
+        env = Environment()
+        nav = Nav(env, node_id=4)
+        events, pokes = [], []
+        env.obs.subscribe(events.append, types={"nav_set"})
+        nav.waiters.append(lambda: pokes.append(env.now))
+        nav.sending = True
+        nav.set(30, owner=2)
+        assert (nav.until, nav.owner, pokes, events) == (0, None, [], [])
+        nav.sending = False
+        nav.set(30, owner=2)
+        assert (nav.until, nav.owner, pokes) == (30, 2, [0])
+        assert [(e.node, e.data["owner"]) for e in events] == [(4, 2)]
+
+    def test_event_published_when_nav_does_not_move(self):
+        env = Environment()
+        nav = Nav(env, node_id=1)
+        events = []
+        env.obs.subscribe(events.append, types={"nav_set"})
+        nav.set(20, owner=1)
+        nav.set(5, owner=2)
+        assert [(e.data["until"], e.data["duration"], e.data["owner"]) for e in events] == [
+            (20, 20, 1),
+            (20, 5, 1),
+        ]

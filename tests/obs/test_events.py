@@ -1,5 +1,8 @@
 """Tests for the event bus (repro.obs.events)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.obs.events import EVENT_TYPES, EventBus, SimEvent
@@ -36,6 +39,22 @@ class TestEventBus:
         bus.emit("collision", node=1)
         assert [e.time for e in seen] == [42.0, 50.0]
         assert seen[0] == SimEvent("frame_tx", 42.0, 3, {"ftype": "DATA"})
+
+    def test_emitted_events_are_frozen_and_round_trip(self):
+        """``emit`` builds a slotted draft and switches it to ``SimEvent``:
+        the event is still frozen, equal to one built directly, and
+        survives pickling and copying."""
+        bus = EventBus(FakeClock(now=7.0))
+        seen = []
+        bus.subscribe(seen.append)
+        bus.emit("collision", node=2, k=3)
+        event = seen[0]
+        assert type(event) is SimEvent and not hasattr(event, "__dict__")
+        with pytest.raises(AttributeError):
+            event.time = 8.0
+        assert event == SimEvent(etype="collision", time=7.0, node=2, data={"k": 3})
+        assert pickle.loads(pickle.dumps(event)) == event == copy.copy(event)
+        assert SimEvent("backoff", 1.0).data == {}
 
     def test_fanout_in_subscription_order(self):
         bus = EventBus(FakeClock())

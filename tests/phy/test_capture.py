@@ -1,7 +1,9 @@
 """Unit tests for the DS capture models."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.phy.capture import MonteCarloCapture, NoCapture, ZorziRaoCapture
@@ -61,6 +63,22 @@ class TestZorziRaoCapture:
         with pytest.raises(ValueError):
             ZorziRaoCapture().probability(-1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"decay": math.nan},
+            {"decay": math.inf},
+            {"c2": math.nan},
+            {"floor": math.nan},
+        ],
+        ids=["decay-nan", "decay-inf", "c2-nan", "floor-nan"],
+    )
+    def test_rejects_non_finite_parameters(self, kwargs):
+        """A NaN decay used to make every ``C_k`` (k >= 2) NaN: ``attempt``
+        then drew from the RNG and never captured."""
+        with pytest.raises(ValueError):
+            ZorziRaoCapture(**kwargs)
+
 
 class TestMonteCarloCapture:
     def test_deterministic_given_seed(self):
@@ -88,3 +106,35 @@ class TestMonteCarloCapture:
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):
             MonteCarloCapture(samples=0)
+
+    @pytest.mark.parametrize("samples", [2.5, True, "100"], ids=["fraction", "bool", "str"])
+    def test_rejects_samples_that_are_not_whole_numbers(self, samples):
+        """``samples=2.5`` used to become 2, and ``True`` one sample."""
+        with pytest.raises(ValueError):
+            MonteCarloCapture(samples=samples)
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1], ids=["fraction", "bool", "negative"])
+    def test_rejects_bad_seed(self, seed):
+        """``seed=2.5`` used to become 2, ``True`` seed 1, and a negative
+        seed failed only at the first ``probability`` call."""
+        with pytest.raises(ValueError):
+            MonteCarloCapture(samples=100, seed=seed)
+
+    def test_accepts_numpy_integers(self):
+        m = MonteCarloCapture(samples=np.int64(100), seed=np.uint32(7))
+        assert (m.samples, m.seed) == (100, 7)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"capture_ratio_db": math.nan},
+            {"capture_ratio_db": math.inf},
+            {"eta": math.nan},
+            {"eta": -math.inf},
+        ],
+        ids=["ratio-nan", "ratio-inf", "eta-nan", "eta-inf"],
+    )
+    def test_rejects_non_finite_parameters(self, kwargs):
+        """A NaN threshold or path-loss exponent used to give ``C_k = 0``."""
+        with pytest.raises(ValueError):
+            MonteCarloCapture(samples=100, **kwargs)

@@ -98,7 +98,7 @@ class TestCollisions:
         ch.transmit(radios[2], rts(2, ra=0))
         env.run(until=10)
         assert log == []
-        assert ch.counters.get("collisions") == 2  # both frames collided at node 0
+        assert ch.finalize_counters().get("collisions") == 2  # both frames collided at node 0
 
     def test_partial_overlap_also_collides(self):
         # DATA [0,5) from node 1; RTS [3,4) from node 2: both die at node 0.
@@ -148,7 +148,7 @@ class TestCapture:
         t, frame, clean = log[0]
         assert frame.src == 1  # the nearer, stronger one
         assert clean is False  # captured, but NOT "received without collision"
-        assert ch.counters.get("captures") == 1
+        assert ch.finalize_counters().get("captures") == 1
 
     def test_equal_power_frames_never_captured(self):
         always = ZorziRaoCapture(c2=1.0, floor=1.0)
@@ -202,7 +202,7 @@ class TestHalfDuplex:
         assert log1 == []
         # Both stations were transmitting during the other's frame: the RTS
         # is lost at node 1 and the DATA is lost at node 2.
-        assert ch.counters.get("half_duplex_losses") == 2
+        assert ch.finalize_counters().get("half_duplex_losses") == 2
 
     def test_transmit_while_transmitting_raises(self):
         env, ch, radios = make_channel([[0.5, 0.5], [0.55, 0.5]])

@@ -118,7 +118,7 @@ class TestPruneUnderMixedDurations:
         # never reaches past its start, so every overlapping short frame
         # survives until the long frame's own _finish has scanned them.
         assert all(f.ftype is not FrameType.DATA for _, f, _c in log1)
-        assert ch.counters.get("collisions") > 0
+        assert ch.finalize_counters().get("collisions") > 0
 
     def test_prune_resumes_once_long_frame_lands(self):
         """After the long frame retires, the horizon tightens back to
@@ -188,4 +188,4 @@ class TestRateDecodeGate:
         at(env, 1, lambda: ch.transmit(radios[2], rts(2, ra=1)))
         env.run(until=10)
         assert log_mid == []
-        assert ch.counters.get("collisions") > 0
+        assert ch.finalize_counters().get("collisions") > 0

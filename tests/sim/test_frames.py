@@ -1,6 +1,9 @@
 """Unit tests for frame abstractions."""
 
+import copy
+import dataclasses
 import importlib
+import pickle
 import warnings
 
 import pytest
@@ -88,6 +91,19 @@ class TestFrame:
         f = Frame(FrameType.RTS, src=0, ra=1)
         with pytest.raises(AttributeError):
             f.src = 5
+
+    def test_frames_round_trip_through_pickle_copy_and_replace(self):
+        """Frames are built through ``__new__`` (a slotted draft switched to
+        the frozen class): pickling, copying and ``dataclasses.replace``
+        still rebuild an equal frame, uid included."""
+        f = Frame(FrameType.DATA, src=0, ra=GROUP_ADDR, duration=4, seq=2,
+                  group=frozenset({1, 2}), msg_id=9, airtime_slots=3, mcs=1)
+        assert type(f) is Frame and not hasattr(f, "__dict__")
+        assert pickle.loads(pickle.dumps(f)) == f
+        assert copy.copy(f) == f and hash(copy.deepcopy(f)) == hash(f)
+        moved = dataclasses.replace(f, src=5)
+        assert (moved.src, moved.uid, moved.group) == (5, f.uid, f.group)
+        assert [fld.name for fld in dataclasses.fields(Frame)][-1] == "uid"
 
     def test_str_smoke(self):
         f = Frame(FrameType.CTS, src=2, ra=0, duration=7, seq=3)

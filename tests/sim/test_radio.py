@@ -153,7 +153,7 @@ class TestBystanderRule:
 
     def test_pending_expect_suspends_rule(self):
         env, ch, r0, r1 = pair()
-        r0.add_listener(lambda f, c: None, bystander=lambda f, owner: None)
+        r0.add_listener(lambda f, c: None, bystander=lambda duration, owner: None)
         r0.expect(lambda f: False, timeout=3)
         assert r0.bystander is None
         env.run(until=5)
@@ -166,7 +166,8 @@ class TestBystanderRule:
             ch.faults = FaultInjector(FaultPlan(), n_nodes=2, seed=0)
         full, lane = [], []
         r0.add_listener(
-            lambda f, c: full.append(f.ftype), bystander=lambda f, owner: lane.append((f, owner))
+            lambda f, c: full.append(f.ftype),
+            bystander=lambda duration, owner: lane.append((duration, owner)),
         )
         ch.transmit(r1, rts(1, 0))  # addressed to node 0
         env.run(until=2)
@@ -178,12 +179,12 @@ class TestBystanderRule:
         ch.transmit(r1, Frame(FrameType.DATA, src=1, ra=-1, group=frozenset({0})))
         env.run(until=12)
         assert full == [FrameType.RTS, FrameType.DATA]
-        assert lane == [(cts, 5)]
+        assert lane == [(cts.duration, 5)]
         assert ch.finalize_counters().total["frames_delivered.RTS"] == 2
 
     def test_channel_calls_rule_only_for_bystander_frames(self):
-        """The rival-free loop hands the rule ``(frame, exchange owner)``
-        and skips a zero-Duration bystander frame."""
+        """The rival-free loop hands the rule ``(Duration, exchange
+        owner)`` and skips a zero-Duration bystander frame."""
         self._bystander_frames(faults=False)
 
     def test_receive_at_calls_rule_only_for_bystander_frames(self):
