@@ -14,7 +14,7 @@ Run:  python examples/cover_geometry_demo.py
 
 import numpy as np
 
-from repro.geometry.cover import cover_angle, disk_cover_union, update_uncovered
+from repro.geometry.cover import cover_angle, is_disk_covered, update_uncovered
 from repro.geometry.mcs import greedy_cover_set, minimum_cover_set
 
 R = 0.2
@@ -38,9 +38,9 @@ def main() -> None:
             print(f"  for {j}: empty (more than R apart)")
         else:
             print(f"  for {j}: [{arc.start:6.1f}, {arc.end:6.1f}]  (width {arc.extent:5.1f})")
-    union = disk_cover_union(pts[0], [pts[j] for j in ids[1:]], R)
-    print(f"  union covers {union.measure():.1f} of 360 degrees"
-          f" -> A(0) {'IS' if union.is_full_circle else 'is NOT'} covered by the rest")
+    # Theorem 4: if those angles cover the full circle, A(0) is covered.
+    covered = is_disk_covered(pts[0], [pts[j] for j in ids[1:]], R)
+    print(f"  -> A(0) {'IS' if covered else 'is NOT'} covered by the rest (Theorem 4)")
 
     # 2. Minimum cover set (Theorem 2).
     mcs = sorted(minimum_cover_set(ids, pts, R))

@@ -1,7 +1,7 @@
 """Experiment definitions and runners reproducing Section 7."""
 
 from repro.experiments.config import PROTOCOLS, SimulationSettings, protocol_class
-from repro.experiments.degradation import degradation_points, degradation_study
+from repro.experiments.degradation import degradation_points
 from repro.experiments.runner import (
     MeanMetrics,
     RawRun,
@@ -40,7 +40,6 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "degradation_points",
-    "degradation_study",
     "FigureResult",
     "figure2",
     "figure5",

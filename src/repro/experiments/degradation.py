@@ -9,8 +9,9 @@ contention phases fall off for BMW, BSMA, BMMM and LAMM:
 * ``churn`` -- per-node/slot crash hazard (nodes go dark and recover);
 * ``sigma`` -- stddev of the Gaussian location error LAMM's geometry sees.
 
-Each axis value becomes one sweep point (``settings.with_(faults=...)``)
-and the grid runs through the sweep engine, sharing topology builds across
+Each axis value becomes one sweep point (``settings.with_(faults=...)``,
+see :func:`degradation_points`), and the grid runs through
+:func:`~repro.experiments.sweep.run_sweep`, sharing topology builds across
 fault levels (the fault plan lives on the *schedule* cache key only).
 CLI surface: ``repro-mac faults``; results feed EXPERIMENTS.md's
 "Degradation study" section.
@@ -20,9 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings
-from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import SweepResult, run_sweep
+from repro.experiments.config import SimulationSettings
 from repro.faults.plan import FaultPlan, GilbertElliott, NodeChurn
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "SIGMA_SWEEP",
     "fault_plan_for",
     "degradation_points",
-    "degradation_study",
 ]
 
 #: Default values per axis; the leading 0 is the benign baseline point.
@@ -102,30 +100,3 @@ def degradation_points(
         )
         for v in values
     ]
-
-
-def degradation_study(
-    scenario: Scenario | None = None,
-    axis: str = "burst",
-    values: Sequence[float] | None = None,
-    *,
-    stationary_loss: float = 0.2,
-    mean_downtime: float = 200.0,
-    processes: int | None = None,
-) -> SweepResult:
-    """Run one fault axis through the sweep engine.
-
-    The default scenario is the paper's four simulated protocols at
-    Table 2 settings over three seeds -- deliberately small; pass a
-    scenario with more seeds (and ``processes``) for smooth curves.
-    """
-    if scenario is None:
-        scenario = Scenario(protocols=SIMULATED_PROTOCOLS, seeds=tuple(range(3)))
-    points = degradation_points(
-        scenario.settings,
-        axis,
-        values,
-        stationary_loss=stationary_loss,
-        mean_downtime=mean_downtime,
-    )
-    return run_sweep(scenario, points, processes=processes)

@@ -65,9 +65,11 @@ class RawRun:
     #: was started with ``profile=True``.  Sums to ``timings["simulate"]``.
     mac_profile: dict[str, float] | None = None
 
-    def metrics(self, threshold: float | None = None) -> RunMetrics:
-        th = self.settings.threshold if threshold is None else threshold
-        return summarize_run(self.requests, self.stats, threshold=th, counters=self.counters)
+    def metrics(self) -> RunMetrics:
+        """This run scored at ``settings.threshold``."""
+        return summarize_run(
+            self.requests, self.stats, threshold=self.settings.threshold, counters=self.counters
+        )
 
     def manifest(self, protocol: str | None = None) -> RunManifest:
         """Provenance record for this run (see :mod:`repro.obs.manifest`)."""
@@ -241,10 +243,10 @@ def run_raw(
 def run_once(scenario: Scenario) -> RunMetrics:
     """One run of a single-protocol, single-seed scenario, e.g.
     ``run_once(Scenario(settings=..., protocols="BMMM", seeds=7))``,
-    scored at the scenario's threshold."""
+    scored at ``settings.threshold``."""
     _require_scenario("run_once", scenario)
     cls, kwargs = protocol_class(scenario.protocol)
-    return run_raw(cls, scenario.settings, scenario.seed, kwargs).metrics(scenario.threshold)
+    return run_raw(cls, scenario.settings, scenario.seed, kwargs).metrics()
 
 
 def run(scenario: Scenario) -> dict[str, MeanMetrics]:

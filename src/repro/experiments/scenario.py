@@ -10,6 +10,7 @@ the one argument :func:`~repro.experiments.runner.run_once`,
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -18,6 +19,7 @@ from repro.experiments.config import (
     SIMULATED_PROTOCOLS,
     SimulationSettings,
 )
+from repro.workload.generator import check_count
 
 __all__ = ["Scenario"]
 
@@ -39,33 +41,36 @@ def _as_protocol_tuple(value: Any) -> tuple[str, ...]:
 
 
 def _as_seed_tuple(value: Any) -> tuple[int, ...]:
-    if isinstance(value, int):
+    if isinstance(value, numbers.Integral):
         value = (value,)
-    seeds = tuple(int(s) for s in value)
+    seeds = tuple(value)
     if not seeds:
         raise ValueError("Scenario needs at least one seed")
+    # A seed names one RNG stream: 0.5 or True is not one, and a repeated
+    # seed would count twice in every mean.
+    for seed in seeds:
+        check_count("seed", seed)
+    seeds = tuple(int(s) for s in seeds)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"duplicate seeds in {seeds}")
     return seeds
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """What to simulate: settings + protocols + seeds (+ scoring threshold).
+    """What to simulate: settings + protocols + seeds.
 
     Accepted by every experiment entry point (``run``, ``run_once``,
     ``run_sweep``).  Frozen and normalised:
     ``protocols`` accepts a single name or an iterable of registry names,
-    ``seeds`` a single int or any iterable of ints (e.g. ``range(100)``
-    for the paper's "means of 100 runs").
-
-    ``threshold`` overrides ``settings.threshold`` at scoring time only
-    (the simulation itself is threshold-independent); ``None`` defers to
-    the settings.
+    ``seeds`` a single int or any iterable of distinct non-negative
+    ints (e.g. ``range(100)`` for the paper's "means of 100 runs").
+    Runs are scored at ``settings.threshold``.
     """
 
     settings: SimulationSettings = field(default_factory=SimulationSettings)
     protocols: tuple[str, ...] = SIMULATED_PROTOCOLS
     seeds: tuple[int, ...] = (0,)
-    threshold: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.settings, SimulationSettings):
@@ -74,8 +79,6 @@ class Scenario:
             )
         object.__setattr__(self, "protocols", _as_protocol_tuple(self.protocols))
         object.__setattr__(self, "seeds", _as_seed_tuple(self.seeds))
-        if self.threshold is not None and not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold!r}")
 
     # -- single-run conveniences ----------------------------------------------
 
@@ -93,17 +96,13 @@ class Scenario:
             raise ValueError(f"scenario has {len(self.seeds)} seeds, not 1")
         return self.seeds[0]
 
-    @property
-    def scoring_threshold(self) -> float:
-        return self.settings.threshold if self.threshold is None else self.threshold
-
     def with_(self, **changes: Any) -> "Scenario":
         """A modified copy (mirrors ``SimulationSettings.with_``)."""
         return replace(self, **changes)
 
     def digest(self) -> str:
         """Canonical stable hash of this scenario (settings + protocols +
-        seeds + effective threshold) -- the identity the results store
+        seeds + scoring threshold) -- the identity the results store
         and manifests record.  Field-order-insensitive and stable across
         processes and releases of the digest schema; see
         :mod:`repro.store.digests`."""

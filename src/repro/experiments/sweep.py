@@ -50,6 +50,7 @@ from repro.experiments.config import SimulationSettings, protocol_class
 from repro.experiments.runner import MeanMetrics, _require_scenario, run_raw
 from repro.experiments.scenario import Scenario
 from repro.metrics.aggregate import RunMetrics
+from repro.obs.counters import merge_counter_dicts
 from repro.obs.manifest import RunManifest, settings_to_dict
 from repro.obs.profile import PhaseTimer
 from repro.obs.records import write_json
@@ -97,7 +98,6 @@ class SweepJob:
     protocol: str
     seed: int
     settings: SimulationSettings
-    threshold: float | None = None
     #: Attach the kernel phase profiler to this run (an inert event-bus
     #: subscriber -- results stay bit-identical; see repro.obs.profiler).
     profile: bool = False
@@ -138,7 +138,6 @@ def plan_jobs(
     protocols: Sequence[str],
     points: Sequence[SimulationSettings],
     seeds: Sequence[int],
-    threshold: float | None = None,
     profile: bool = False,
 ) -> list[SweepJob]:
     """Flatten the grid, protocols innermost.
@@ -154,7 +153,6 @@ def plan_jobs(
             protocol=proto,
             seed=seed,
             settings=st,
-            threshold=threshold,
             profile=profile,
         )
         for p, st in enumerate(points)
@@ -184,7 +182,7 @@ def run_job(job: SweepJob, cache: WorldCache | None = None) -> JobResult:
         point=job.point,
         protocol=job.protocol,
         seed=job.seed,
-        metrics=raw.metrics(job.threshold),
+        metrics=raw.metrics(),
         degree=raw.average_degree,
         timings=raw.timings,
         cache_hit=hit,
@@ -298,7 +296,6 @@ class SweepResult:
     wall_clock_s: float
     processes: int
     chunksize: int
-    threshold: float | None = None
     cache_hits: int = 0
     cache_misses: int = 0
     #: Cells served from the results store / dispatched because missing.
@@ -375,7 +372,6 @@ class SweepResult:
         return {
             "protocols": list(self.protocols),
             "seeds": list(self.seeds),
-            "threshold": self.threshold,
             "points": [
                 {
                     "settings": settings_to_dict(st),
@@ -422,9 +418,9 @@ def run_sweep(
     """Run the full protocols x points x seeds grid.
 
     ``run_sweep(Scenario(...), points=[...])``: the scenario supplies
-    protocols, seeds and scoring threshold; *points* lists the per-point
-    settings (defaulting to the scenario's own settings as a single
-    point).  Anything but a :class:`Scenario` raises ``TypeError``.
+    protocols and seeds; *points* lists the per-point settings, each
+    scored at its own ``threshold`` (default: the scenario's settings as
+    a single point).  Anything but a :class:`Scenario` raises ``TypeError``.
 
     ``processes=None`` uses ``os.cpu_count()``; ``processes=1`` runs
     in-process (with the same world cache, still bit-identical).  The
@@ -465,12 +461,11 @@ def run_sweep(
     protocols = list(scenario.protocols)
     points = list(points) if points is not None else [scenario.settings]
     seeds = list(scenario.seeds)
-    threshold = scenario.threshold
     if not points:
         raise ValueError("sweep needs at least one point")
     timer = PhaseTimer()
-    jobs = plan_jobs(protocols, points, seeds, threshold, profile=profile)
-    point_digests = [settings_digest(st, threshold) for st in points]
+    jobs = plan_jobs(protocols, points, seeds, profile=profile)
+    point_digests = [settings_digest(st) for st in points]
 
     opened = None
     if store is not None and not isinstance(store, ResultStore):
@@ -556,7 +551,7 @@ def run_sweep(
             phase_sums: dict[str, float] = {}
             hits = misses = 0
             spans: list[dict] = []
-            profile_sums: dict[str, dict[str, float]] = {}
+            profiles: dict[str, list[dict[str, float]]] = {}
             # Walk the planned job order so per-cell metric lists stay
             # seed-ordered regardless of where each result came from --
             # and so the merged span log reads in campaign order, however
@@ -596,9 +591,7 @@ def run_sweep(
                         }
                     )
                 if res.mac_profile is not None:
-                    sums = profile_sums.setdefault(res.protocol, {})
-                    for phase, seconds in res.mac_profile.items():
-                        sums[phase] = sums.get(phase, 0.0) + seconds
+                    profiles.setdefault(res.protocol, []).append(res.mac_profile)
                 if res.cache_hit:
                     hits += 1
                 else:
@@ -615,7 +608,6 @@ def run_sweep(
             wall_clock_s=timer.total,
             processes=workers,
             chunksize=cs,
-            threshold=threshold,
             cache_hits=hits,
             cache_misses=misses,
             store_hits=len(stored),
@@ -623,7 +615,7 @@ def run_sweep(
             store_path=store.path if store is not None else None,
             point_digests=point_digests,
             spans=spans,
-            mac_profile=profile_sums or None,
+            mac_profile={p: merge_counter_dicts(ps) for p, ps in profiles.items()} or None,
             telemetry_path=(
                 str(telemetry.path) if telemetry is not None and telemetry.path else None
             ),
@@ -652,11 +644,9 @@ def sweep_manifest(result: SweepResult, name: str = "sweep") -> RunManifest:
     Per-point settings live in ``extra["points"]``; counter totals are
     merged over the whole grid (bit-identical to a serial run -- tested).
     """
-    counters: dict[str, int] = {}
-    for cell in result.cells.values():
-        for m in cell.metrics:
-            for key, n in m.counters.items():
-                counters[key] = counters.get(key, 0) + n
+    counters = merge_counter_dicts(
+        m.counters for cell in result.cells.values() for m in cell.metrics
+    )
     manifest_extra: dict = {}
     if result.spans:
         # Bounded straggler/per-phase digest; the full span log (already
@@ -684,7 +674,6 @@ def sweep_manifest(result: SweepResult, name: str = "sweep") -> RunManifest:
             "points": [settings_to_dict(st) for st in result.points],
             "point_digests": list(result.point_digests),
             "seeds": list(result.seeds),
-            "threshold": result.threshold,
             "processes": result.processes,
             "chunksize": result.chunksize,
             "cache_hits": result.cache_hits,

@@ -9,7 +9,7 @@
   exact (branch & bound) and greedy.
 """
 
-from repro.geometry.arcs import Arc, ArcUnion
+from repro.geometry.arcs import Arc
 from repro.geometry.cover import (
     CoverGeometry,
     cover_angle,
@@ -21,7 +21,6 @@ from repro.geometry.mcs import minimum_cover_set, greedy_cover_set
 
 __all__ = [
     "Arc",
-    "ArcUnion",
     "CoverGeometry",
     "cover_angle",
     "is_disk_covered",

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 __all__ = [
     "Arc",
-    "ArcUnion",
     "arc_intervals",
     "covers_full_circle",
     "merge_intervals",
@@ -130,57 +128,3 @@ class Arc:
         """The arc as non-wrapping intervals within ``[0, 360]``."""
         return list(arc_intervals(self.start, self.extent))
 
-
-class ArcUnion:
-    """A union of arcs supporting coverage queries."""
-
-    def __init__(self, arcs: Iterable[Arc] = ()):
-        self.arcs: list[Arc] = []
-        for arc in arcs:
-            self.add(arc)
-
-    def add(self, arc: Arc) -> None:
-        self.arcs.append(arc)
-
-    def _merged_intervals(self) -> list[tuple[float, float]]:
-        """Merged, sorted, non-wrapping intervals of the union."""
-        raw: list[tuple[float, float]] = []
-        for arc in self.arcs:
-            raw.extend(arc.intervals())
-        return merge_intervals(raw)
-
-    @property
-    def is_full_circle(self) -> bool:
-        """Does the union cover all of ``[0, 360]``?  (Theorem 4's test.)"""
-        if any(arc.is_full for arc in self.arcs):
-            return True
-        return covers_full_circle(self._merged_intervals())
-
-    def measure(self) -> float:
-        """Total angular measure of the union, in degrees (<= 360)."""
-        if any(arc.is_full for arc in self.arcs):
-            return 360.0
-        return min(360.0, sum(hi - lo for lo, hi in self._merged_intervals()))
-
-    def contains(self, angle: float) -> bool:
-        return any(arc.contains(angle) for arc in self.arcs)
-
-    def gaps(self) -> list[tuple[float, float]]:
-        """Uncovered intervals of ``[0, 360)`` (diagnostics)."""
-        if self.is_full_circle:
-            return []
-        merged = self._merged_intervals()
-        if not merged:
-            return [(0.0, 360.0)]
-        out: list[tuple[float, float]] = []
-        if merged[0][0] > EPS:
-            out.append((0.0, merged[0][0]))
-        for (_, hi), (lo, _) in zip(merged, merged[1:]):
-            if lo - hi > EPS:
-                out.append((hi, lo))
-        if merged[-1][1] < 360.0 - EPS:
-            out.append((merged[-1][1], 360.0))
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"ArcUnion({self.arcs!r})"

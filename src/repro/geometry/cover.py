@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.geometry.arcs import (
     Arc,
-    ArcUnion,
     arc_intervals,
     covers_full_circle,
     merge_intervals,
@@ -44,7 +43,6 @@ from repro.geometry.arcs import (
 __all__ = [
     "CoverGeometry",
     "cover_angle",
-    "disk_cover_union",
     "is_disk_covered",
     "is_cover_set",
     "update_uncovered",
@@ -178,20 +176,6 @@ def _resolve(
     if geometry.positions is not positions or geometry.radius != radius:
         raise ValueError("geometry was built on other positions or another radius")
     return geometry
-
-
-def disk_cover_union(
-    p: Sequence[float],
-    covers: Iterable[Sequence[float]],
-    radius: float,
-) -> ArcUnion:
-    """Union of *p*'s cover angles for every point in *covers*."""
-    union = ArcUnion()
-    for q in covers:
-        arc = cover_angle(p, q, radius)
-        if arc is not None:
-            union.add(arc)
-    return union
 
 
 def is_disk_covered(

@@ -90,8 +90,10 @@ class Counters:
 
 def merge_counter_dicts(dicts: Iterable[Mapping[str, int]]) -> dict[str, int]:
     """Sum flat counter dicts (the per-seed ``RunMetrics.counters``) into
-    one total -- the pool-merge used by
-    :meth:`~repro.experiments.runner.MeanMetrics.from_runs`."""
+    one total -- the one dict sum behind
+    :meth:`~repro.experiments.runner.MeanMetrics.from_runs`, the sweep
+    manifest's counter totals and ``SweepResult.mac_profile`` (whose
+    per-run phase seconds sum the same way)."""
     out: dict[str, int] = {}
     for d in dicts:
         for key, n in d.items():

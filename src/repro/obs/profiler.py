@@ -61,7 +61,6 @@ from repro.obs.events import SimEvent
 __all__ = [
     "KernelPhaseProfiler",
     "PROFILE_PHASES",
-    "merge_phase_profiles",
     "format_phase_profile",
 ]
 
@@ -210,15 +209,6 @@ class KernelPhaseProfiler:
             "phase_seconds": ordered,
             "phase_events": dict(self.phase_events),
         }
-
-
-def merge_phase_profiles(profiles) -> dict[str, float]:
-    """Sum per-run ``phase_seconds`` dicts (the sweep's aggregation)."""
-    out: dict[str, float] = {}
-    for prof in profiles:
-        for key, seconds in prof.items():
-            out[key] = out.get(key, 0.0) + seconds
-    return out
 
 
 def format_phase_profile(

@@ -99,27 +99,25 @@ def digest_of(obj: Any, kind: str) -> str:
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
-def settings_digest(settings, threshold: float | None = None) -> str:
+def settings_digest(settings) -> str:
     """The store address of one sweep point.
 
-    *threshold* is the scoring override a sweep may carry; ``None`` means
-    "the settings' own threshold", and the digest uses the *effective*
-    value so an explicit override equal to the default addresses the same
-    cells.
+    The scoring threshold is hashed twice (inside the settings and beside
+    them) because that is the pinned canonical form: store addresses
+    written before the threshold lived only on the settings stay valid.
     """
-    effective = settings.threshold if threshold is None else threshold
-    return digest_of({"settings": settings, "threshold": effective}, kind="settings")
+    return digest_of({"settings": settings, "threshold": settings.threshold}, kind="settings")
 
 
 def scenario_digest(scenario) -> str:
     """Stable hash of a full :class:`~repro.experiments.scenario.Scenario`
-    (settings + protocols + seeds + effective scoring threshold)."""
+    (settings + protocols + seeds + scoring threshold)."""
     return digest_of(
         {
             "settings": scenario.settings,
             "protocols": list(scenario.protocols),
             "seeds": list(scenario.seeds),
-            "threshold": scenario.scoring_threshold,
+            "threshold": scenario.settings.threshold,
         },
         kind="scenario",
     )

@@ -177,8 +177,11 @@ def run_gate(
     """Rerun the baseline's campaign and compare; returns (report, SweepResult).
 
     *baseline* is the parsed results JSON of a previous sweep
-    (``SweepResult.as_dict()``); its points/protocols/seeds/threshold
-    define the grid, so the gate always compares like with like.
+    (``SweepResult.as_dict()``); its points/protocols/seeds define the
+    grid, so the gate always compares like with like.  Each point scores
+    at its own settings' threshold; a baseline carrying a non-null
+    top-level ``"threshold"`` (a retired scoring override) cannot be
+    rerun faithfully and raises ``ValueError``.
     """
     from repro.experiments.scenario import Scenario
     from repro.experiments.sweep import run_sweep
@@ -187,19 +190,18 @@ def run_gate(
     try:
         protocols = list(baseline["protocols"])
         seeds = list(baseline["seeds"])
-        threshold = baseline.get("threshold")
         points_payload = baseline["points"]
     except KeyError as exc:
         raise ValueError(
             f"baseline {baseline_ref} is missing key {exc}: not a sweep results JSON"
         ) from None
+    if baseline.get("threshold") is not None:
+        raise ValueError(
+            f"baseline {baseline_ref} has a scoring override in its \"threshold\" key "
+            f"({baseline['threshold']!r}); only each point's settings.threshold scores a run"
+        )
     points = [settings_from_dict(p["settings"]) for p in points_payload]
-    scenario = Scenario(
-        settings=points[0],
-        protocols=tuple(protocols),
-        seeds=tuple(seeds),
-        threshold=threshold,
-    )
+    scenario = Scenario(settings=points[0], protocols=tuple(protocols), seeds=tuple(seeds))
     result = run_sweep(scenario, points, processes=processes, store=store)
 
     checks: list[_Check] = []

@@ -15,6 +15,7 @@ from repro.experiments.figures import (
     figure8,
     table1,
 )
+from repro.metrics.aggregate import summarize_run
 from tests.experiments.reference_runner import reference_raws
 
 TINY = SimulationSettings(n_nodes=20, horizon=800, message_rate=0.002)
@@ -110,7 +111,10 @@ class TestSimulatedSweeps:
         for proto, ys in r.series.items():
             raws = reference_raws(proto, TINY, range(2))
             assert ys == [
-                mean(raw.metrics(threshold=th).delivery_rate for raw in raws)
+                mean(
+                    summarize_run(raw.requests, raw.stats, threshold=th).delivery_rate
+                    for raw in raws
+                )
                 for th in THRESHOLD_SWEEP
             ], proto
         assert figure8(settings=TINY, seeds=range(2), processes=2).series == r.series

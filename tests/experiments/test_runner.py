@@ -8,6 +8,7 @@ from repro.experiments.config import SimulationSettings
 from repro.experiments.runner import MeanMetrics, run, run_once, run_raw
 from repro.experiments.scenario import Scenario
 from repro.core.bmmm import BmmmMac
+from repro.metrics.aggregate import summarize_run
 
 #: Small but non-trivial settings for fast tests.
 SMALL = SimulationSettings(n_nodes=25, horizon=1500, message_rate=0.002)
@@ -35,8 +36,8 @@ class TestRunRaw:
 
     def test_rescoring_threshold(self):
         raw = run_raw(BmmmMac, SMALL, seed=0)
-        lax = raw.metrics(threshold=0.1).delivery_rate
-        strict = raw.metrics(threshold=1.0).delivery_rate
+        lax = summarize_run(raw.requests, raw.stats, threshold=0.1).delivery_rate
+        strict = summarize_run(raw.requests, raw.stats, threshold=1.0).delivery_rate
         assert lax >= strict
 
     def test_run_once_equals_raw_metrics(self):

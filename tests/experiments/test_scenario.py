@@ -5,12 +5,17 @@ One frozen :class:`repro.Scenario` is what every entry point takes
 signatures raise ``TypeError``.
 """
 
+import dataclasses
+import inspect
+
+import numpy as np
 import pytest
 
 from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings, protocol_class
-from repro.experiments.runner import run, run_once
+from repro.experiments.runner import RawRun, run, run_once
 from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import run_sweep
+from repro.store.digests import settings_digest
 
 SMALL = SimulationSettings(n_nodes=16, horizon=600, message_rate=0.003)
 
@@ -30,12 +35,40 @@ class TestNormalization:
         assert Scenario(seeds=range(3)).seeds == (0, 1, 2)
         assert Scenario(seeds=[4, 2]).seeds == (4, 2)
 
+    def test_numpy_integer_seeds_accepted(self):
+        sc = Scenario(seeds=np.arange(3))
+        assert sc.seeds == (0, 1, 2)
+        assert all(type(s) is int for s in sc.seeds)
+        assert Scenario(seeds=np.int64(5)).seeds == (5,)
+
+    @pytest.mark.parametrize(
+        "seeds,named",
+        [
+            ([0.5, 1.7], "0.5"),
+            ([2.0], "2.0"),
+            ([True], "True"),
+            (True, "True"),
+            (["3"], "'3'"),
+            ([-1], "-1"),
+        ],
+        ids=["fractional", "integral-float", "bool", "bare-bool", "string", "negative"],
+    )
+    def test_non_integer_seed_rejected(self, seeds, named):
+        """A seed names one RNG stream; nothing is silently coerced."""
+        with pytest.raises(ValueError, match=f"seed .*{named}"):
+            Scenario(seeds=seeds)
+
+    def test_repeated_seed_rejected(self):
+        """A repeated seed would count twice in every mean."""
+        with pytest.raises(ValueError, match=r"duplicate seeds in \(0, 1, 0\)"):
+            Scenario(seeds=[0, 1, 0])
+        with pytest.raises(ValueError, match="duplicate seeds"):
+            Scenario(seeds=[np.int64(4), 4])
+
     def test_defaults(self):
         sc = Scenario()
         assert sc.protocols == SIMULATED_PROTOCOLS
         assert sc.seeds == (0,)
-        assert sc.threshold is None
-        assert sc.scoring_threshold == sc.settings.threshold
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(KeyError, match="FROB"):
@@ -53,10 +86,11 @@ class TestNormalization:
         with pytest.raises(TypeError, match="SimulationSettings"):
             Scenario(settings={"n_nodes": 10})
 
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError, match="threshold"):
-            Scenario(threshold=0.0)
-        assert Scenario(threshold=1.0).scoring_threshold == 1.0
+    def test_threshold_lives_on_settings_alone(self):
+        """No scoring override beside ``settings.threshold``."""
+        with pytest.raises(TypeError, match="threshold"):
+            Scenario(threshold=0.5)
+        assert not hasattr(Scenario, "scoring_threshold")
 
     def test_singular_accessors_guard_plurality(self):
         sc = Scenario(protocols=("BMMM", "LAMM"), seeds=(0, 1))
@@ -118,15 +152,16 @@ class TestSweepScenario:
         assert result.points == [SMALL]
         assert result.mean(0, "BMMM").n_runs == 1
 
-    def test_scenario_threshold_flows_to_scoring(self):
-        sc = Scenario(settings=SMALL, protocols="BMMM", seeds=0, threshold=1.0)
-        strict = run_sweep(sc, processes=1).mean(0, "BMMM")
-        lax = run_sweep(sc.with_(threshold=None), processes=1).mean(0, "BMMM")
+    def test_settings_threshold_flows_to_scoring(self):
+        sc = Scenario(settings=SMALL.with_(threshold=1.0), protocols="BMMM", seeds=0)
+        strict = run_sweep(sc, processes=1).cell(0, "BMMM").metrics[0]
+        lax = run_sweep(sc.with_(settings=SMALL), processes=1).cell(0, "BMMM").metrics[0]
+        assert (strict.threshold, lax.threshold) == (1.0, SMALL.threshold)
         assert strict.delivery_rate <= lax.delivery_rate
 
-    def test_threshold_is_the_scenarios_alone(self):
-        """The scoring threshold travels on the Scenario; ``run_sweep``
-        has no keyword that could disagree with it."""
+    def test_threshold_is_the_settings_alone(self):
+        """The scoring threshold travels on each point's settings;
+        ``run_sweep`` has no keyword that could disagree with it."""
         with pytest.raises(TypeError, match="threshold"):
             run_sweep(Scenario(settings=SMALL, protocols="BMMM"), threshold=0.5)
 
@@ -165,6 +200,32 @@ class TestPublicSurface:
         assert not hasattr(repro, "run_protocol")
         assert isinstance(experiments.sweep, types.ModuleType)
         assert not hasattr(Scenario, "per_protocol")
+
+    def test_test_only_surfaces_stay_gone(self):
+        """Names whose only callers were tests left ``src``: a study is
+        ``degradation_points`` + ``run_sweep``, ``merge_counter_dicts`` is
+        the one dict sum, and ``ArcUnion`` is reference code in tests."""
+        import repro.experiments as experiments
+        import repro.geometry as geometry
+        from repro.experiments import degradation, sweep
+        from repro.geometry import arcs, cover
+        from repro.obs import profiler
+
+        gone = [
+            (experiments, "degradation_study"),
+            (degradation, "degradation_study"),
+            (profiler, "merge_phase_profiles"),
+            (geometry, "ArcUnion"),
+            (arcs, "ArcUnion"),
+            (cover, "disk_cover_union"),
+        ]
+        for module, name in gone:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in getattr(module, "__all__", ()), (module.__name__, name)
+        for cls in (Scenario, sweep.SweepJob, sweep.SweepResult):
+            assert "threshold" not in {f.name for f in dataclasses.fields(cls)}, cls
+        for fn in (sweep.plan_jobs, settings_digest, RawRun.metrics):
+            assert "threshold" not in inspect.signature(fn).parameters, fn
 
     def test_the_api_one_scenario_in_metrics_out(self):
         """The documented idiom works verbatim from the package root."""

@@ -133,10 +133,11 @@ class TestResume:
 
     def test_different_threshold_misses(self, cold):
         """The scoring threshold is part of the cell address: a rerun with
-        another threshold must recompute, not serve mis-scored cells."""
+        another ``settings.threshold`` must recompute, not serve
+        mis-scored cells."""
         _, _, path = cold
         rescored = run_sweep(
-            SCENARIO.with_(threshold=0.5), POINTS, processes=1, store=path
+            SCENARIO, [st.with_(threshold=0.5) for st in POINTS], processes=1, store=path
         )
         assert rescored.store_hits == 0
         assert rescored.store_misses == N_JOBS

@@ -1,4 +1,7 @@
-"""Tests for the degradation-study helpers (``repro.experiments.degradation``)."""
+"""Tests for the degradation-study helpers (``repro.experiments.degradation``).
+
+A study is ``degradation_points`` fed to ``run_sweep``, as ``repro-mac
+faults`` runs it."""
 
 import pytest
 
@@ -6,7 +9,6 @@ from repro.experiments.config import SimulationSettings
 from repro.experiments.degradation import (
     FAULT_AXES,
     degradation_points,
-    degradation_study,
     fault_plan_for,
 )
 from repro.faults import FaultPlan, GilbertElliott
@@ -67,13 +69,15 @@ class TestDegradationPoints:
 class TestDegradationStudy:
     def test_tiny_study_end_to_end(self):
         from repro.experiments.scenario import Scenario
+        from repro.experiments.sweep import run_sweep
 
         sc = Scenario(
             settings=SimulationSettings(n_nodes=16, horizon=500, message_rate=0.003),
             protocols=("BMMM", "LAMM"),
             seeds=(0,),
         )
-        result = degradation_study(sc, axis="burst", values=[0.0, 16.0], processes=1)
+        points = degradation_points(sc.settings, "burst", [0.0, 16.0])
+        result = run_sweep(sc, points, processes=1)
         benign = result.mean(0, "BMMM")
         bursty = result.mean(1, "BMMM")
         assert "faults.burst_losses" not in benign.counters

@@ -4,7 +4,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry.arcs import EPS, Arc, ArcUnion, merge_intervals, normalize_deg
+from repro.geometry.arcs import EPS, Arc, merge_intervals, normalize_deg
+from tests.geometry.reference_cover import ArcUnion
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 extents = st.floats(min_value=1e-6, max_value=360.0, allow_nan=False)

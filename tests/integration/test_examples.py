@@ -1,10 +1,11 @@
 """Smoke tests: the runnable examples must stay runnable.
 
-Only the fast examples run in the unit suite; the heavier ones are
-exercised manually / by CI at lower frequency.  Each example is executed
-in a subprocess exactly as a user would run it.
+Only the fast examples run in the unit suite; the heavier ones (``SLOW``)
+run in CI's ``examples-smoke`` job.  Each example is executed in a
+subprocess exactly as a user would run it.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,13 @@ def test_all_examples_exist_and_have_docstrings():
         head = p.read_text().split('"""')
         assert len(head) >= 3, f"{p.name} lacks a module docstring"
         assert "Run:" in head[1], f"{p.name} docstring lacks a Run: line"
+
+
+def test_every_example_runs_somewhere():
+    """Each example is FAST (run here) or SLOW and run by CI's
+    ``examples-smoke`` job, so none can rot unnoticed."""
+    ci = (EXAMPLES.parent / ".github" / "workflows" / "ci.yml").read_text()
+    job = re.search(r"^  examples-smoke:\n(.*?)(?=^  \S|\Z)", ci, re.M | re.S).group(1)
+    assert {p.name for p in EXAMPLES.glob("*.py")} == set(FAST + SLOW)
+    for name in SLOW:
+        assert f"python examples/{name}" in job, name

@@ -21,6 +21,7 @@ from statistics import mean
 from repro.experiments.config import SimulationSettings, protocol_class
 from repro.experiments.runner import run_raw
 from repro.mac.base import MessageKind, MessageStatus
+from repro.metrics.aggregate import summarize_run
 
 SETTINGS = SimulationSettings(n_nodes=50, horizon=3000, message_rate=0.002)
 SEEDS = (0, 1)
@@ -36,8 +37,11 @@ def runs(proto):
     return _cache[proto]
 
 
-def metric(proto, name, threshold=None):
-    return mean(getattr(r.metrics(threshold), name) for r in runs(proto))
+def metric(proto, name, threshold=SETTINGS.threshold):
+    return mean(
+        getattr(summarize_run(r.requests, r.stats, threshold=threshold), name)
+        for r in runs(proto)
+    )
 
 
 class TestReliabilityOrdering:

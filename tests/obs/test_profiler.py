@@ -4,12 +4,13 @@ import pytest
 
 from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings, protocol_class
 from repro.experiments.runner import run_raw
+from repro.experiments.scenario import Scenario
+from repro.experiments.sweep import run_sweep
 from repro.obs.events import SimEvent
 from repro.obs.profiler import (
     PROFILE_PHASES,
     KernelPhaseProfiler,
     format_phase_profile,
-    merge_phase_profiles,
 )
 from repro.sim.kernel import Environment
 
@@ -153,12 +154,29 @@ class TestNoOpDiscipline:
 
 
 class TestHelpers:
-    def test_merge_phase_profiles(self):
-        merged = merge_phase_profiles(
-            [{"data": 1.0, "idle": 0.5}, {"data": 2.0, "rts": 0.25}]
-        )
-        assert merged == {"data": 3.0, "idle": 0.5, "rts": 0.25}
-        assert merge_phase_profiles([]) == {}
+    def test_sweep_profile_is_the_sum_of_its_jobs(self, monkeypatch):
+        """``SweepResult.mac_profile[proto]`` sums that protocol's per-job
+        ``mac_profile`` dicts, in planned-job order."""
+        import repro.experiments.sweep as sweep_mod
+
+        jobs = []
+        real_run_job = sweep_mod.run_job
+
+        def recording_run_job(job, cache=None):
+            jobs.append(real_run_job(job, cache))
+            return jobs[-1]
+
+        monkeypatch.setattr(sweep_mod, "run_job", recording_run_job)
+        sc = Scenario(settings=SETTINGS, protocols=("BMMM", "LAMM"), seeds=(0, 1))
+        result = run_sweep(sc, processes=1, profile=True)
+        assert len(jobs) == 4
+        for proto in sc.protocols:
+            expected: dict[str, float] = {}
+            for res in jobs:
+                if res.protocol == proto:
+                    for phase, seconds in res.mac_profile.items():
+                        expected[phase] = expected.get(phase, 0.0) + seconds
+            assert expected and result.mac_profile[proto] == expected, proto
 
     def test_format_phase_profile(self):
         out = format_phase_profile({"data": 3.0, "idle": 1.0}, title="t")

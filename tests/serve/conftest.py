@@ -22,12 +22,12 @@ def fingerprint():
 
 @pytest.fixture(scope="session")
 def point_digests():
-    return [settings_digest(p, SCENARIO.threshold) for p in POINTS]
+    return [settings_digest(p) for p in POINTS]
 
 
 @pytest.fixture(scope="session")
 def planned_jobs():
-    return plan_jobs(SCENARIO.protocols, POINTS, SCENARIO.seeds, SCENARIO.threshold)
+    return plan_jobs(SCENARIO.protocols, POINTS, SCENARIO.seeds)
 
 
 def enqueue_plan(store, campaign, jobs, digests, fingerprint):

@@ -163,7 +163,7 @@ class TestKillCoordinator:
             from repro.store.digests import code_fingerprint, settings_digest
 
             jobs = plan_jobs(SCENARIO.protocols, POINTS, SCENARIO.seeds)
-            digests = [settings_digest(p, SCENARIO.threshold) for p in POINTS]
+            digests = [settings_digest(p) for p in POINTS]
             enqueue_plan(store, "c", jobs, digests, code_fingerprint())
             work_campaign(store, "c", worker_id="w", max_cells=3, poll_s=0.01)
             assert store.queue_counts("c")["done"] == 3

@@ -27,6 +27,7 @@ from repro.store.digests import (
     canonical_json,
     canonical_payload,
     code_fingerprint,
+    digest_of,
     git_commit,
     settings_digest,
 )
@@ -69,17 +70,23 @@ class TestInvariance:
             {"a": [2, 3], "b": 1}
         )
 
-    def test_threshold_none_equals_settings_threshold(self):
+    def test_settings_threshold_moves_settings_digest(self):
+        """The scoring threshold lives on the settings alone, and the
+        address keeps its pinned form with the threshold beside them."""
         s = SimulationSettings()
-        assert settings_digest(s, None) == settings_digest(s, s.threshold)
-        assert settings_digest(s, 0.5) != settings_digest(s)
+        assert settings_digest(s) == digest_of(
+            {"settings": s, "threshold": s.threshold}, kind="settings"
+        )
+        assert settings_digest(s.with_(threshold=0.5)) != settings_digest(s)
 
-    def test_scenario_digest_uses_effective_threshold(self):
+    def test_settings_threshold_moves_scenario_digest(self):
         s = SimulationSettings()
         a = Scenario(settings=s, protocols=("BMMM",), seeds=(0, 1))
-        b = a.with_(threshold=s.threshold)
-        assert a.digest() == b.digest()
-        assert a.digest() != a.with_(threshold=0.5).digest()
+        assert a.digest() == digest_of(
+            {"settings": s, "protocols": ["BMMM"], "seeds": [0, 1], "threshold": s.threshold},
+            kind="scenario",
+        )
+        assert a.digest() != a.with_(settings=s.with_(threshold=0.5)).digest()
         assert a.digest() != a.with_(seeds=(0, 2)).digest()
         assert a.digest() != a.with_(protocols=("LAMM",)).digest()
 

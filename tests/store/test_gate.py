@@ -129,6 +129,22 @@ class TestVerdicts:
         with pytest.raises(ValueError, match="not a sweep results JSON"):
             run_gate({"protocols": ["BMMM"]}, baseline_ref="broken")
 
+    def test_absent_or_null_threshold_key_accepted(self, baseline):
+        """Results JSON no longer carries a top-level ``"threshold"``;
+        older baselines (both committed ones) record it as ``null``."""
+        assert "threshold" not in baseline
+        legacy = {**baseline, "threshold": None}
+        report, _ = run_gate(legacy, baseline_ref="legacy")
+        assert report.passed
+
+    def test_threshold_override_baseline_raises(self, baseline):
+        """A non-null ``"threshold"`` was a scoring override; each point
+        now scores at its own ``settings.threshold``, so such a baseline
+        cannot be rerun faithfully."""
+        overridden = {**baseline, "threshold": 0.5}
+        with pytest.raises(ValueError, match='"threshold".*0.5'):
+            run_gate(overridden, baseline_ref="override")
+
 
 class TestReport:
     def test_report_is_json_ready_and_stamped(self, baseline, tmp_path):
