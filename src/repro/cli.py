@@ -47,16 +47,18 @@ kernel phase profiler, attributing simulate wall clock to MAC phases
 --profile`` prints the same attribution for a single run.
 
 The distributed campaign service (``docs/serve.md``): ``repro-mac
-serve`` runs the same grid as ``sweep`` but dispatches pending cells
-through the results store's lease queue, where ``repro-mac work``
-processes -- on this host (``--workers N`` spawns them) or any host that
-can reach the store file -- lease, simulate and commit them; the merged
-results are bit-identical to a serial run, killed workers' leases expire
-and are reclaimed, and a killed coordinator reruns with zero
-recomputation.  ``repro-mac store stats|prune|vacuum`` is the store
-maintenance view: cell counts by protocol and code fingerprint, hit
-totals, database size, queue backlog; prune evicts stale-fingerprint
-cells and vacuum compacts the file.
+serve`` runs the same grid as ``sweep`` -- through ``run_sweep`` with a
+``ServeBackend`` -- but dispatches pending cells through the results
+store's lease queue, named by ``--name``.  ``repro-mac work --campaign
+NAME`` processes -- on this host (``--workers N`` spawns them) or any
+host that can reach the store file -- lease, simulate and commit them,
+each writing heartbeats under ``<store>.workers/``.  The merged results
+are bit-identical to a serial run, killed workers' leases expire and are
+reclaimed, and a killed coordinator reruns with zero recomputation.
+``repro-mac store stats|prune|vacuum`` is the store maintenance view:
+cell counts by protocol and code fingerprint, hit totals, database size,
+queue backlog; prune evicts stale-fingerprint cells and vacuum compacts
+the file.
 
 Subcommands report user errors (unknown protocol, missing baseline or
 telemetry file, malformed JSON) as a one-line message on stderr and a
@@ -316,7 +318,8 @@ def _add_grid_arguments(
     )
     parser.add_argument(
         "--name", default=name, metavar="NAME",
-        help=f"basename for the result/manifest/BENCH files (default: {name})",
+        help=f"basename for the result/manifest/BENCH files, and the campaign "
+        f"name of the telemetry stream and of serve's queue (default: {name})",
     )
     parser.add_argument(
         "--out", default="results", metavar="DIR",
@@ -452,10 +455,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_axis_arguments(parser)
-    parser.add_argument(
-        "--chunksize", type=int, default=None, metavar="N",
-        help="jobs per pool chunk (default: whole (point, seed) cells)",
-    )
     _add_grid_arguments(parser, name="sweep")
     return parser
 
@@ -465,9 +464,7 @@ def _sweep_main(argv: list[str]) -> int:
 
     args = build_sweep_parser().parse_args(argv)
     values, points = _axis_grid(args)
-    result = run_sweep(
-        _grid_scenario(args), points, chunksize=args.chunksize, **_grid_kwargs(args)
-    )
+    result = run_sweep(_grid_scenario(args), points, **_grid_kwargs(args))
     return _finish_grid(args, result, args.axis, values)
 
 
@@ -952,11 +949,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(default 0: wait for externally attached workers)",
     )
     parser.add_argument(
-        "--campaign", default=None, metavar="NAME",
-        help="queue namespace in the store (default: --name); workers "
-        "attach with 'repro-mac work --campaign NAME'",
-    )
-    parser.add_argument(
         "--lease-ttl", type=float, default=30.0, metavar="S",
         help="lease expiry horizon handed to spawned workers and used for "
         "reclamation (default 30s; must exceed one cell's simulate time)",
@@ -971,11 +963,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="fail if no cell is committed for S seconds (default: wait "
         "forever -- daemon mode, workers come and go)",
     )
-    parser.add_argument(
-        "--worker-dir", default=None, metavar="DIR",
-        help="directory for per-worker telemetry streams (default: "
-        "<store>.workers/)",
-    )
     _add_grid_arguments(parser, name="serve", jobs=False, store=False)
     return parser
 
@@ -986,19 +973,17 @@ def _serve_main(argv: list[str]) -> int:
 
     args = build_serve_parser().parse_args(argv)
     values, points = _axis_grid(args)
-    campaign = args.campaign or args.name
     backend = ServeBackend(
-        campaign=campaign,
         lease_ttl=args.lease_ttl,
         poll_s=args.poll,
         spawn_workers=args.workers,
         wait_timeout=args.wait_timeout,
-        worker_dir=args.worker_dir,
     )
-    kwargs = {**_grid_kwargs(args), "campaign": campaign}
-    result = run_sweep(_grid_scenario(args), points, backend=backend, **kwargs)
+    result = run_sweep(
+        _grid_scenario(args), points, backend=backend, **_grid_kwargs(args)
+    )
     print(
-        f"[campaign {campaign}: {backend.workers_seen} workers, "
+        f"[campaign {args.name}: {backend.workers_seen} workers, "
         f"{backend.reclaimed} leases reclaimed]"
     )
     return _finish_grid(
@@ -1008,7 +993,7 @@ def _serve_main(argv: list[str]) -> int:
         values,
         extra={
             "kind": "serve",
-            "campaign": campaign,
+            "campaign": args.name,
             "workers_seen": backend.workers_seen,
             "leases_reclaimed": backend.reclaimed,
         },
@@ -1023,7 +1008,8 @@ def build_work_parser() -> argparse.ArgumentParser:
             "Run one campaign worker: lease batches of pending cells from "
             "the store, simulate each through the same run_job path the "
             "process pool uses, and commit every result atomically with "
-            "its lease transition.  Exits when the campaign completes; a "
+            "its lease transition; heartbeats go to <store>.workers/.  "
+            "Exits when the campaign completes or has been collected; a "
             "killed worker's leases simply expire and its cells are "
             "reclaimed."
         ),
@@ -1034,17 +1020,12 @@ def build_work_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--campaign", required=True, metavar="NAME",
-        help="campaign queue to serve (the coordinator's --campaign)",
+        help="campaign queue to serve (the coordinator's --name)",
     )
     parser.add_argument(
         "--id", default=None, metavar="WID",
         help="worker identity in leases and telemetry (default: "
         "<hostname>-<pid>)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=0, metavar="N",
-        help="cells leased per request (default 4; the store shrinks "
-        "grants near the queue's tail)",
     )
     parser.add_argument(
         "--lease-ttl", type=float, default=30.0, metavar="S",
@@ -1063,24 +1044,12 @@ def build_work_parser() -> argparse.ArgumentParser:
         help="exit after S seconds with nothing to lease (default: wait "
         "forever for work)",
     )
-    parser.add_argument(
-        "--commit-every", type=int, default=1, metavar="N",
-        help="commit results every N cells (default 1: per-cell "
-        "durability; raise to trade crash exposure for fewer commits)",
-    )
-    parser.add_argument(
-        "--telemetry-dir", default=None, metavar="DIR",
-        help="write a per-worker heartbeat stream under DIR for the "
-        "coordinator to fold into its campaign telemetry (default: "
-        "<store>.workers/ next to the store; pass 'none' to disable)",
-    )
     return parser
 
 
 def _work_main(argv: list[str]) -> int:
     from pathlib import Path
 
-    from repro.serve.service import worker_stream_dir
     from repro.serve.worker import work_campaign
 
     args = build_work_parser().parse_args(argv)
@@ -1089,21 +1058,14 @@ def _work_main(argv: list[str]) -> int:
             f"no results store at {args.store}; start the coordinator "
             "('repro-mac serve --store PATH') first"
         )
-    if args.telemetry_dir is None:
-        args.telemetry_dir = str(worker_stream_dir(args.store))
-    elif args.telemetry_dir.lower() == "none":
-        args.telemetry_dir = None
     report = work_campaign(
         args.store,
         args.campaign,
         worker_id=args.id,
-        batch=args.batch,
         lease_ttl=args.lease_ttl,
         poll_s=args.poll,
         max_cells=args.max_cells,
         idle_timeout=args.idle_timeout,
-        commit_every=args.commit_every,
-        telemetry_dir=args.telemetry_dir,
     )
     print(
         f"[worker {report.worker_id} campaign {report.campaign}: "

@@ -263,17 +263,15 @@ class PoolBackend(DispatchBackend):
     """
 
     processes: int | None = None
-    chunksize: int | None = None
 
     def run(self, pending, record, ctx: DispatchContext) -> tuple[int, int]:
         if self.processes == 1 or len(pending) == 1:
-            cs = self.chunksize or len(ctx.protocols)
             cache = WorldCache()
             for job in pending:
                 record(run_job(job, cache))
-            return 1, cs
+            return 1, len(ctx.protocols)
         workers = min(self.processes or os.cpu_count() or 1, len(pending))
-        cs = self.chunksize or len(ctx.protocols) * auto_chunksize(ctx.n_cells, workers)
+        cs = len(ctx.protocols) * auto_chunksize(ctx.n_cells, workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for res in pool.map(_sweep_worker, pending, chunksize=cs):
                 record(res)
@@ -408,7 +406,6 @@ def run_sweep(
     points: Sequence[SimulationSettings] | None = None,
     *,
     processes: int | None = None,
-    chunksize: int | None = None,
     store=None,
     telemetry=None,
     profile: bool = False,
@@ -424,10 +421,9 @@ def run_sweep(
 
     ``processes=None`` uses ``os.cpu_count()``; ``processes=1`` runs
     in-process (with the same world cache, still bit-identical).  The
-    chunksize defaults to whole ``(point, seed)`` cells --
+    pool's chunksize is whole ``(point, seed)`` cells --
     :func:`auto_chunksize` over cells, times ``len(protocols)`` -- so
-    worker caches see every protocol of a cell; pass *chunksize* (in
-    jobs) to override.
+    worker caches see every protocol of a cell.
 
     *store* (a :class:`~repro.store.db.ResultStore` or a path, opened --
     and then closed -- on your behalf) consults the content-addressed
@@ -449,7 +445,7 @@ def run_sweep(
     (pinned by ``tests/experiments/test_sweep_telemetry.py``).
 
     *backend* chooses how the pending jobs execute: the default is
-    :class:`PoolBackend` (built from *processes*/*chunksize*); the
+    :class:`PoolBackend` (built from *processes*); the
     distributed campaign service passes
     :class:`repro.serve.ServeBackend`, which enqueues the cells into the
     store's lease queue and collects what remote workers commit.
@@ -508,7 +504,7 @@ def run_sweep(
         commit_spans: dict[tuple[int, str, int], float] = {}
 
         if backend is None:
-            backend = PoolBackend(processes=processes, chunksize=chunksize)
+            backend = PoolBackend(processes=processes)
 
         def record(res: JobResult) -> None:
             # Commit-per-cell: a kill between cells loses nothing.  A
@@ -529,7 +525,7 @@ def run_sweep(
 
         if not pending:
             workers = 0
-            cs = chunksize or len(protocols)
+            cs = len(protocols)
         else:
             ctx = DispatchContext(
                 protocols=list(protocols),

@@ -98,33 +98,6 @@ class Arc:
             raise ValueError(f"extent must be in (0, 360], got {self.extent}")
         object.__setattr__(self, "start", normalize_deg(self.start))
 
-    @classmethod
-    def from_endpoints(cls, alpha: float, beta: float) -> "Arc":
-        """Arc from *alpha* counter-clockwise to *beta* (paper's
-        ``[angle(cpa), angle(cpb)]`` notation).  Equal endpoints denote the
-        full circle."""
-        return cls(*span_from_endpoints(alpha, beta))
-
-    @classmethod
-    def full(cls) -> "Arc":
-        return cls(0.0, 360.0)
-
     @property
     def end(self) -> float:
         return normalize_deg(self.start + self.extent)
-
-    @property
-    def is_full(self) -> bool:
-        return self.extent >= 360.0 - EPS
-
-    def contains(self, angle: float, eps: float = EPS) -> bool:
-        """Is *angle* on the arc (inclusive, with slack)?"""
-        if self.is_full:
-            return True
-        offset = normalize_deg(angle - self.start)
-        return offset <= self.extent + eps or offset >= 360.0 - eps
-
-    def intervals(self) -> list[tuple[float, float]]:
-        """The arc as non-wrapping intervals within ``[0, 360]``."""
-        return list(arc_intervals(self.start, self.extent))
-

@@ -28,52 +28,35 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
-from repro.experiments.sweep import (
-    DispatchBackend,
-    DispatchContext,
-    SweepResult,
-    run_sweep,
-)
+from repro.experiments.sweep import DispatchBackend, DispatchContext
 from repro.obs.telemetry import load_telemetry
-from repro.serve.worker import DEFAULT_LEASE_TTL
+from repro.serve.worker import DEFAULT_LEASE_TTL, worker_stream_dir
 from repro.store.db import StoreError
 
-__all__ = ["ServeBackend", "serve_campaign", "worker_stream_dir"]
-
-
-def worker_stream_dir(store_path: str | Path) -> Path:
-    """Where workers drop their telemetry streams: ``<store>.workers/``.
-
-    A *convention*, not configuration: workers and coordinator derive it
-    from the one thing they already share (the store path), so folding
-    needs no extra plumbing.
-    """
-    return Path(f"{store_path}.workers")
+__all__ = ["ServeBackend"]
 
 
 @dataclass
 class ServeBackend(DispatchBackend):
     """Dispatch pending cells through the store's lease queue.
 
-    Plug into :func:`~repro.experiments.sweep.run_sweep` (or use the
-    :func:`serve_campaign` wrapper).  Requires ``store=``; workers attach
-    by pointing ``repro-mac work`` at the same store path and campaign
-    name.  ``spawn_workers=N`` additionally launches N local worker
-    processes for single-host distributed runs (and the CI smoke job).
+    ``run_sweep(scenario, points, store=path, campaign=name,
+    backend=ServeBackend())`` is the one way to run a distributed
+    campaign.  Requires ``store=``; *campaign* names the queue, and
+    workers attach by pointing ``repro-mac work`` at the same store path
+    and campaign name.  ``spawn_workers=N`` additionally launches N
+    local worker processes for single-host distributed runs.
 
     *wait_timeout* bounds how long the coordinator tolerates **zero
     progress** (no newly committed cell); ``None`` waits forever --
     appropriate for a daemon whose workers come and go.
     """
 
-    campaign: str | None = None
     lease_ttl: float = DEFAULT_LEASE_TTL
     poll_s: float = 0.5
     spawn_workers: int = 0
     wait_timeout: float | None = None
-    worker_dir: str | Path | None = None
     #: Filled in by :meth:`run` for the caller's reporting.
     workers_seen: int = field(default=0, init=False)
     reclaimed: int = field(default=0, init=False)
@@ -86,7 +69,7 @@ class ServeBackend(DispatchBackend):
         if store is None:
             raise ValueError("ServeBackend needs run_sweep(..., store=...): the "
                              "store is the coordination substrate")
-        campaign = self.campaign or ctx.campaign
+        campaign = ctx.campaign
         fingerprint = ctx.fingerprint
 
         store.enqueue_jobs(
@@ -98,11 +81,7 @@ class ServeBackend(DispatchBackend):
             fingerprint,
         )
 
-        worker_dir: Path | None = None
-        if self.worker_dir is not None:
-            worker_dir = Path(self.worker_dir)
-        elif store.path != ":memory:":
-            worker_dir = worker_stream_dir(store.path)
+        worker_dir = None if store.path == ":memory:" else worker_stream_dir(store.path)
 
         procs: list[subprocess.Popen] = []
         logs = []
@@ -145,7 +124,6 @@ class ServeBackend(DispatchBackend):
             str(min(self.poll_s, 0.5)),
         ]
         if worker_dir is not None:
-            cmd += ["--telemetry-dir", str(worker_dir)]
             worker_dir.mkdir(parents=True, exist_ok=True)
             log = (worker_dir / f"{campaign}.spawn{index}.log").open("w")
             stdout = log
@@ -205,10 +183,7 @@ class ServeBackend(DispatchBackend):
     def _fold_streams(self, ctx: DispatchContext, campaign: str, worker_dir) -> None:
         """Tail every worker stream and fold new records into the
         campaign stream (heartbeats, commit spans -- not metas/ends)."""
-        if ctx.telemetry is None or worker_dir is None:
-            return
-        worker_dir = Path(worker_dir)
-        if not worker_dir.is_dir():
+        if ctx.telemetry is None or worker_dir is None or not worker_dir.is_dir():
             return
         for path in sorted(worker_dir.glob(f"{campaign}.*.jsonl")):
             try:
@@ -232,48 +207,3 @@ class ServeBackend(DispatchBackend):
                     proc.wait(timeout=5)
                 except subprocess.TimeoutExpired:
                     proc.kill()
-
-
-def serve_campaign(
-    scenario,
-    points: Sequence | None = None,
-    *,
-    store,
-    campaign: str = "serve",
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    poll_s: float = 0.5,
-    spawn_workers: int = 0,
-    wait_timeout: float | None = None,
-    worker_dir: str | Path | None = None,
-    telemetry=None,
-    profile: bool = False,
-) -> SweepResult:
-    """Coordinate a distributed campaign; returns the merged SweepResult.
-
-    ``serve_campaign(Scenario(...), points, store=path)`` is
-    :func:`~repro.experiments.sweep.run_sweep` with a
-    :class:`ServeBackend`: already-committed cells are served from the
-    store (killed-coordinator resume), the rest are enqueued for workers
-    (``repro-mac work`` against the same store/campaign, or
-    ``spawn_workers=N`` local ones), and the merge is bit-identical to a
-    serial run.  *telemetry* works exactly as in ``run_sweep``, with
-    worker heartbeat streams folded in.
-    """
-    backend = ServeBackend(
-        campaign=campaign,
-        lease_ttl=lease_ttl,
-        poll_s=poll_s,
-        spawn_workers=spawn_workers,
-        wait_timeout=wait_timeout,
-        worker_dir=worker_dir,
-    )
-    result = run_sweep(
-        scenario,
-        points,
-        store=store,
-        telemetry=telemetry,
-        profile=profile,
-        campaign=campaign,
-        backend=backend,
-    )
-    return result

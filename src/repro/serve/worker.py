@@ -20,9 +20,13 @@ Kill-anywhere discipline:
 * killed between commit and the next lease -- the result row and the
   ``done`` state both exist; nothing is lost or repeated.
 
-The only progress a kill can discard is the cells of the current batch
-that were computed but not yet committed -- bound it with
-``commit_every=1`` (the default: commit each cell as it finishes).
+Each cell commits the moment it finishes, so the only progress a kill
+can discard is the one cell being computed.
+
+Every worker writes its heartbeat stream to
+``<store>.workers/<campaign>.<worker_id>.jsonl`` (:func:`worker_stream_dir`;
+none for a ``:memory:`` store), where the coordinator folds it into the
+campaign stream.
 
 Workers only lease cells enqueued under their own code fingerprint: a
 worker running different code ignores (and reports) foreign cells rather
@@ -39,11 +43,21 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs.records import JsonlWriter
-from repro.obs.telemetry import TELEMETRY_META_ETYPE, TELEMETRY_SCHEMA_VERSION
+from repro.obs.telemetry import (
+    TELEMETRY_META_ETYPE,
+    TELEMETRY_SCHEMA_VERSION,
+    cell_key,
+)
 from repro.store.db import LeasedCell, ResultStore
 from repro.store.digests import code_fingerprint
 
-__all__ = ["WorkerReport", "work_campaign", "DEFAULT_BATCH", "DEFAULT_LEASE_TTL"]
+__all__ = [
+    "WorkerReport",
+    "work_campaign",
+    "worker_stream_dir",
+    "DEFAULT_BATCH",
+    "DEFAULT_LEASE_TTL",
+]
 
 #: Cells requested per lease call; the store may grant fewer near the
 #: queue's tail (backpressure-aware chunking -- see ``lease_cells``).
@@ -53,6 +67,16 @@ DEFAULT_BATCH = 4
 DEFAULT_LEASE_TTL = 30.0
 #: Heartbeat records are throttled to at most one per this many seconds.
 _HEARTBEAT_INTERVAL_S = 0.5
+
+
+def worker_stream_dir(store_path: str | Path) -> Path:
+    """Where workers drop their telemetry streams: ``<store>.workers/``.
+
+    A convention, not configuration: workers and coordinator derive it
+    from the one thing they already share (the store path), so folding
+    needs no extra plumbing.
+    """
+    return Path(f"{store_path}.workers")
 
 
 def default_worker_id() -> str:
@@ -150,59 +174,46 @@ class _WorkerStream:
         self._out.close()
 
 
-def _cell_name(cell: LeasedCell) -> str:
-    """The stream's cell label for a leased queue entry."""
-    job = cell.job
-    point = getattr(job, "point", "?")
-    return f"p{point}:{cell.protocol}:s{cell.seed}"
-
-
 def work_campaign(
     store: ResultStore | str | Path,
     campaign: str,
     *,
     worker_id: str | None = None,
-    batch: int = 0,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     poll_s: float = 0.2,
     max_cells: int | None = None,
     idle_timeout: float | None = None,
-    commit_every: int = 1,
-    telemetry_dir: str | Path | None = None,
     on_cell: Callable[[LeasedCell, Any], None] | None = None,
     _clock: Callable[[], float] = time.time,
     _sleep: Callable[[float], None] = time.sleep,
 ) -> WorkerReport:
     """Run the worker loop until *campaign* completes (or limits hit).
 
-    Leases up to *batch* cells at a time (default
-    :data:`DEFAULT_BATCH`; the store shrinks grants near the tail),
-    renews its leases between cells, and commits results with
-    :meth:`~repro.store.db.ResultStore.complete_cells` every
-    *commit_every* cells (default 1: per-cell durability; raise it to
-    trade crash exposure for fewer fsyncs on huge grids).
+    Leases up to :data:`DEFAULT_BATCH` cells at a time (the store shrinks
+    grants near the tail), renews its leases between cells, and commits
+    each result with :meth:`~repro.store.db.ResultStore.complete_cells`
+    as soon as it is computed.
 
-    Exit conditions: the campaign's queue is fully ``done``; the queue
-    disappears after this worker saw it (the coordinator collected and
-    cleared it); *max_cells* processed; or nothing to do for
-    *idle_timeout* seconds (``None`` = wait forever for work).
+    Exit conditions: the campaign's queue is fully ``done``; the
+    coordinator has collected and cleared the campaign
+    (:meth:`~repro.store.db.ResultStore.campaign_collected`) -- whether
+    or not this worker ever saw its queue; *max_cells* processed; or
+    nothing to do for *idle_timeout* seconds (``None`` = wait forever
+    for a campaign that has not been enqueued yet).
 
-    *telemetry_dir* enables the per-worker heartbeat stream the
-    coordinator folds into the campaign stream.  *on_cell* is a test
-    hook called after each cell is computed, before it is committed --
-    raising from it models a worker dying mid-lease.
+    *on_cell* is a test hook called after each cell is computed, before
+    it is committed -- raising from it models a worker dying mid-lease.
     """
     opened = None
     if not isinstance(store, ResultStore):
         store = opened = ResultStore(store)
     wid = worker_id or default_worker_id()
-    want = batch if batch > 0 else DEFAULT_BATCH
     fingerprint = code_fingerprint()
     report = WorkerReport(worker_id=wid, campaign=campaign)
     stream = None
-    if telemetry_dir is not None:
+    if store.path != ":memory:":
         stream = _WorkerStream(
-            Path(telemetry_dir) / f"{campaign}.{wid}.jsonl", campaign, wid
+            worker_stream_dir(store.path) / f"{campaign}.{wid}.jsonl", campaign, wid
         )
 
     # Imported here, not at module top: workers are spawned as fresh
@@ -213,7 +224,6 @@ def work_campaign(
     cache = WorldCache()
     t_start = _clock()
     last_activity = t_start
-    seen_queue = False
     last_cell = "?"
     graceful = False
     try:
@@ -221,18 +231,15 @@ def work_campaign(
             if max_cells is not None and report.cells_done >= max_cells:
                 break
             cells = store.lease_cells(
-                campaign, wid, want, lease_ttl, fingerprint, now=_clock()
+                campaign, wid, DEFAULT_BATCH, lease_ttl, fingerprint, now=_clock()
             )
             if not cells:
                 counts = store.queue_counts(campaign, now=_clock())
                 if counts["total"] == 0:
-                    if seen_queue:
+                    if store.campaign_collected(campaign):
                         break  # campaign collected and cleared -- done
                 elif counts["done"] == counts["total"]:
-                    seen_queue = True
                     break  # every cell committed; coordinator will merge
-                else:
-                    seen_queue = True  # others hold leases; wait our turn
                 if (
                     idle_timeout is not None
                     and _clock() - last_activity > idle_timeout
@@ -248,42 +255,26 @@ def work_campaign(
                 _sleep(poll_s)
                 continue
 
-            seen_queue = True
             report.leases_taken += 1
-            uncommitted: list[tuple[LeasedCell, Any]] = []
-
-            def flush() -> None:
-                if not uncommitted:
-                    return
-                t0 = time.perf_counter()
-                store.complete_cells(
-                    campaign,
-                    [
-                        (c.scenario_digest, c.protocol, c.seed, res)
-                        for c, res in uncommitted
-                    ],
-                    fingerprint,
-                    wid,
-                )
-                if stream is not None:
-                    stream.commit_span(
-                        _cell_name(uncommitted[-1][0]), time.perf_counter() - t0
-                    )
-                uncommitted.clear()
-
             for i, cell in enumerate(cells):
                 # Keep every held lease alive while this cell simulates.
                 store.renew_leases(campaign, wid, lease_ttl, now=_clock())
                 res = run_job(cell.job, cache)
                 if on_cell is not None:
                     on_cell(cell, res)
-                uncommitted.append((cell, res))
-                if len(uncommitted) >= max(1, commit_every):
-                    flush()
+                t0 = time.perf_counter()
+                store.complete_cells(
+                    campaign,
+                    [(cell.scenario_digest, cell.protocol, cell.seed, res)],
+                    fingerprint,
+                    wid,
+                )
+                last_cell = cell_key(cell.job.point, cell.protocol, cell.seed)
+                if stream is not None:
+                    stream.commit_span(last_cell, time.perf_counter() - t0)
                 report.cells_done += 1
                 report.simulate_s += res.timings.get("simulate", 0.0)
                 last_activity = _clock()
-                last_cell = _cell_name(cell)
                 if stream is not None:
                     stream.heartbeat(
                         jobs_done=report.cells_done,
@@ -293,7 +284,6 @@ def work_campaign(
                     )
                 if max_cells is not None and report.cells_done >= max_cells:
                     break
-            flush()
             # A cell granted on its 2nd+ attempt was stolen from a lease
             # that expired -- the kill-recovery path, worth reporting.
             report.cells_stolen += sum(1 for c in cells if c.attempts > 1)

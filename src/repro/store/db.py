@@ -9,12 +9,13 @@ merged results stay bit-identical to a cold run (pinned by
 ``tests/experiments/test_sweep_store.py``).
 
 Durability discipline: every :meth:`ResultStore.put` commits immediately,
-and :meth:`ResultStore.put_many` commits a whole batch in **one**
-transaction -- a crash mid-batch rolls the entire batch back, so no
-partial cell is ever served (pinned by ``tests/store/test_store.py``).
-A campaign killed mid-grid therefore keeps every finished cell, and the
-rerun dispatches only the missing ones -- that is the whole resumability
-story, there is no separate checkpoint format.
+and :meth:`ResultStore.complete_cells` commits a worker's results together
+with their lease transitions in **one** transaction -- a crash mid-commit
+rolls all of it back, so no partial cell is ever served (pinned by
+``tests/store/test_leases.py``).  A campaign killed mid-grid therefore
+keeps every finished cell, and the rerun dispatches only the missing ones
+-- that is the whole resumability story, there is no separate checkpoint
+format.
 
 Since schema v2 the store is also the **coordination substrate** of the
 distributed campaign service (:mod:`repro.serve`): the ``leases`` table
@@ -41,7 +42,7 @@ import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.store.digests import code_fingerprint
 
@@ -122,6 +123,20 @@ class LeasedCell:
         return (self.scenario_digest, self.protocol, self.seed)
 
 
+#: The one results-row write, shared by :meth:`ResultStore.put` and
+#: :meth:`ResultStore.complete_cells`.
+_INSERT_RESULT = (
+    "INSERT OR REPLACE INTO results"
+    " (scenario_digest, protocol, seed, code_fingerprint, payload, created_at)"
+    " VALUES (?, ?, ?, ?, ?, ?)"
+)
+
+
+def _collected_key(campaign: str) -> str:
+    """The ``meta`` key marking *campaign* collected (see ``clear_campaign``)."""
+    return f"collected:{campaign}"
+
+
 def _dumps(payload: Any) -> bytes:
     return zlib.compress(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
@@ -139,8 +154,8 @@ class ResultStore:
     written (same key => same content, by construction).
 
     The connection runs in autocommit mode with an explicit transaction
-    around every multi-statement operation (``put_many``, the lease
-    queue transitions), so concurrent workers see either all of an
+    around every multi-statement operation (the lease queue
+    transitions), so concurrent workers see either all of an
     operation or none of it.
     """
 
@@ -252,60 +267,8 @@ class ResultStore:
         """Insert one finished cell and commit immediately (resumability)."""
         fp = fingerprint if fingerprint is not None else code_fingerprint()
         self._conn.execute(
-            "INSERT OR REPLACE INTO results"
-            " (scenario_digest, protocol, seed, code_fingerprint, payload, created_at)"
-            " VALUES (?, ?, ?, ?, ?, ?)",
+            _INSERT_RESULT,
             (scenario_digest, protocol, int(seed), fp, _dumps(payload), _utcnow()),
-        )
-
-    def put_many(
-        self,
-        cells: Iterable[tuple[str, str, int, Any]],
-        fingerprint: str | None = None,
-    ) -> int:
-        """Insert a batch of ``(digest, protocol, seed, payload)`` cells
-        in **one** transaction; returns the number written.
-
-        Commit-per-cell is one fsync per cell -- fine for a figure-sized
-        grid, ruinous at million-cell scale.  The batch commits atomically:
-        a crash (or an unpicklable payload) anywhere in the middle rolls
-        the whole batch back, so a reader never sees a partial batch.
-        """
-        fp = fingerprint if fingerprint is not None else code_fingerprint()
-        n = 0
-        conn = self._transaction()
-        try:
-            for digest, protocol, seed, payload in cells:
-                conn.execute(
-                    "INSERT OR REPLACE INTO results"
-                    " (scenario_digest, protocol, seed, code_fingerprint,"
-                    "  payload, created_at)"
-                    " VALUES (?, ?, ?, ?, ?, ?)",
-                    (digest, protocol, int(seed), fp, _dumps(payload), _utcnow()),
-                )
-                n += 1
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
-        return n
-
-    def contains(
-        self, scenario_digest: str, protocol: str, seed: int, fingerprint: str | None = None
-    ) -> bool:
-        fp = fingerprint if fingerprint is not None else code_fingerprint()
-        row = self._conn.execute(
-            "SELECT 1 FROM results WHERE scenario_digest=? AND protocol=?"
-            " AND seed=? AND code_fingerprint=?",
-            (scenario_digest, protocol, int(seed), fp),
-        ).fetchone()
-        return row is not None
-
-    def keys(self) -> Iterator[tuple[str, str, int, str]]:
-        """Every stored cell address (digest, protocol, seed, fingerprint)."""
-        yield from self._conn.execute(
-            "SELECT scenario_digest, protocol, seed, code_fingerprint FROM results"
-            " ORDER BY scenario_digest, protocol, seed"
         )
 
     # -- the lease queue (repro.serve's coordination substrate) ------------
@@ -320,13 +283,15 @@ class ResultStore:
 
         ``INSERT OR IGNORE``: re-enqueueing after a coordinator restart
         leaves existing rows -- including ones a worker currently holds
-        -- untouched, so in-flight work survives the restart.  Returns
-        the number of rows actually inserted.
+        -- untouched, so in-flight work survives the restart.  Enqueueing
+        also lifts a previous run's collected mark (:meth:`clear_campaign`).
+        Returns the number of rows actually inserted.
         """
         fp = fingerprint if fingerprint is not None else code_fingerprint()
         n = 0
         conn = self._transaction()
         try:
+            conn.execute("DELETE FROM meta WHERE key=?", (_collected_key(campaign),))
             for job_index, digest, protocol, seed, job in entries:
                 cur = conn.execute(
                     "INSERT OR IGNORE INTO leases"
@@ -478,10 +443,7 @@ class ResultStore:
         try:
             for digest, protocol, seed, payload in items:
                 conn.execute(
-                    "INSERT OR REPLACE INTO results"
-                    " (scenario_digest, protocol, seed, code_fingerprint,"
-                    "  payload, created_at)"
-                    " VALUES (?, ?, ?, ?, ?, ?)",
+                    _INSERT_RESULT,
                     (digest, protocol, int(seed), fp, _dumps(payload), _utcnow()),
                 )
                 conn.execute(
@@ -560,9 +522,33 @@ class ResultStore:
         ]
 
     def clear_campaign(self, campaign: str) -> int:
-        """Drop *campaign*'s queue rows (results are never touched)."""
-        cur = self._conn.execute("DELETE FROM leases WHERE campaign=?", (campaign,))
+        """Drop *campaign*'s queue rows and mark it collected, in one
+        transaction (results are never touched).
+
+        The mark is what lets a worker that arrives after the collection
+        exit instead of waiting for cells that will never be enqueued
+        (:meth:`campaign_collected`); :meth:`enqueue_jobs` lifts it.
+        """
+        conn = self._transaction()
+        try:
+            cur = conn.execute("DELETE FROM leases WHERE campaign=?", (campaign,))
+            conn.execute(
+                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                (_collected_key(campaign), _utcnow()),
+            )
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        conn.execute("COMMIT")
         return cur.rowcount
+
+    def campaign_collected(self, campaign: str) -> bool:
+        """Has a coordinator collected and cleared *campaign* since it was
+        last enqueued?"""
+        row = self._conn.execute(
+            "SELECT 1 FROM meta WHERE key=?", (_collected_key(campaign),)
+        ).fetchone()
+        return row is not None
 
     # -- maintenance -------------------------------------------------------
 

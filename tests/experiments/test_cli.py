@@ -196,7 +196,7 @@ class TestSweepSubcommand:
         assert args.axis == "nodes"
         assert args.protocols.split(",") == list(SIMULATED_PROTOCOLS)
         assert args.seeds == 3 and args.jobs == 0
-        assert args.chunksize is None and args.horizon is None
+        assert args.horizon is None
         assert args.name == "sweep" and args.out == "results"
 
     def test_rejects_unknown_axis(self):
@@ -516,9 +516,10 @@ class TestOneLineErrors:
 class TestServeWorkSubcommands:
     """The distributed campaign service CLI (ISSUE 9).
 
-    The full coordinator + spawned-worker path is exercised by the CI
-    serve-smoke job; here we pin the parsers, the user-error paths, and
-    the no-worker case (serving a fully warm store).
+    The full coordinator + spawned-worker path is exercised by
+    ``tests/serve/test_service.py`` and the CI serve-smoke job; here we
+    pin the parsers, the user-error paths, and the no-worker case
+    (serving a fully warm store).
     """
 
     def test_serve_parser_defaults(self):
@@ -530,7 +531,6 @@ class TestServeWorkSubcommands:
         assert args.lease_ttl == 30.0
         assert args.wait_timeout is None
         assert args.name == "serve"
-        assert args.campaign is None
 
     def test_serve_requires_store(self):
         from repro.cli import build_serve_parser
@@ -546,7 +546,7 @@ class TestServeWorkSubcommands:
         args = build_work_parser().parse_args(
             ["--store", "s.sqlite", "--campaign", "c"]
         )
-        assert args.commit_every == 1
+        assert args.campaign == "c"
         assert args.idle_timeout is None
 
     def test_work_missing_store_is_a_user_error(self, capsys):
@@ -687,7 +687,6 @@ CLI_SURFACE = {
         "protocols": (("--protocols",), _PAPER, False, None),
         "seeds": (("--seeds",), 3, False, None),
         "jobs": (("--jobs",), 0, False, None),
-        "chunksize": (("--chunksize",), None, False, None),
         "horizon": (("--horizon",), None, False, None),
         "name": (("--name",), "sweep", False, None),
         "out": (("--out",), "results", False, None),
@@ -757,11 +756,9 @@ CLI_SURFACE = {
         "seeds": (("--seeds",), 3, False, None),
         "horizon": (("--horizon",), None, False, None),
         "workers": (("--workers",), 0, False, None),
-        "campaign": (("--campaign",), None, False, None),
         "lease_ttl": (("--lease-ttl",), 30.0, False, None),
         "poll": (("--poll",), 0.5, False, None),
         "wait_timeout": (("--wait-timeout",), None, False, None),
-        "worker_dir": (("--worker-dir",), None, False, None),
         "name": (("--name",), "serve", False, None),
         "out": (("--out",), "results", False, None),
         "telemetry": (("--telemetry",), None, False, None),
@@ -771,13 +768,10 @@ CLI_SURFACE = {
         "store": (("--store",), None, True, None),
         "campaign": (("--campaign",), None, True, None),
         "id": (("--id",), None, False, None),
-        "batch": (("--batch",), 0, False, None),
         "lease_ttl": (("--lease-ttl",), 30.0, False, None),
         "poll": (("--poll",), 0.2, False, None),
         "max_cells": (("--max-cells",), None, False, None),
         "idle_timeout": (("--idle-timeout",), None, False, None),
-        "commit_every": (("--commit-every",), 1, False, None),
-        "telemetry_dir": (("--telemetry-dir",), None, False, None),
     },
     "build_store_parser": {
         "action": ((), None, True, ("stats", "prune", "vacuum")),

@@ -19,8 +19,44 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.geometry.arcs import EPS, Arc, covers_full_circle, merge_intervals
+from repro.geometry.arcs import (
+    EPS,
+    Arc,
+    arc_intervals,
+    covers_full_circle,
+    merge_intervals,
+    normalize_deg,
+    span_from_endpoints,
+)
 from repro.geometry.cover import cover_angle
+
+
+def arc_from_endpoints(alpha: float, beta: float) -> Arc:
+    """Arc from *alpha* counter-clockwise to *beta* (the paper's
+    ``[angle(cpa), angle(cpb)]`` notation); equal endpoints denote the
+    full circle."""
+    return Arc(*span_from_endpoints(alpha, beta))
+
+
+def full_arc() -> Arc:
+    return Arc(0.0, 360.0)
+
+
+def is_full(arc: Arc) -> bool:
+    return arc.extent >= 360.0 - EPS
+
+
+def arc_contains(arc: Arc, angle: float, eps: float = EPS) -> bool:
+    """Is *angle* on *arc* (inclusive, with slack)?"""
+    if is_full(arc):
+        return True
+    offset = normalize_deg(angle - arc.start)
+    return offset <= arc.extent + eps or offset >= 360.0 - eps
+
+
+def non_wrapping_intervals(arc: Arc) -> list[tuple[float, float]]:
+    """*arc* as non-wrapping intervals within ``[0, 360]``."""
+    return list(arc_intervals(arc.start, arc.extent))
 
 
 class ArcUnion:
@@ -38,24 +74,24 @@ class ArcUnion:
         """Merged, sorted, non-wrapping intervals of the union."""
         raw: list[tuple[float, float]] = []
         for arc in self.arcs:
-            raw.extend(arc.intervals())
+            raw.extend(non_wrapping_intervals(arc))
         return merge_intervals(raw)
 
     @property
     def is_full_circle(self) -> bool:
         """Does the union cover all of ``[0, 360]``?  (Theorem 4's test.)"""
-        if any(arc.is_full for arc in self.arcs):
+        if any(is_full(arc) for arc in self.arcs):
             return True
         return covers_full_circle(self._merged_intervals())
 
     def measure(self) -> float:
         """Total angular measure of the union, in degrees (<= 360)."""
-        if any(arc.is_full for arc in self.arcs):
+        if any(is_full(arc) for arc in self.arcs):
             return 360.0
         return min(360.0, sum(hi - lo for lo, hi in self._merged_intervals()))
 
     def contains(self, angle: float) -> bool:
-        return any(arc.contains(angle) for arc in self.arcs)
+        return any(arc_contains(arc, angle) for arc in self.arcs)
 
     def gaps(self) -> list[tuple[float, float]]:
         """Uncovered intervals of ``[0, 360)`` (diagnostics)."""

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.geometry.arcs import EPS, Arc, merge_intervals, normalize_deg
-from tests.geometry.reference_cover import ArcUnion
+from tests.geometry.reference_cover import (
+    ArcUnion,
+    arc_contains,
+    arc_from_endpoints,
+    full_arc,
+    is_full,
+    non_wrapping_intervals,
+)
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 extents = st.floats(min_value=1e-6, max_value=360.0, allow_nan=False)
@@ -31,39 +38,39 @@ class TestNormalize:
 
 class TestArc:
     def test_from_endpoints_simple(self):
-        arc = Arc.from_endpoints(10, 50)
+        arc = arc_from_endpoints(10, 50)
         assert arc.start == pytest.approx(10)
         assert arc.extent == pytest.approx(40)
 
     def test_from_endpoints_wrapping(self):
-        arc = Arc.from_endpoints(350, 10)
+        arc = arc_from_endpoints(350, 10)
         assert arc.start == pytest.approx(350)
         assert arc.extent == pytest.approx(20)
 
     def test_equal_endpoints_is_full_circle(self):
-        assert Arc.from_endpoints(42, 42).is_full
+        assert is_full(arc_from_endpoints(42, 42))
 
     def test_full(self):
-        arc = Arc.full()
-        assert arc.is_full
+        arc = full_arc()
+        assert is_full(arc)
         for a in (0, 90, 359.9):
-            assert arc.contains(a)
+            assert arc_contains(arc, a)
 
     def test_contains_interior_and_endpoints(self):
-        arc = Arc.from_endpoints(30, 60)
-        assert arc.contains(45) and arc.contains(30) and arc.contains(60)
-        assert not arc.contains(90) and not arc.contains(0)
+        arc = arc_from_endpoints(30, 60)
+        assert arc_contains(arc, 45) and arc_contains(arc, 30) and arc_contains(arc, 60)
+        assert not arc_contains(arc, 90) and not arc_contains(arc, 0)
 
     def test_contains_wrapping(self):
-        arc = Arc.from_endpoints(350, 10)
-        assert arc.contains(355) and arc.contains(5) and arc.contains(0)
-        assert not arc.contains(180)
+        arc = arc_from_endpoints(350, 10)
+        assert arc_contains(arc, 355) and arc_contains(arc, 5) and arc_contains(arc, 0)
+        assert not arc_contains(arc, 180)
 
     def test_intervals_non_wrapping(self):
-        assert Arc(10, 20).intervals() == [(10, 30)]
+        assert non_wrapping_intervals(Arc(10, 20)) == [(10, 30)]
 
     def test_intervals_wrapping_splits(self):
-        ivs = Arc(350, 20).intervals()
+        ivs = non_wrapping_intervals(Arc(350, 20))
         assert ivs == [(350, 360.0), (0.0, 10.0)]
 
     def test_invalid_extent(self):
@@ -75,14 +82,14 @@ class TestArc:
     @given(angles, extents)
     def test_midpoint_always_contained(self, start, extent):
         arc = Arc(start, extent)
-        assert arc.contains(arc.start + extent / 2)
+        assert arc_contains(arc, arc.start + extent / 2)
 
     @given(angles, st.floats(min_value=1.0, max_value=358.0))
     def test_antipode_of_midpoint_outside_small_arcs(self, start, extent):
         arc = Arc(start, extent)
         outside = arc.start + extent / 2 + 180.0
         if extent < 178.0:  # margin for the EPS slack
-            assert not arc.contains(outside)
+            assert not arc_contains(arc, outside)
 
 
 class TestArcUnion:
@@ -93,7 +100,7 @@ class TestArcUnion:
         assert u.gaps() == [(0.0, 360.0)]
 
     def test_single_full_arc(self):
-        u = ArcUnion([Arc.full()])
+        u = ArcUnion([full_arc()])
         assert u.is_full_circle
         assert u.measure() == 360.0
         assert u.gaps() == []
@@ -149,7 +156,7 @@ class TestArcUnion:
     def test_contains_consistent_with_membership(self, raw, probe):
         u = ArcUnion([Arc(s, e) for s, e in raw])
         if u.contains(probe):
-            assert any(Arc(s, e).contains(probe) for s, e in raw)
+            assert any(arc_contains(Arc(s, e), probe) for s, e in raw)
 
     @given(st.lists(st.tuples(angles, extents), min_size=1, max_size=6), angles)
     def test_gap_points_not_contained(self, raw, _probe):

@@ -17,6 +17,7 @@ from repro.geometry.cover import (
     is_disk_covered,
     update_uncovered,
 )
+from tests.geometry.reference_cover import arc_contains, is_full
 
 R = 0.2
 
@@ -44,7 +45,7 @@ def truly_covered(p, covers, radius, n=200, seed=0):
 class TestCoverAngle:
     def test_colocated_nodes_full_circle(self):
         arc = cover_angle((0.5, 0.5), (0.5, 0.5), R)
-        assert arc is not None and arc.is_full
+        assert arc is not None and is_full(arc)
 
     def test_beyond_radius_is_empty(self):
         assert cover_angle((0.0, 0.0), (0.25, 0.0), R) is None
@@ -55,9 +56,9 @@ class TestCoverAngle:
         assert arc is not None
         assert arc.extent == pytest.approx(120.0, abs=1e-6)
         # Centred on the bearing of q (due east = 0 deg).
-        assert arc.contains(0.0)
-        assert arc.contains(59.9) and arc.contains(-59.9 % 360)
-        assert not arc.contains(61.0)
+        assert arc_contains(arc, 0.0)
+        assert arc_contains(arc, 59.9) and arc_contains(arc, -59.9 % 360)
+        assert not arc_contains(arc, 61.0)
 
     def test_arc_centred_on_bearing(self):
         arc = cover_angle((0.0, 0.0), (0.0, 0.1), R)  # q due north
@@ -101,7 +102,7 @@ class TestCoverAngle:
         """Every boundary point of A(p) inside the cover angle lies in A(q)
         (Definition 2's geometric meaning)."""
         arc = cover_angle(p, q, R)
-        if arc is None or arc.is_full:
+        if arc is None or is_full(arc):
             return
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             ang = math.radians(arc.start + frac * arc.extent)

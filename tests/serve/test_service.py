@@ -1,18 +1,22 @@
-"""serve_campaign: distributed runs are bit-identical and kill-proof.
+"""ServeBackend: distributed runs are bit-identical and kill-proof.
 
-Workers run as in-process threads against the same SQLite file (their
-own connections), which exercises the real multi-connection coordination
-path without subprocess spawn latency; the spawned-process path is
-pinned by the CI ``serve-smoke`` job.
+Most workers here run as in-process threads against the same SQLite file
+(their own connections), which exercises the real multi-connection
+coordination path without subprocess spawn latency;
+``TestSpawnedWorkers`` runs the spawned-process path once.
 """
 
+import os
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.sweep import run_sweep
-from repro.serve import serve_campaign, work_campaign
-from repro.serve.service import ServeBackend, worker_stream_dir
+from repro.obs.telemetry import load_telemetry
+from repro.serve import ServeBackend, work_campaign
+from repro.serve.worker import worker_stream_dir
 from repro.store.db import ResultStore, StoreError
 
 from tests.serve.conftest import (
@@ -27,6 +31,14 @@ from tests.serve.conftest import (
 def serial():
     """The ground truth: a plain serial sweep of the shared grid."""
     return run_sweep(SCENARIO, POINTS)
+
+
+def _serve(path, **backend_kwargs):
+    """Coordinate campaign 'c' over the shared grid."""
+    return run_sweep(
+        SCENARIO, POINTS, store=str(path), campaign="c",
+        backend=ServeBackend(**backend_kwargs),
+    )
 
 
 def _spawn_worker(store_path, campaign, results=None, **kwargs):
@@ -53,10 +65,7 @@ class TestBitIdentity:
         workers = [
             _spawn_worker(path, "c", reports, worker_id=f"w{i}") for i in range(2)
         ]
-        result = serve_campaign(
-            SCENARIO, POINTS, store=str(path), campaign="c",
-            poll_s=0.02, wait_timeout=60.0,
-        )
+        result = _serve(path, poll_s=0.02, wait_timeout=60.0)
         for t in workers:
             t.join(timeout=30)
             assert not t.is_alive()
@@ -71,7 +80,7 @@ class TestBitIdentity:
     def test_workers_seen_and_manifest_inputs(self, tmp_path):
         path = tmp_path / "s.sqlite"
         _spawn_worker(path, "c", worker_id="only")
-        backend = ServeBackend(campaign="c", poll_s=0.02, wait_timeout=60.0)
+        backend = ServeBackend(poll_s=0.02, wait_timeout=60.0)
         result = run_sweep(
             SCENARIO, POINTS, store=str(path), campaign="c", backend=backend
         )
@@ -101,10 +110,7 @@ class TestKillWorkerMidLease:
         survivor = _spawn_worker(
             path, "c", reports, worker_id="survivor", lease_ttl=1.0,
         )
-        result = serve_campaign(
-            SCENARIO, POINTS, store=str(path), campaign="c",
-            lease_ttl=1.0, poll_s=0.05, wait_timeout=120.0,
-        )
+        result = _serve(path, lease_ttl=1.0, poll_s=0.05, wait_timeout=120.0)
         survivor.join(timeout=60)
         assert_bit_identical(serial, result)
         # The victim committed at least one cell before dying; the rest
@@ -134,10 +140,7 @@ class TestKillWorkerMidLease:
         _spawn_worker(
             path, "c", worker_id="victim", on_cell=die_immediately, lease_ttl=0.5,
         )
-        result = serve_campaign(
-            SCENARIO, POINTS, store=str(path), campaign="c",
-            lease_ttl=0.5, poll_s=0.05, wait_timeout=120.0,
-        )
+        result = _serve(path, lease_ttl=0.5, poll_s=0.05, wait_timeout=120.0)
         # The survivor appends its report when it exits, which can be
         # after the coordinator has already merged the last cell.
         (survivor,) = survivors
@@ -169,10 +172,7 @@ class TestKillCoordinator:
             assert store.queue_counts("c")["done"] == 3
 
         _spawn_worker(path, "c", worker_id="w2")
-        result = serve_campaign(
-            SCENARIO, POINTS, store=str(path), campaign="c",
-            poll_s=0.02, wait_timeout=60.0,
-        )
+        result = _serve(path, poll_s=0.02, wait_timeout=60.0)
         assert_bit_identical(serial, result)
         # At least the 3 pre-crash cells are hits -- more if w2 (already
         # polling the leftover queue) commits some before the restarted
@@ -186,9 +186,7 @@ class TestKillCoordinator:
         lease queue never engages."""
         path = tmp_path / "s.sqlite"
         run_sweep(SCENARIO, POINTS, store=str(path))
-        result = serve_campaign(
-            SCENARIO, POINTS, store=str(path), campaign="c", wait_timeout=5.0
-        )
+        result = _serve(path, wait_timeout=5.0)
         assert_bit_identical(serial, result)
         assert result.store_hits == N_CELLS
         assert result.store_misses == 0
@@ -197,14 +195,11 @@ class TestKillCoordinator:
 class TestBackpressureAndErrors:
     def test_stalled_campaign_raises_with_queue_shape(self, tmp_path):
         with pytest.raises(StoreError, match="stalled"):
-            serve_campaign(
-                SCENARIO, POINTS, store=str(tmp_path / "s.sqlite"),
-                campaign="c", poll_s=0.02, wait_timeout=0.3,
-            )
+            _serve(tmp_path / "s.sqlite", poll_s=0.02, wait_timeout=0.3)
 
     def test_backend_requires_a_store(self):
         with pytest.raises(ValueError, match="store"):
-            run_sweep(SCENARIO, POINTS, backend=ServeBackend(campaign="c"))
+            run_sweep(SCENARIO, POINTS, backend=ServeBackend())
 
     def test_worker_stream_dir_convention(self, tmp_path):
         assert worker_stream_dir(tmp_path / "s.sqlite").name == "s.sqlite.workers"
@@ -214,17 +209,13 @@ class TestServeTelemetry:
     def test_worker_streams_fold_into_campaign_stream(self, tmp_path):
         """The coordinator's stream carries the workers' heartbeats and
         ends campaign-scoped -- `repro-mac watch` sees one campaign."""
-        from repro.obs.telemetry import load_telemetry
-
         path = tmp_path / "s.sqlite"
-        wdir = worker_stream_dir(path)
-        _spawn_worker(
-            path, "c", worker_id="host-7", telemetry_dir=wdir, lease_ttl=5.0
-        )
+        _spawn_worker(path, "c", worker_id="host-7", lease_ttl=5.0)
         stream_path = tmp_path / "serve.telemetry.jsonl"
-        serve_campaign(
+        run_sweep(
             SCENARIO, POINTS, store=str(path), campaign="c",
-            poll_s=0.02, wait_timeout=60.0, telemetry=str(stream_path),
+            telemetry=str(stream_path),
+            backend=ServeBackend(poll_s=0.02, wait_timeout=60.0),
         )
         stream = load_telemetry(stream_path)
         assert stream.completed is True
@@ -232,3 +223,26 @@ class TestServeTelemetry:
         assert any(r.get("id") == "host-7" for r in beats)
         ends = [r for r in stream.records if r.get("e") == "end"]
         assert all(r.get("scope", "campaign") == "campaign" for r in ends)
+
+
+class TestSpawnedWorkers:
+    def test_spawned_workers_merge_bit_identically_and_exit(
+        self, tmp_path, serial, monkeypatch
+    ):
+        """``spawn_workers=N`` launches real ``repro-mac work`` processes;
+        each must exit on its own -- its stream closes with a
+        worker-scoped end record -- rather than be terminated by the
+        coordinator's reap."""
+        # The workers inherit the environment: make this package importable.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        monkeypatch.setenv(
+            "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        )
+        path = tmp_path / "s.sqlite"
+        result = _serve(path, spawn_workers=2, poll_s=0.05, wait_timeout=120.0)
+        assert_bit_identical(serial, result)
+        streams = sorted(worker_stream_dir(path).glob("c.*.jsonl"))
+        assert len(streams) == 2
+        for stream_path in streams:
+            last = load_telemetry(stream_path).records[-1]
+            assert last["e"] == "end" and last["scope"] == "worker", stream_path.name

@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.obs.telemetry import load_telemetry
-from repro.serve.worker import WorkerReport, default_worker_id, work_campaign
+from repro.serve.worker import (
+    WorkerReport,
+    default_worker_id,
+    work_campaign,
+    worker_stream_dir,
+)
 from repro.store.db import ResultStore
 
 from tests.serve.conftest import N_CELLS, enqueue_plan
@@ -70,6 +75,27 @@ class TestWorkerLoop:
         assert report.cells_done == 0
         assert clock.t >= 5.0
 
+    def test_late_worker_exits_once_the_campaign_is_collected(self, queued):
+        """A worker that first polls after the coordinator collected and
+        cleared its campaign must exit, not wait for cells that will
+        never be enqueued (with no idle timeout it would wait forever)."""
+        queued.clear_campaign("c")  # the coordinator's collect step
+        clock = _Clock()
+        sleeps = []
+
+        def bounded_sleep(s):
+            sleeps.append(s)
+            if len(sleeps) > 20:
+                raise RuntimeError("late worker is still waiting for work")
+            clock.sleep(s)
+
+        report = work_campaign(
+            queued, "c", worker_id="late", poll_s=1.0,
+            _clock=clock.now, _sleep=bounded_sleep,
+        )
+        assert report.cells_done == 0
+        assert sleeps == []
+
     def test_foreign_fingerprint_cells_are_never_leased(
         self, tmp_path, planned_jobs, point_digests
     ):
@@ -106,9 +132,9 @@ class TestKillDiscipline:
         # row exists for anything the victim touched.
         assert queued.done_cells("c", fingerprint) == []
 
-    def test_commit_every_bounds_crash_exposure(self, queued, fingerprint):
-        """commit_every=1 (default) commits each cell as it finishes, so
-        a crash later in the batch keeps the earlier cells."""
+    def test_each_cell_commits_as_it_finishes(self, queued, fingerprint):
+        """Every cell commits as soon as it is computed, so a crash later
+        in the batch keeps the earlier cells."""
         seen = []
 
         def die_on_third(cell, res):
@@ -120,35 +146,11 @@ class TestKillDiscipline:
             work_campaign(queued, "c", worker_id="victim", on_cell=die_on_third)
         assert len(queued.done_cells("c", fingerprint)) == 2
 
-    def test_batched_commits_lose_the_whole_batch(
-        self, tmp_path, planned_jobs, point_digests, fingerprint
-    ):
-        """Raising commit_every trades crash exposure for fewer commits:
-        the same crash now discards every uncommitted cell."""
-        with ResultStore(tmp_path / "s.sqlite") as store:
-            enqueue_plan(store, "c", planned_jobs, point_digests, fingerprint)
-            seen = []
-
-            def die_on_third(cell, res):
-                seen.append(cell)
-                if len(seen) == 3:
-                    raise RuntimeError("kill -9")
-
-            with pytest.raises(RuntimeError):
-                work_campaign(
-                    store, "c", worker_id="victim",
-                    commit_every=4, on_cell=die_on_third,
-                )
-            assert store.done_cells("c", fingerprint) == []
-
 
 class TestWorkerTelemetry:
-    def test_stream_has_worker_scope_and_heartbeats(self, queued, tmp_path):
-        report = work_campaign(
-            queued, "c", worker_id="host-1", telemetry_dir=tmp_path / "workers",
-            poll_s=0.01,
-        )
-        path = tmp_path / "workers" / "c.host-1.jsonl"
+    def test_stream_has_worker_scope_and_heartbeats(self, queued):
+        report = work_campaign(queued, "c", worker_id="host-1", poll_s=0.01)
+        path = worker_stream_dir(queued.path) / "c.host-1.jsonl"
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records[0]["e"] == "telemetry.meta"
         assert records[0]["scope"] == "worker"

@@ -238,38 +238,18 @@ class TestCompletion:
             for c in cells:
                 assert store.get(c.scenario_digest, c.protocol, c.seed, FP) == c.seed
 
-
-class TestPutMany:
-    def test_batch_commits_atomically(self, tmp_path):
+    def test_clear_marks_collected_until_reenqueued(self, tmp_path):
+        """The collected mark is what lets a late worker exit: set by
+        clear_campaign, lifted when the campaign is enqueued again, and
+        scoped to its campaign."""
         with ResultStore(tmp_path / "s.sqlite") as store:
-            n = store.put_many(
-                [("d" * 64, "BMMM", s, {"seed": s}) for s in range(5)], FP
-            )
-            assert n == 5
-            for s in range(5):
-                assert store.get("d" * 64, "BMMM", s, FP) == {"seed": s}
-
-    def test_crash_mid_batch_serves_no_partial_cell(self, tmp_path):
-        """The ISSUE's crash-mid-batch pin: a batch that dies in the
-        middle must leave the store exactly as before -- a reader never
-        sees the cells written before the crash point."""
-        path = tmp_path / "s.sqlite"
-        with ResultStore(path) as store:
-            cells = [("d" * 64, "BMMM", s, {"seed": s}) for s in range(5)]
-            cells[3] = ("d" * 64, "BMMM", 3, lambda: None)  # dies here
-            with pytest.raises(Exception):
-                store.put_many(cells, FP)
-        with ResultStore(path) as store:
-            assert store.stats()["n_results"] == 0
-            for s in range(5):
-                assert store.get("d" * 64, "BMMM", s, FP) is None
-
-    def test_failed_batch_leaves_store_usable(self, tmp_path):
-        with ResultStore(tmp_path / "s.sqlite") as store:
-            with pytest.raises(Exception):
-                store.put_many([("d" * 64, "BMMM", 0, lambda: None)], FP)
-            store.put("d" * 64, "BMMM", 0, {"ok": True}, fingerprint=FP)
-            assert store.get("d" * 64, "BMMM", 0, FP) == {"ok": True}
+            assert not store.campaign_collected(C)
+            _queue(store, 2)
+            store.clear_campaign(C)
+            assert store.campaign_collected(C)
+            assert not store.campaign_collected("other")
+            _queue(store, 2)
+            assert not store.campaign_collected(C)
 
 
 class TestMaintenanceWithQueue:
