@@ -212,6 +212,67 @@ class TestCompletion:
             # The cells are still leased -- they expire and recompute.
             assert store.queue_counts(C, now=0.0)["leased"] == 3
 
+    def test_batch_commits_atomically(self, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            _queue(store, 5)
+            cells = _lease_all(store, "w1", ttl_s=60, now=0.0)
+            n = store.complete_cells(
+                C,
+                [(c.scenario_digest, c.protocol, c.seed, {"seed": c.seed}) for c in cells],
+                FP, "w1",
+            )
+            assert n == 5
+            for c in cells:
+                assert store.get(c.scenario_digest, c.protocol, c.seed, FP) == {
+                    "seed": c.seed
+                }
+            assert [ji for ji, *_ in store.done_cells(C, FP)] == [0, 1, 2, 3, 4]
+
+    def test_crash_mid_batch_serves_no_partial_cell(self, tmp_path):
+        """A batch that dies in the middle leaves the file exactly as
+        before: a reader that reopens it never sees the cells written
+        before the crash point, and no lease is marked done."""
+        path = tmp_path / "s.sqlite"
+        with ResultStore(path) as store:
+            _queue(store, 5)
+            cells = _lease_all(store, "w1", ttl_s=60, now=0.0)
+            items = [(c.scenario_digest, c.protocol, c.seed, {"seed": c.seed}) for c in cells]
+            items[3] = (*items[3][:3], lambda: None)  # dies here
+            with pytest.raises(Exception):
+                store.complete_cells(C, items, FP, "w1")
+        with ResultStore(path) as store:
+            assert store.stats()["n_results"] == 0
+            assert store.done_cells(C, FP) == []
+            for c in cells:
+                assert store.get(c.scenario_digest, c.protocol, c.seed, FP) is None
+
+    def test_failed_batch_leaves_store_usable(self, tmp_path):
+        """After a rolled-back batch the same leases can still be
+        completed, and a plain put still commits."""
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            _queue(store, 1)
+            (cell,) = _lease_all(store, "w1", ttl_s=60, now=0.0)
+            with pytest.raises(Exception):
+                store.complete_cells(C, [(*cell.key, lambda: None)], FP, "w1")
+            store.complete_cells(C, [(*cell.key, {"ok": True})], FP, "w1")
+            assert store.get(*cell.key, FP) == {"ok": True}
+            assert store.queue_counts(C, now=0.0)["done"] == 1
+            store.put("e" * 64, "BMMM", 0, {"ok": True}, fingerprint=FP)
+            assert store.get("e" * 64, "BMMM", 0, FP) == {"ok": True}
+
+    def test_put_and_complete_write_the_same_row(self, tmp_path):
+        """put and complete_cells share one insert: each replaces the
+        other's row for the same key instead of adding a second one."""
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            _queue(store, 1)
+            (cell,) = _lease_all(store, "w1", ttl_s=60, now=0.0)
+            store.put(*cell.key, "from put", fingerprint=FP)
+            store.complete_cells(C, [(*cell.key, "from complete")], FP, "w1")
+            assert store.get(*cell.key, FP) == "from complete"
+            store.put(*cell.key, "from put again", fingerprint=FP)
+            assert store.get(*cell.key, FP) == "from put again"
+            assert store.stats()["n_results"] == 1
+
     def test_queue_workers_view(self, tmp_path):
         with ResultStore(tmp_path / "s.sqlite") as store:
             _queue(store, 4)

@@ -80,6 +80,17 @@ class TestPersistence:
         with ResultStore(path) as store:
             assert store.get(DIG, "BMMM", 0, fingerprint=FP).label == "survivor"
 
+    def test_distinct_keys_survive_reopen_as_separate_rows(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        with ResultStore(path) as store:
+            store.put(DIG, "LAMM", 1, _payload("lamm"), fingerprint=FP)
+            store.put(DIG, "BMMM", 0, _payload("bmmm"), fingerprint=FP)
+        with ResultStore(path) as store:
+            assert store.stats()["n_results"] == 2
+            assert store.get(DIG, "LAMM", 1, fingerprint=FP).label == "lamm"
+            assert store.get(DIG, "BMMM", 0, fingerprint=FP).label == "bmmm"
+            assert store.get(DIG, "BMMM", 1, fingerprint=FP) is None
+
     def test_parent_directory_created(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "s.sqlite"
         with ResultStore(path) as store:
