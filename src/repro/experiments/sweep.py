@@ -27,11 +27,11 @@ and :func:`bench_record`/:func:`save_bench`.  The CLI surface is
 Passing ``store=`` (a :class:`~repro.store.db.ResultStore` or a path)
 layers the content-addressed results store underneath: every cell already
 present under the current settings digest and code fingerprint is served
-from SQLite instead of dispatched, every freshly computed cell is
-committed the moment it arrives, and the merged :class:`SweepResult`
-stays bit-identical to a cold run (store hits carry the exact
-:class:`JobResult` the pool would have produced).  An interrupted
-campaign therefore resumes with only its missing cells -- see
+from SQLite (one batched read for the whole grid) instead of dispatched,
+every freshly computed cell is committed the moment it arrives, and the
+merged :class:`SweepResult` stays bit-identical to a cold run (store hits
+carry the exact :class:`JobResult` the pool would have produced).  An
+interrupted campaign therefore resumes with only its missing cells -- see
 ``docs/store.md``.
 """
 
@@ -488,11 +488,11 @@ def run_sweep(
         if store is not None:
             fingerprint = code_fingerprint()
             with timer.phase("store"):
+                keys = [(point_digests[job.point], job.protocol, job.seed) for job in jobs]
+                found = store.get_many(keys, fingerprint)
                 pending = []
-                for job in jobs:
-                    hit = store.get(
-                        point_digests[job.point], job.protocol, job.seed, fingerprint
-                    )
+                for job, key in zip(jobs, keys):
+                    hit = found.get(key)
                     if hit is not None:
                         stored[(job.point, job.protocol, job.seed)] = hit
                     else:

@@ -151,11 +151,15 @@ class ServeBackend(DispatchBackend):
                 if ctx.telemetry is not None:
                     ctx.telemetry.event("lease.reclaimed", n=n, campaign=campaign)
             progressed = False
-            for _ji, digest, protocol, seed in store.done_cells(campaign, ctx.fingerprint):
-                key = (digest, protocol, seed)
-                if key not in remaining:
-                    continue
-                res = store.get(digest, protocol, seed, ctx.fingerprint)
+            # Collecting is not reuse: a pure read, so no hit is counted.
+            new = [
+                (digest, protocol, seed)
+                for _ji, digest, protocol, seed in store.done_cells(campaign, ctx.fingerprint)
+                if (digest, protocol, seed) in remaining
+            ]
+            collected = store.fetch(new, ctx.fingerprint)
+            for key in new:
+                res = collected.get(key)
                 if res is None:  # pragma: no cover - done implies stored
                     continue
                 record(res)

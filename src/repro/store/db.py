@@ -50,7 +50,8 @@ __all__ = ["ResultStore", "StoreError", "LeasedCell"]
 
 
 class StoreError(RuntimeError):
-    """Raised for schema/version problems -- never for plain cache misses."""
+    """Raised for schema/version problems and rows that do not decode --
+    never for plain cache misses."""
 
 
 def _utcnow() -> str:
@@ -132,6 +133,12 @@ _INSERT_RESULT = (
 )
 
 
+#: Seeds per ``IN`` list in :meth:`ResultStore.fetch`: with its three
+#: other parameters, under the 999-variable limit of SQLite builds
+#: before 3.32 (which raised the default to 32766).
+_SEED_CHUNK = 900
+
+
 def _collected_key(campaign: str) -> str:
     """The ``meta`` key marking *campaign* collected (see ``clear_campaign``)."""
     return f"collected:{campaign}"
@@ -155,8 +162,8 @@ class ResultStore:
 
     The connection runs in autocommit mode with an explicit transaction
     around every multi-statement operation (the lease queue
-    transitions), so concurrent workers see either all of an
-    operation or none of it.
+    transitions, a scan's hit bookkeeping), so concurrent workers see
+    either all of an operation or none of it.
     """
 
     SCHEMA_VERSION = len(_MIGRATIONS)
@@ -229,6 +236,70 @@ class ResultStore:
 
     # -- the cell API ------------------------------------------------------
 
+    def fetch(
+        self,
+        keys: Iterable[tuple[str, str, int]],
+        fingerprint: str | None = None,
+    ) -> dict[tuple[str, str, int], Any]:
+        """The stored payloads for *keys* ``(digest, protocol, seed)``,
+        as ``{key: payload}`` for the hits only -- a pure read.
+
+        One SELECT per ``(digest, protocol)`` (its seeds chunked under
+        SQLite's variable limit); rows are decoded as they stream, so the
+        raw blobs of a large scan are never all held at once.  A row
+        written under a different *fingerprint* is a miss, not an error.
+        A row that does not decode raises :class:`StoreError` naming it.
+        """
+        fp = fingerprint if fingerprint is not None else code_fingerprint()
+        seeds_by_group: dict[tuple[str, str], set[int]] = {}
+        for digest, protocol, seed in keys:
+            seeds_by_group.setdefault((digest, protocol), set()).add(int(seed))
+        found: dict[tuple[str, str, int], Any] = {}
+        for (digest, protocol), seeds in seeds_by_group.items():
+            ordered = sorted(seeds)
+            for i in range(0, len(ordered), _SEED_CHUNK):
+                chunk = ordered[i : i + _SEED_CHUNK]
+                rows = self._conn.execute(
+                    "SELECT seed, payload FROM results WHERE scenario_digest=?"
+                    " AND protocol=? AND code_fingerprint=?"
+                    f" AND seed IN ({','.join('?' * len(chunk))})",
+                    (digest, protocol, fp, *chunk),
+                )
+                for seed, blob in rows:
+                    found[(digest, protocol, seed)] = self._decode(
+                        blob, digest, protocol, seed
+                    )
+        return found
+
+    def get_many(
+        self,
+        keys: Iterable[tuple[str, str, int]],
+        fingerprint: str | None = None,
+    ) -> dict[tuple[str, str, int], Any]:
+        """:meth:`fetch`, then count one reuse of every hit.
+
+        The bookkeeping (``hits + 1`` and one ``last_hit_at`` stamp) is a
+        single transaction for the whole scan, so a warm campaign pays
+        one commit rather than one per cell; no hits, no transaction.
+        """
+        fp = fingerprint if fingerprint is not None else code_fingerprint()
+        found = self.fetch(keys, fp)
+        if found:
+            now = _utcnow()
+            conn = self._transaction()
+            try:
+                conn.executemany(
+                    "UPDATE results SET hits = hits + 1, last_hit_at = ?"
+                    " WHERE scenario_digest=? AND protocol=? AND seed=?"
+                    " AND code_fingerprint=?",
+                    ((now, digest, protocol, seed, fp) for digest, protocol, seed in found),
+                )
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
+            conn.execute("COMMIT")
+        return found
+
     def get(
         self,
         scenario_digest: str,
@@ -236,25 +307,20 @@ class ResultStore:
         seed: int,
         fingerprint: str | None = None,
     ) -> Any | None:
-        """The stored payload for one cell, or ``None`` on miss.
+        """The stored payload for one cell, or ``None`` on miss (a
+        one-key :meth:`get_many`, so a hit is counted)."""
+        key = (scenario_digest, protocol, int(seed))
+        return self.get_many([key], fingerprint).get(key)
 
-        A row written under a different *fingerprint* is a miss, not an
-        error -- stale code means the cell simply recomputes.
-        """
-        fp = fingerprint if fingerprint is not None else code_fingerprint()
-        row = self._conn.execute(
-            "SELECT payload FROM results WHERE scenario_digest=? AND protocol=?"
-            " AND seed=? AND code_fingerprint=?",
-            (scenario_digest, protocol, int(seed), fp),
-        ).fetchone()
-        if row is None:
-            return None
-        self._conn.execute(
-            "UPDATE results SET hits = hits + 1, last_hit_at = ?"
-            " WHERE scenario_digest=? AND protocol=? AND seed=? AND code_fingerprint=?",
-            (_utcnow(), scenario_digest, protocol, int(seed), fp),
-        )
-        return _loads(row[0])
+    def _decode(self, blob: bytes, digest: str, protocol: str, seed: int) -> Any:
+        try:
+            return _loads(blob)
+        except (zlib.error, pickle.UnpicklingError, EOFError) as exc:
+            raise StoreError(
+                f"{self.path}: stored cell (digest {digest}, protocol {protocol},"
+                f" seed {seed}) does not decode: {exc!r}; delete the row or use"
+                " a fresh store"
+            ) from exc
 
     def put(
         self,

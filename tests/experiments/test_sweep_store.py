@@ -90,6 +90,42 @@ class TestWarmRerun:
         assert_bit_identical(warm, storeless)
 
 
+def _write_transactions(statements):
+    """Write transactions in a statement trace: each BEGIN opens one, and
+    a write outside any transaction is one of its own (autocommit)."""
+    n, in_tx = 0, False
+    for sql in statements:
+        verb = sql.split(None, 1)[0].upper()
+        if verb == "BEGIN":
+            n, in_tx = n + 1, True
+        elif verb in ("COMMIT", "ROLLBACK"):
+            in_tx = False
+        elif verb in ("INSERT", "UPDATE", "DELETE") and not in_tx:
+            n += 1
+    return n
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("seeds", [(0,), (0, 1)])
+    def test_warm_scan_is_one_read_per_group_and_one_commit(self, cold, seeds):
+        """However many cells a warm scan serves, it reads once per
+        (point, protocol) and records every hit in one transaction."""
+        _, _, path = cold
+        statements = []
+        with ResultStore(path) as store:
+            store._conn.set_trace_callback(statements.append)
+            warm = run_sweep(
+                Scenario(settings=SMALL, protocols=SIMULATED_PROTOCOLS, seeds=seeds),
+                POINTS,
+                processes=1,
+                store=store,
+            )
+        assert warm.store_hits == len(SIMULATED_PROTOCOLS) * len(POINTS) * len(seeds)
+        assert _write_transactions(statements) == 1
+        selects = [sql for sql in statements if sql.upper().startswith("SELECT")]
+        assert len(selects) == len(POINTS) * len(SIMULATED_PROTOCOLS)
+
+
 class TestResume:
     def test_partial_campaign_completes_only_missing_point(self, cold, tmp_path):
         storeless, _, _ = cold

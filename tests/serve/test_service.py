@@ -77,6 +77,18 @@ class TestBitIdentity:
             assert store.stats()["queue_rows"] == 0
             assert store.stats()["n_results"] == N_CELLS
 
+    def test_collecting_cells_counts_no_store_hits(self, tmp_path):
+        """A cold campaign reuses nothing: the coordinator's collection of
+        what workers committed is a read, not a hit."""
+        path = tmp_path / "s.sqlite"
+        workers = [_spawn_worker(path, "c", worker_id=f"w{i}") for i in range(2)]
+        result = _serve(path, poll_s=0.02, wait_timeout=60.0)
+        for t in workers:
+            t.join(timeout=30)
+        assert (result.store_hits, result.store_misses) == (0, N_CELLS)
+        with ResultStore(path) as store:
+            assert store.stats()["total_hits"] == 0
+
     def test_workers_seen_and_manifest_inputs(self, tmp_path):
         path = tmp_path / "s.sqlite"
         _spawn_worker(path, "c", worker_id="only")

@@ -6,9 +6,12 @@ pinned separately in ``tests/experiments/test_sweep_store.py``.
 """
 
 import dataclasses
+import sqlite3
 
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
+from repro.store import db
 from repro.store.db import ResultStore, StoreError
 
 DIG = "d" * 64
@@ -152,3 +155,109 @@ class TestMaintenance:
                 "SELECT hits, last_hit_at FROM results"
             ).fetchone()
             assert hits == 1 and last_hit is not None
+
+
+def _hit_rows(store):
+    """Every results row's bookkeeping: key + fingerprint -> (hits, last_hit_at)."""
+    return {
+        (d, p, s, fp): (hits, last)
+        for d, p, s, fp, hits, last in store._conn.execute(
+            "SELECT scenario_digest, protocol, seed, code_fingerprint, hits,"
+            " last_hit_at FROM results"
+        )
+    }
+
+
+_DIGESTS = ("a" * 64, "b" * 64, "c" * 64)
+_CELL = st.tuples(
+    st.sampled_from(_DIGESTS),
+    st.sampled_from(("BMW", "BMMM", "LAMM")),
+    st.integers(min_value=0, max_value=5),
+)
+
+
+class TestBatchRead:
+    """``fetch``/``get_many`` are per-key ``get`` over a whole scan."""
+
+    @hsettings(max_examples=60, deadline=None)
+    @given(
+        rows=st.dictionaries(
+            st.tuples(_CELL, st.sampled_from((FP, OTHER_FP))),
+            st.integers(min_value=0, max_value=99),
+            max_size=30,
+        ),
+        keys=st.lists(_CELL, max_size=40),
+    )
+    def test_batch_equals_per_key_get(self, rows, keys):
+        def filled():
+            store = ResultStore(":memory:")
+            for ((digest, protocol, seed), fp), value in rows.items():
+                store.put(digest, protocol, seed, _payload(rak_polls=value), fingerprint=fp)
+            return store
+
+        with filled() as batch, filled() as single:
+            expected = {}
+            for key in dict.fromkeys(keys):
+                got = single.get(*key, fingerprint=FP)
+                if got is not None:
+                    expected[key] = got
+            before = _hit_rows(batch)
+            assert batch.fetch(keys, FP) == expected
+            assert _hit_rows(batch) == before  # a pure read
+            assert batch.get_many(keys, FP) == expected
+            after = _hit_rows(batch)
+            for row, (hits, last) in after.items():
+                if row[:3] in expected and row[3] == FP:
+                    assert hits == before[row][0] + 1 and last is not None
+                else:  # misses and stale-fingerprint rows are untouched
+                    assert (hits, last) == before[row]
+
+    def test_seed_lists_are_chunked(self, monkeypatch):
+        monkeypatch.setattr(db, "_SEED_CHUNK", 2)
+        with ResultStore(":memory:") as store:
+            for seed in range(5):
+                store.put(DIG, "BMMM", seed, _payload(rak_polls=seed), fingerprint=FP)
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            got = store.fetch([(DIG, "BMMM", s) for s in range(6)], FP)
+        assert {k: v.counters["rak_polls"] for k, v in got.items()} == {
+            (DIG, "BMMM", s): s for s in range(5)
+        }
+        assert sum(sql.startswith("SELECT") for sql in statements) == 3
+
+    def test_no_hits_opens_no_transaction(self):
+        with ResultStore(":memory:") as store:
+            store.put(DIG, "BMMM", 0, _payload(), fingerprint=OTHER_FP)
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            assert store.get_many([(DIG, "BMMM", 0), (DIG, "LAMM", 1)], FP) == {}
+        assert [sql for sql in statements if not sql.startswith("SELECT")] == []
+
+    def test_failed_bookkeeping_rolls_back(self, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            for seed in range(3):
+                store.put(DIG, "BMMM", seed, _payload(), fingerprint=FP)
+            # Abort the UPDATE on its last row: the first two must not count.
+            store._conn.execute(
+                "CREATE TRIGGER no_third BEFORE UPDATE OF hits ON results"
+                " WHEN NEW.seed = 2 BEGIN SELECT RAISE(ABORT, 'boom'); END"
+            )
+            with pytest.raises(sqlite3.IntegrityError, match="boom"):
+                store.get_many([(DIG, "BMMM", s) for s in range(3)], FP)
+            assert not store._conn.in_transaction
+            assert store.stats()["total_hits"] == 0
+
+    def test_corrupt_row_fails_loudly_naming_the_cell(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        with ResultStore(path) as store:
+            store.put(DIG, "BMMM", 3, _payload(), fingerprint=FP)
+            store._conn.execute(
+                "UPDATE results SET payload = substr(payload, 1, length(payload) / 2)"
+            )
+            for read in (store.fetch, store.get_many):
+                with pytest.raises(StoreError) as info:
+                    read([(DIG, "BMMM", 3)], FP)
+                message = str(info.value)
+                for part in (DIG, "BMMM", "seed 3", str(path)):
+                    assert part in message
+            assert store.stats()["total_hits"] == 0
