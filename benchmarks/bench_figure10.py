@@ -1,7 +1,7 @@
 """Figure 10: average message completion time vs (a) nodal density and
 (b) message generation rate."""
 
-from repro.experiments.figures import figure10a, figure10b
+from repro.experiments.figures import run_figures
 
 from conftest import bench_settings, n_runs, report
 
@@ -42,11 +42,12 @@ def _check_time_ordering(result):
 
 def test_figure10a(benchmark):
     result = benchmark.pedantic(
-        figure10a,
+        run_figures,
+        args=(["figure10a"],),
         kwargs={"settings": bench_settings(), "seeds": range(n_runs())},
         rounds=1,
         iterations=1,
-    )
+    )["figure10a"]
     report(result, "LAMM < BMMM < BMW; all grow with density")
     _check_time_ordering(result)
     assert result.series["BMW"][-1] > result.series["BMW"][0]
@@ -54,10 +55,11 @@ def test_figure10a(benchmark):
 
 def test_figure10b(benchmark):
     result = benchmark.pedantic(
-        figure10b,
+        run_figures,
+        args=(["figure10b"],),
         kwargs={"settings": bench_settings(), "seeds": range(n_runs())},
         rounds=1,
         iterations=1,
-    )
+    )["figure10b"]
     report(result, "LAMM < BMMM < BMW at every rate")
     _check_time_ordering(result)

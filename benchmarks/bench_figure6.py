@@ -1,7 +1,7 @@
 """Figure 6: successful delivery rate vs (a) nodal density and (b) message
 generation rate (full simulation, Table 2 defaults)."""
 
-from repro.experiments.figures import figure6a, figure6b
+from repro.experiments.figures import run_figures
 
 from conftest import bench_settings, n_runs, report
 
@@ -26,11 +26,12 @@ def _check_reliability_ordering(result):
 
 def test_figure6a(benchmark):
     result = benchmark.pedantic(
-        figure6a,
+        run_figures,
+        args=(["figure6a"],),
         kwargs={"settings": bench_settings(), "seeds": range(n_runs())},
         rounds=1,
         iterations=1,
-    )
+    )["figure6a"]
     report(result, "all degrade with density; LAMM highest, BMMM second")
     _check_reliability_ordering(result)
     # Delivery degrades from the sparsest to the densest point.
@@ -40,11 +41,12 @@ def test_figure6a(benchmark):
 
 def test_figure6b(benchmark):
     result = benchmark.pedantic(
-        figure6b,
+        run_figures,
+        args=(["figure6b"],),
         kwargs={"settings": bench_settings(), "seeds": range(n_runs())},
         rounds=1,
         iterations=1,
-    )
+    )["figure6b"]
     report(result, "all degrade with rate; LAMM highest, BMMM second")
     _check_reliability_ordering(result)
     for proto in result.series:

@@ -1,17 +1,18 @@
 """Figure 7: successful delivery rate vs timeout (100-300 slots)."""
 
-from repro.experiments.figures import figure7
+from repro.experiments.figures import run_figures
 
 from conftest import bench_settings, n_runs, report
 
 
 def test_figure7(benchmark):
     result = benchmark.pedantic(
-        figure7,
+        run_figures,
+        args=(["figure7"],),
         kwargs={"settings": bench_settings(), "seeds": range(n_runs())},
         rounds=1,
         iterations=1,
-    )
+    )["figure7"]
     report(
         result,
         "larger timeout -> higher delivery for every protocol; "

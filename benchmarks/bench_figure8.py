@@ -1,18 +1,19 @@
 """Figure 8: successful delivery rate vs reliability threshold (one
 simulation set per protocol, re-scored per threshold)."""
 
-from repro.experiments.figures import figure8
+from repro.experiments.figures import run_figures
 
 from conftest import bench_settings, n_runs, report
 
 
 def test_figure8(benchmark):
     result = benchmark.pedantic(
-        figure8,
+        run_figures,
+        args=(["figure8"],),
         kwargs={"settings": bench_settings(), "seeds": range(n_runs())},
         rounds=1,
         iterations=1,
-    )
+    )["figure8"]
     report(
         result,
         "BMMM/LAMM flat and high at every threshold (completion implies "

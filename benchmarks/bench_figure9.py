@@ -1,7 +1,7 @@
 """Figure 9: average number of contention phases per message vs (a) nodal
 density and (b) message generation rate."""
 
-from repro.experiments.figures import figure9a, figure9b
+from repro.experiments.figures import run_figures
 
 from conftest import bench_settings, n_runs, report
 
@@ -19,11 +19,12 @@ def _check_phase_ordering(result):
 
 def test_figure9a(benchmark):
     result = benchmark.pedantic(
-        figure9a,
+        run_figures,
+        args=(["figure9a"],),
         kwargs={"settings": bench_settings(), "seeds": range(n_runs())},
         rounds=1,
         iterations=1,
-    )
+    )["figure9a"]
     report(result, "BMW highest (>= n-ish), growing with density; others low")
     _check_phase_ordering(result)
     # BMW's cost grows with the neighbor count (it serves each neighbor).
@@ -32,10 +33,11 @@ def test_figure9a(benchmark):
 
 def test_figure9b(benchmark):
     result = benchmark.pedantic(
-        figure9b,
+        run_figures,
+        args=(["figure9b"],),
         kwargs={"settings": bench_settings(), "seeds": range(n_runs())},
         rounds=1,
         iterations=1,
-    )
+    )["figure9b"]
     report(result, "BMW highest at every rate; BMMM/LAMM lowest")
     _check_phase_ordering(result)

@@ -19,12 +19,15 @@ Examples::
     repro-mac store stats results/store.sqlite
     python -m repro figure5
 
-Every ``--out`` invocation also writes a ``<name>.manifest.json``
-provenance record (settings, seeds, package version, wall-clock) next to
-the JSON result; ``--profile`` prints per-phase wall-clock timings.  The
-``trace`` subcommand runs one scenario with the observability bus recording
-and dumps the JSONL trace plus a lane diagram (see
-``docs/observability.md``).
+The simulated figures (6-10) are views of one campaign
+(:func:`~repro.experiments.figures.run_figures`): ``repro-mac all`` and
+``repro-mac report`` run their 11 distinct sweep points once, and
+``repro-mac figure9b`` runs only the points Figure 9(b) plots.  Every
+``--out`` invocation also writes a ``<name>.manifest.json`` provenance
+record (settings, seeds, package version, wall-clock) next to the JSON
+result; ``--profile`` prints per-phase wall-clock timings.  The ``trace``
+subcommand runs one scenario with the observability bus recording and
+dumps the JSONL trace plus a lane diagram (see ``docs/observability.md``).
 
 The grid subcommands -- ``sweep`` (a workload axis), ``faults`` (the
 degradation study's fault axis, ``docs/faults.md``), ``rate-sweep`` (PHY
@@ -99,25 +102,11 @@ __all__ = [
     "build_store_parser",
 ]
 
-#: Experiments that run simulations and accept a ``seeds`` argument.
-_SIMULATED = {
-    "figure6a": F.figure6a,
-    "figure6b": F.figure6b,
-    "figure7": F.figure7,
-    "figure8": F.figure8,
-    "figure9a": F.figure9a,
-    "figure9b": F.figure9b,
-    "figure10a": F.figure10a,
-    "figure10b": F.figure10b,
-}
-#: Analytic / single-scenario experiments.
-_ANALYTIC = {
-    "table1": lambda: F.table1(),
-    "figure2": lambda: F.figure2(),
-    "figure5": lambda: F.figure5(),
-}
+#: Analytic / single-scenario experiments; the simulated ones are
+#: ``F.FIGURES``.
+_ANALYTIC = {"table1": F.table1, "figure2": F.figure2, "figure5": F.figure5}
 
-EXPERIMENTS = sorted(_ANALYTIC) + sorted(_SIMULATED)
+EXPERIMENTS = sorted(_ANALYTIC) + sorted(F.FIGURES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,14 +177,17 @@ def _save_experiment_manifest(name: str, args_ns, timer: PhaseTimer, out: str):
     return manifest.save(Path(out) / f"{name}.manifest.json")
 
 
-def _run_one(name: str, args_ns) -> None:
-    seeds, out, chart, jobs = args_ns.seeds, args_ns.out, args_ns.chart, args_ns.jobs
+def _run_one(name: str, args_ns, result=None, compute_s: float = 0.0) -> None:
+    """Print (and with ``--out`` save) one experiment.  A simulated
+    figure arrives as *result*, read off a campaign that took
+    *compute_s*; an analytic one is computed here."""
+    out, chart = args_ns.out, args_ns.chart
     timer = PhaseTimer()
-    with timer.phase("compute"):
-        if name in _ANALYTIC:
+    if result is None:
+        with timer.phase("compute"):
             result = _ANALYTIC[name]()
-        else:
-            result = _SIMULATED[name](seeds=range(seeds), processes=jobs)
+    else:
+        timer.add("compute", compute_s)
     with timer.phase("render"):
         if name == "table1":
             print(format_table1(result))
@@ -220,12 +212,8 @@ def _run_one(name: str, args_ns) -> None:
 # The grid subcommands (`sweep`, `rate-sweep`, `faults`, `serve`): one spec
 # --------------------------------------------------------------------------
 
-#: Sweep axes: flag value -> (settings field, value parser, paper's values).
-_SWEEP_AXES = {
-    "nodes": ("n_nodes", int, F.DENSITY_SWEEP_NODES),
-    "rate": ("message_rate", float, F.RATE_SWEEP),
-    "timeout": ("timeout_slots", float, F.TIMEOUT_SWEEP),
-}
+#: Sweep axes (``--axis``): the figures' axes that set a settings field.
+_SWEEP_AXES = {name: axis for name, axis in F.AXES.items() if axis.setting}
 
 #: Per-run override flags (where a subcommand has them) -> settings field.
 _OVERRIDES = {"nodes": "n_nodes", "rate": "message_rate", "horizon": "horizon"}
@@ -261,10 +249,10 @@ def _base_settings(args) -> SimulationSettings:
 
 def _axis_grid(args) -> tuple[list, list[SimulationSettings]]:
     """``--axis``/``--values`` of ``sweep``/``serve``: (values, points)."""
-    field, parse, paper_values = _SWEEP_AXES[args.axis]
-    values = _csv(args.values, parse) if args.values else list(paper_values)
+    axis = _SWEEP_AXES[args.axis]
+    values = _csv(args.values, axis.parse) if args.values else list(axis.values)
     base = _base_settings(args)
-    return values, [base.with_(**{field: v}) for v in values]
+    return values, [axis.point(base, v) for v in values]
 
 
 def _grid_scenario(args):
@@ -498,22 +486,13 @@ def build_rate_sweep_parser() -> argparse.ArgumentParser:
 
 
 def _rate_sweep_main(argv: list[str]) -> int:
-    from repro.experiments.ratesweep import RATE_PROFILES, rate_bench_record, run_rate_sweep
+    from repro.experiments.ratesweep import rate_bench_record, rate_points
+    from repro.experiments.sweep import run_sweep
 
     args = build_rate_sweep_parser().parse_args(argv)
-    profile_names = _csv(args.profiles)
-    unknown = [p for p in profile_names if p not in RATE_PROFILES]
-    if unknown:
-        raise KeyError(
-            f"unknown rate profile(s) {unknown}; choose from {sorted(RATE_PROFILES)}"
-        )
-    result, names = run_rate_sweep(
-        _base_settings(args),
-        protocols=_csv(args.protocols),
-        profiles={n: RATE_PROFILES[n] for n in profile_names},
-        seeds=tuple(range(args.seeds)),
-        **_grid_kwargs(args),
-    )
+    names = _csv(args.profiles)
+    points = rate_points(_base_settings(args), names)
+    result = run_sweep(_grid_scenario(args), points, **_grid_kwargs(args))
     return _finish_grid(
         args,
         result,
@@ -767,15 +746,18 @@ def build_trace_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mac trace",
         description=(
-            "Run one scenario (a figure's Table-2 operating point) with the "
-            "observability bus recording; dump the JSONL trace, a lane "
+            "Run one scenario -- the Table-2 operating point every simulated "
+            "figure shares, changed only by --nodes/--rate/--horizon -- with "
+            "the observability bus recording; dump the JSONL trace, a lane "
             "diagram, and a run manifest."
         ),
     )
     parser.add_argument(
         "figure",
-        choices=sorted(_SIMULATED),
-        help="which figure's operating point to trace",
+        choices=sorted(F.FIGURES),
+        help="the figure the trace is filed under: it names the output files "
+        "and the manifest's \"figure\" entry; it does not change the "
+        "scenario (use --nodes/--rate/--horizon for that)",
     )
     parser.add_argument("--seed", type=int, default=0, metavar="S", help="run seed (default 0)")
     parser.add_argument(
@@ -1236,8 +1218,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
     t0 = time.time()
+    simulated = [name for name in names if name in F.FIGURES]
+    figures, campaign = {}, PhaseTimer()
+    if simulated:
+        with campaign.phase("compute"):
+            figures = F.run_figures(simulated, seeds=range(args.seeds), processes=args.jobs)
     for name in names:
-        _run_one(name, args)
+        _run_one(name, args, figures.get(name), campaign.total)
     if len(names) > 1:
         print(f"[all {len(names)} experiments done in {time.time() - t0:.1f}s]")
     return 0

@@ -15,14 +15,7 @@ from repro.experiments.figures import (
     FigureResult,
     figure2,
     figure5,
-    figure6a,
-    figure6b,
-    figure7,
-    figure8,
-    figure9a,
-    figure9b,
-    figure10a,
-    figure10b,
+    run_figures,
     table1,
 )
 from repro.experiments.report import format_figure, format_table1, save_json
@@ -43,14 +36,7 @@ __all__ = [
     "FigureResult",
     "figure2",
     "figure5",
-    "figure6a",
-    "figure6b",
-    "figure7",
-    "figure8",
-    "figure9a",
-    "figure9b",
-    "figure10a",
-    "figure10b",
+    "run_figures",
     "table1",
     "format_figure",
     "format_table1",

@@ -1,18 +1,27 @@
 """Per-figure experiment definitions (Section 7, Figures 2 and 5-10;
 Section 6, Table 1).
 
-Every function returns a :class:`FigureResult` whose ``series`` hold one
-y-list per protocol over ``xs`` -- the same rows/series the paper plots.
-Sweep values follow the paper where it states them (Figure 7 sweeps the
-timeout from 100 to 300 slots; Figure 8 sweeps the reliability threshold)
-and otherwise bracket the Table 2 operating point.
+Every result is a :class:`FigureResult` whose ``series`` hold one y-list
+per protocol over ``xs`` -- the same rows/series the paper plots.
+
+Figures 6-10 are views of one campaign.  The paper plots three metrics
+(delivery rate, contention phases, completion time) over one density and
+one rate sweep, sweeps the timeout through the Table-2 point (Figure 7)
+and re-scores that point per reliability threshold (Figure 8).  So
+:data:`AXES` says how each x-axis enters the runs, :data:`FIGURES` says
+which axis and metric each figure plots, and :func:`run_figures` runs the
+union of the named figures' points through one
+:func:`~repro.experiments.sweep.run_sweep` -- each distinct setting once
+-- and reads every figure off the one result.  Sweep values follow the
+paper where it states them (Figure 7 sweeps the timeout from 100 to 300
+slots) and otherwise bracket the Table 2 operating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,14 +37,11 @@ __all__ = [
     "table1",
     "figure2",
     "figure5",
-    "figure6a",
-    "figure6b",
-    "figure7",
-    "figure8",
-    "figure9a",
-    "figure9b",
-    "figure10a",
-    "figure10b",
+    "Axis",
+    "AXES",
+    "FigureSpec",
+    "FIGURES",
+    "run_figures",
     "DENSITY_SWEEP_NODES",
     "RATE_SWEEP",
     "TIMEOUT_SWEEP",
@@ -135,7 +141,9 @@ def figure2(n_receivers: int = 4, seed: int = 0) -> FigureResult:
     returned in ``meta["timeline"]``.
     """
     # Imported here so that ``import repro`` does not load the trace module.
+    from repro.experiments.runner import build_network
     from repro.obs.trace import TraceRecorder
+    from repro.phy.propagation import UnitDiskPropagation
 
     if n_receivers < 1:
         raise ValueError("need at least one receiver")
@@ -145,13 +153,14 @@ def figure2(n_receivers: int = 4, seed: int = 0) -> FigureResult:
     radii = 0.02 + 0.05 * rng.random(n_receivers)
     pos = np.vstack([[0.5, 0.5], np.c_[0.5 + radii * np.cos(angles), 0.5 + radii * np.sin(angles)]])
 
-    settings = SimulationSettings(n_nodes=n_receivers + 1, timeout_slots=10_000)
+    settings = SimulationSettings(n_nodes=n_receivers + 1, timeout_slots=10_000, capture=False)
+    propagation = UnitDiskPropagation(pos, settings.radius)
     series: dict[str, list[float]] = {}
     timelines: dict[str, list] = {}
     counts: dict[str, dict[str, int]] = {}
     for name in ("BMW", "BMMM"):
         mac_cls, kwargs = protocol_class(name)
-        net = _rebuild_with_positions(mac_cls, settings, seed, kwargs, pos)
+        net = build_network(mac_cls, settings, seed, kwargs, propagation=propagation)
         recorder = net.env.obs.subscribe(TraceRecorder(), types=("frame_tx",))
         req = net.mac(0).submit(MessageKind.BROADCAST)
         net.run(until=2_000)
@@ -172,258 +181,164 @@ def figure2(n_receivers: int = 4, seed: int = 0) -> FigureResult:
     )
 
 
-def _rebuild_with_positions(mac_cls, settings, seed, kwargs, positions):
-    from repro.sim.network import Network
-    from repro.mac.base import MacConfig
+# --------------------------------------------------------------------------
+# Simulation sweeps (Figures 6-10): views of one campaign
+# --------------------------------------------------------------------------
 
-    return Network(
-        positions,
-        settings.radius,
-        mac_cls,
-        capture=None,
-        seed=seed,
-        mac_config=MacConfig(contention=settings.contention, timeout_slots=settings.timeout_slots),
-        mac_kwargs=kwargs,
+
+@dataclass(frozen=True)
+class Axis:
+    """One x-axis of Figures 6-10 and how its values enter the runs.
+
+    *setting* is the settings field each value sets (one sweep point per
+    value), or ``None`` for a value that only enters at scoring time:
+    every x then re-scores the one base point.  *parse* gives a value the
+    type the field declares (the CLI's ``--values`` parser too).  With
+    *measured* the x-value is the point's measured mean degree rather
+    than the swept value.
+    """
+
+    xlabel: str
+    values: tuple
+    parse: Callable[[Any], Any]
+    setting: str | None = None
+    measured: bool = False
+
+    def point(self, base: SimulationSettings, value) -> SimulationSettings:
+        return base.with_(**{self.setting: value}) if self.setting else base
+
+
+#: The x-axes, keyed by the names ``run_figures(grids=...)`` and the CLI's
+#: ``--axis`` use.
+AXES: dict[str, Axis] = {
+    "nodes": Axis(
+        "average number of neighbors", DENSITY_SWEEP_NODES, int, "n_nodes", measured=True
+    ),
+    "rate": Axis("message generation rate (/node/slot)", RATE_SWEEP, float, "message_rate"),
+    "timeout": Axis("timeout (slots)", TIMEOUT_SWEEP, float, "timeout_slots"),
+    "threshold": Axis("reliability threshold", THRESHOLD_SWEEP, float),
+}
+
+
+@dataclass(frozen=True)
+class FigureSpec:
+    """One simulated figure: a metric over an axis.
+
+    Each *extra* metric is averaged from the same runs into
+    ``meta["extra"][metric]`` (same ``{protocol: [values]}`` layout).
+    On the threshold axis the metric is the delivery rate re-scored per
+    threshold (:meth:`~repro.metrics.aggregate.RunMetrics.delivery_rate_at`).
+    """
+
+    name: str
+    ylabel: str
+    axis: str
+    metric: str
+    extra: tuple[str, ...] = ()
+
+
+_DELIVERY = "successful delivery rate"
+_PHASES = "average contention phases per message"
+#: Figure 10 carries the uncensored companion ``avg_service_time``
+#: (timed-out messages counted at their full lifetime), which the
+#: benchmarks use to check the ordering without the completed-only
+#: survivorship bias.  The paper discusses completion time for the
+#: reliable protocols (BSMA "completes" without delivering, Section 7.3)
+#: but plots all four; so do we.
+_COMPLETION = "average message completion time (slots)"
+
+#: Figures 6-10 in the paper's order.
+FIGURES: dict[str, FigureSpec] = {
+    spec.name: spec
+    for spec in (
+        FigureSpec("figure6a", _DELIVERY, "nodes", "delivery_rate"),
+        FigureSpec("figure6b", _DELIVERY, "rate", "delivery_rate"),
+        FigureSpec("figure7", _DELIVERY, "timeout", "delivery_rate"),
+        FigureSpec("figure8", _DELIVERY, "threshold", "delivery_rate"),
+        FigureSpec("figure9a", _PHASES, "nodes", "avg_contention_phases"),
+        FigureSpec("figure9b", _PHASES, "rate", "avg_contention_phases"),
+        FigureSpec("figure10a", _COMPLETION, "nodes", "avg_completion_time", ("avg_service_time",)),
+        FigureSpec("figure10b", _COMPLETION, "rate", "avg_completion_time", ("avg_service_time",)),
     )
+}
 
 
-# --------------------------------------------------------------------------
-# Simulation sweeps (Figures 6-10)
-# --------------------------------------------------------------------------
-
-
-def _sweep(
-    name: str,
-    xlabel: str,
-    ylabel: str,
-    settings_list: Sequence[SimulationSettings],
-    xs_from: str,
-    metric: str,
-    seeds: Iterable[int],
-    protocols: Sequence[str] | None = None,
-    extra_metrics: Sequence[str] = (),
+def run_figures(
+    names: Iterable[str],
+    *,
+    settings: SimulationSettings | None = None,
+    seeds: Iterable[int] = range(3),
     processes: int | None = 1,
-) -> FigureResult:
-    """Generic sweep: run every protocol at every settings point.
+    grids: Mapping[str, Sequence] | None = None,
+) -> dict[str, FigureResult]:
+    """Run the named figures as one campaign; ``{name: FigureResult}``.
 
-    *metric* becomes the figure's series; any *extra_metrics* are computed
-    from the same runs and stored under ``meta["extra"][metric_name]``
-    (same {protocol: [values]} layout) -- used by benchmarks that want a
-    companion metric without re-simulating.  The whole grid runs through
-    :func:`repro.experiments.sweep.run_sweep`: one long-lived pool when
-    *processes* > 1, shared topology/schedule builds across the protocols
-    of each (point, seed) cell either way -- results are bit-identical to
-    per-run serial execution (tested).
+    Every figure's points are *settings* (default: Table 2) with its
+    axis swept over the paper's values, or over ``grids[axis]`` where
+    given.  The union of those points, each distinct settings digest
+    once, runs through one :func:`~repro.experiments.sweep.run_sweep`
+    (all paper protocols, *seeds*, *processes* workers), and each figure
+    is read off that one result -- the same numbers as one sweep per
+    figure, since a cell depends only on (settings, seed, protocol).
     """
     from repro.experiments.scenario import Scenario
     from repro.experiments.sweep import run_sweep
+    from repro.store.digests import settings_digest
 
-    if protocols is None:
-        protocols = paper_protocols()
+    base = settings or SimulationSettings()
     seeds = list(seeds)
-    scenario = Scenario(
-        settings=settings_list[0], protocols=tuple(protocols), seeds=tuple(seeds)
-    )
-    result = run_sweep(scenario, list(settings_list), processes=processes)
+    grids = grids or {}
+    if set(grids) - set(AXES):
+        raise KeyError(f"unknown axes {sorted(set(grids) - set(AXES))}; choose from {list(AXES)}")
+    specs = [FIGURES[name] for name in names]
+    values = {
+        name: [axis.parse(v) for v in grids.get(name, axis.values)]
+        for name, axis in AXES.items()
+    }
+    index: dict[str, int] = {}
+    points: list[SimulationSettings] = []
+    at: dict[str, list[int]] = {}  # axis -> point index per x
+    for axis_name in dict.fromkeys(spec.axis for spec in specs):
+        axis = AXES[axis_name]
+        at[axis_name] = []
+        for value in values[axis_name]:
+            point = axis.point(base, value)
+            digest = settings_digest(point)
+            if digest not in index:
+                index[digest] = len(points)
+                points.append(point)
+            at[axis_name].append(index[digest])
+    scenario = Scenario(settings=base, protocols=paper_protocols(), seeds=tuple(seeds))
+    result = run_sweep(scenario, points, processes=processes)
+    return {
+        spec.name: _view(spec, result, at[spec.axis], values[spec.axis], seeds)
+        for spec in specs
+    }
+
+
+def _view(spec: FigureSpec, result, point_ids, values, seeds) -> FigureResult:
+    """One figure read off the campaign: x number *i* is point
+    ``point_ids[i]`` at axis value ``values[i]``."""
+    axis = AXES[spec.axis]
+    protocols = list(result.protocols)
     series: dict[str, list[float]] = {p: [] for p in protocols}
-    extra: dict[str, dict[str, list[float]]] = {
-        m: {p: [] for p in protocols} for m in extra_metrics
-    }
-    xs: list[float] = []
-    for idx, st in enumerate(settings_list):
+    extra = {m: {p: [] for p in protocols} for m in spec.extra}
+    for point, value in zip(point_ids, values):
         for proto in protocols:
-            run_metrics = result.cell(idx, proto).metrics
-            series[proto].append(mean(getattr(m, metric) for m in run_metrics))
-            for name_ in extra_metrics:
-                extra[name_][proto].append(
-                    mean(getattr(m, name_) for m in run_metrics)
-                )
-        if xs_from == "degree":
-            xs.append(mean(result.point_degrees(idx)))
-        elif xs_from == "rate":
-            xs.append(st.message_rate)
-        elif xs_from == "timeout":
-            xs.append(st.timeout_slots)
-        else:
-            xs.append(float(idx))
+            runs = result.cell(point, proto).metrics
+            if axis.setting is None:
+                series[proto].append(mean(m.delivery_rate_at(value) for m in runs))
+            else:
+                series[proto].append(mean(getattr(m, spec.metric) for m in runs))
+            for metric in spec.extra:
+                extra[metric][proto].append(mean(getattr(m, metric) for m in runs))
+    xs = [
+        mean(result.point_degrees(point)) if axis.measured else value
+        for point, value in zip(point_ids, values)
+    ]
+    meta: dict[str, Any] = {"seeds": seeds, "protocols": protocols}
+    if axis.setting is not None:
+        meta["extra"] = extra
     return FigureResult(
-        name=name,
-        xlabel=xlabel,
-        ylabel=ylabel,
-        xs=xs,
-        series=series,
-        meta={"seeds": seeds, "protocols": list(protocols), "extra": extra},
-    )
-
-
-def figure6a(
-    settings: SimulationSettings | None = None,
-    seeds: Iterable[int] = range(3),
-    node_counts: Sequence[int] = DENSITY_SWEEP_NODES,
-    processes: int | None = 1,
-) -> FigureResult:
-    """Figure 6(a): successful delivery rate vs nodal density."""
-    st = settings or SimulationSettings()
-    return _sweep(
-        "figure6a",
-        "average number of neighbors",
-        "successful delivery rate",
-        [st.with_(n_nodes=n) for n in node_counts],
-        "degree",
-        "delivery_rate",
-        seeds,
-        processes=processes,
-    )
-
-
-def figure6b(
-    settings: SimulationSettings | None = None,
-    seeds: Iterable[int] = range(3),
-    rates: Sequence[float] = RATE_SWEEP,
-    processes: int | None = 1,
-) -> FigureResult:
-    """Figure 6(b): successful delivery rate vs message generation rate."""
-    st = settings or SimulationSettings()
-    return _sweep(
-        "figure6b",
-        "message generation rate (/node/slot)",
-        "successful delivery rate",
-        [st.with_(message_rate=r) for r in rates],
-        "rate",
-        "delivery_rate",
-        seeds,
-        processes=processes,
-    )
-
-
-def figure7(
-    settings: SimulationSettings | None = None,
-    seeds: Iterable[int] = range(3),
-    timeouts: Sequence[float] = TIMEOUT_SWEEP,
-    processes: int | None = 1,
-) -> FigureResult:
-    """Figure 7: successful delivery rate vs timeout (100-300 slots)."""
-    st = settings or SimulationSettings()
-    return _sweep(
-        "figure7",
-        "timeout (slots)",
-        "successful delivery rate",
-        [st.with_(timeout_slots=float(t)) for t in timeouts],
-        "timeout",
-        "delivery_rate",
-        seeds,
-        processes=processes,
-    )
-
-
-def figure8(
-    settings: SimulationSettings | None = None,
-    seeds: Iterable[int] = range(3),
-    thresholds: Sequence[float] = THRESHOLD_SWEEP,
-    protocols: Sequence[str] | None = None,
-    processes: int | None = 1,
-) -> FigureResult:
-    """Figure 8: successful delivery rate vs reliability threshold.
-
-    The threshold only enters at scoring time, so one
-    :func:`~repro.experiments.sweep.run_sweep` over the single settings
-    point simulates each protocol/seed once, and every run is re-scored
-    per threshold with :meth:`RunMetrics.delivery_rate_at`.  The cell is
-    scored (and stored) at ``settings.threshold``, so it shares its
-    settings digest with the same point of Figure 6(a).
-    """
-    from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep
-
-    st = settings or SimulationSettings()
-    if protocols is None:
-        protocols = paper_protocols()
-    seeds = list(seeds)
-    scenario = Scenario(settings=st, protocols=tuple(protocols), seeds=tuple(seeds))
-    result = run_sweep(scenario, processes=processes)
-    series = {
-        proto: [
-            mean(m.delivery_rate_at(th) for m in result.cell(0, proto).metrics)
-            for th in thresholds
-        ]
-        for proto in protocols
-    }
-    return FigureResult(
-        name="figure8",
-        xlabel="reliability threshold",
-        ylabel="successful delivery rate",
-        xs=[float(t) for t in thresholds],
-        series=series,
-        meta={"seeds": seeds, "protocols": list(protocols)},
-    )
-
-
-def figure9a(settings=None, seeds: Iterable[int] = range(3), node_counts=DENSITY_SWEEP_NODES, processes: int | None = 1) -> FigureResult:
-    """Figure 9(a): average contention phases per message vs density."""
-    st = settings or SimulationSettings()
-    return _sweep(
-        "figure9a",
-        "average number of neighbors",
-        "average contention phases per message",
-        [st.with_(n_nodes=n) for n in node_counts],
-        "degree",
-        "avg_contention_phases",
-        seeds,
-        processes=processes,
-    )
-
-
-def figure9b(settings=None, seeds: Iterable[int] = range(3), rates=RATE_SWEEP, processes: int | None = 1) -> FigureResult:
-    """Figure 9(b): average contention phases per message vs rate."""
-    st = settings or SimulationSettings()
-    return _sweep(
-        "figure9b",
-        "message generation rate (/node/slot)",
-        "average contention phases per message",
-        [st.with_(message_rate=r) for r in rates],
-        "rate",
-        "avg_contention_phases",
-        seeds,
-        processes=processes,
-    )
-
-
-def figure10a(settings=None, seeds: Iterable[int] = range(3), node_counts=DENSITY_SWEEP_NODES, processes: int | None = 1) -> FigureResult:
-    """Figure 10(a): average message completion time vs density.
-
-    The paper discusses completion time for the reliable protocols (BSMA
-    "completes" without delivering, see Section 7.3) but plots all four;
-    we do the same.  ``meta["extra"]["avg_service_time"]`` carries the
-    uncensored companion metric (timed-out messages counted at their full
-    lifetime), which the benchmarks use to check the ordering without the
-    completed-only survivorship bias.
-    """
-    st = settings or SimulationSettings()
-    return _sweep(
-        "figure10a",
-        "average number of neighbors",
-        "average message completion time (slots)",
-        [st.with_(n_nodes=n) for n in node_counts],
-        "degree",
-        "avg_completion_time",
-        seeds,
-        extra_metrics=("avg_service_time",),
-        processes=processes,
-    )
-
-
-def figure10b(settings=None, seeds: Iterable[int] = range(3), rates=RATE_SWEEP, processes: int | None = 1) -> FigureResult:
-    """Figure 10(b): average message completion time vs rate.  See
-    :func:`figure10a` for the ``avg_service_time`` companion series."""
-    st = settings or SimulationSettings()
-    return _sweep(
-        "figure10b",
-        "message generation rate (/node/slot)",
-        "average message completion time (slots)",
-        [st.with_(message_rate=r) for r in rates],
-        "rate",
-        "avg_completion_time",
-        seeds,
-        extra_metrics=("avg_service_time",),
-        processes=processes,
+        name=spec.name, xlabel=axis.xlabel, ylabel=spec.ylabel, xs=xs, series=series, meta=meta
     )

@@ -1,10 +1,12 @@
 """One-shot reproduction report: every table/figure into a Markdown file.
 
 ``repro-mac report --seeds N --out results/`` runs the complete experiment
-matrix and writes ``results/REPORT.md`` containing the Table-1 comparison,
-each figure as a text table plus an ASCII chart, the saturation analysis,
-and the run configuration -- a self-contained artifact for comparing
-against the paper.
+matrix -- the simulated figures as one campaign
+(:func:`~repro.experiments.figures.run_figures`) -- and writes
+``results/REPORT.md`` containing the Table-1 comparison, each figure as a
+text table plus an ASCII chart, the saturation analysis, and the run
+configuration -- a self-contained artifact for comparing against the
+paper.
 """
 
 from __future__ import annotations
@@ -19,17 +21,6 @@ from repro.experiments.plotting import render_figure
 from repro.experiments.report import format_figure, format_table1, save_json
 
 __all__ = ["generate_report"]
-
-_SIM_FIGURES = (
-    F.figure6a,
-    F.figure6b,
-    F.figure7,
-    F.figure8,
-    F.figure9a,
-    F.figure9b,
-    F.figure10a,
-    F.figure10b,
-)
 
 
 def generate_report(
@@ -83,8 +74,7 @@ def generate_report(
     ]
     save_json(fig2, out_dir)
 
-    for fig_fn in _SIM_FIGURES:
-        result = fig_fn(settings=settings, seeds=seeds)
+    for result in F.run_figures(F.FIGURES, settings=settings, seeds=seeds).values():
         save_json(result, out_dir)
         parts += [
             "",

@@ -18,18 +18,17 @@ requests per kslot, completion time and the rate-machinery counters
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.experiments.config import SimulationSettings
-from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import SweepResult, run_sweep
+from repro.experiments.sweep import SweepResult
 from repro.phy.profile import PhyProfile
 from repro.store.digests import code_stamp
 
 __all__ = [
     "RATE_PROFILES",
     "RATE_SWEEP_PROTOCOLS",
-    "run_rate_sweep",
+    "rate_points",
     "rate_bench_record",
 ]
 
@@ -49,38 +48,13 @@ RATE_PROFILES: dict[str, PhyProfile] = {
 RATE_SWEEP_PROTOCOLS = ("LAMM", "RAM")
 
 
-def run_rate_sweep(
-    base: SimulationSettings | None = None,
-    *,
-    protocols: Sequence[str] = RATE_SWEEP_PROTOCOLS,
-    profiles: Mapping[str, PhyProfile] | None = None,
-    seeds: Sequence[int] = (0, 1, 2),
-    processes: int | None = None,
-    store=None,
-    telemetry=None,
-    profile: bool = False,
-    campaign: str = "rate",
-) -> tuple[SweepResult, list[str]]:
-    """Run the protocols x profiles x seeds grid.
-
-    Returns ``(result, profile_names)``; point *i* of the result is
-    ``profiles[profile_names[i]]`` applied to *base*.
-    """
-    base = base if base is not None else SimulationSettings()
-    profiles = dict(profiles) if profiles is not None else dict(RATE_PROFILES)
-    names = list(profiles)
-    points = [base.with_(phy=profiles[n]) for n in names]
-    scenario = Scenario(settings=base, protocols=tuple(protocols), seeds=tuple(seeds))
-    result = run_sweep(
-        scenario,
-        points,
-        processes=processes,
-        store=store,
-        telemetry=telemetry,
-        profile=profile,
-        campaign=campaign,
-    )
-    return result, names
+def rate_points(base: SimulationSettings, names: Sequence[str]) -> list[SimulationSettings]:
+    """One sweep point per rate profile name (*base* with the profile
+    swapped), in *names* order."""
+    unknown = [n for n in names if n not in RATE_PROFILES]
+    if unknown:
+        raise KeyError(f"unknown rate profile(s) {unknown}; choose from {sorted(RATE_PROFILES)}")
+    return [base.with_(phy=RATE_PROFILES[n]) for n in names]
 
 
 #: Counters worth surfacing per cell (per-MCS rounds are matched by prefix).

@@ -62,6 +62,24 @@ class TestMain:
         payload = json.loads((tmp_path / "figure2.json").read_text())
         assert payload["name"] == "figure2"
 
+    def test_all_runs_one_campaign(self, tmp_path, capsys, monkeypatch):
+        """``all`` hands every simulated figure to one ``run_figures``
+        call and files all eleven experiments."""
+        from repro.experiments import figures as F
+
+        calls = []
+
+        def fake(names, *, seeds, processes):
+            calls.append((list(names), list(seeds), processes))
+            return {n: FigureResult(n, "x", "y", [1.0], {"BMW": [0.5]}) for n in names}
+
+        monkeypatch.setattr(F, "run_figures", fake)
+        assert main(["all", "--seeds", "2", "--jobs", "3", "--out", str(tmp_path)]) == 0
+        assert calls == [(sorted(F.FIGURES), [0, 1], 3)]
+        for name in EXPERIMENTS:
+            assert json.loads((tmp_path / f"{name}.json").read_text())["name"] == name
+            assert (tmp_path / f"{name}.manifest.json").is_file()
+
     def test_out_writes_manifest(self, tmp_path, capsys):
         from repro.obs.manifest import load_manifest
 
@@ -491,6 +509,12 @@ class TestOneLineErrors:
         )
         assert code == 2
         assert "unknown protocol" in capsys.readouterr().err
+
+    def test_unknown_rate_profile(self, capsys):
+        code = main(["rate-sweep", "--profiles", "single,warp", "--seeds", "1", "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-mac: error: unknown rate profile(s) ['warp']")
 
     def test_gate_missing_baseline(self, capsys):
         code = main(["gate", "--baseline", "does/not/exist.json"])

@@ -37,6 +37,22 @@ class TestGenerateReport:
             payload = json.loads((tmp_path / f"{name}.json").read_text())
             assert payload["name"] == name
 
+    def test_simulates_each_distinct_cell_once(self, tmp_path, monkeypatch):
+        """The eight simulated figures are one campaign: 11 points x 4
+        protocols per seed (one sweep per figure ran 30 x 4)."""
+        from repro.experiments import sweep
+
+        calls = []
+        run_job = sweep.run_job
+
+        def counting(job, cache=None):
+            calls.append((job.point, job.seed, job.protocol))
+            return run_job(job, cache)
+
+        monkeypatch.setattr(sweep, "run_job", counting)
+        generate_report(tmp_path, seeds=[0], settings=SimulationSettings(horizon=100))
+        assert len(calls) == len(set(calls)) == 11 * 4
+
     def test_cli_report_entrypoint(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
         import repro.experiments.fullreport as fr

@@ -9,22 +9,30 @@ from repro.experiments.ratesweep import (
     RATE_PROFILES,
     RATE_SWEEP_PROTOCOLS,
     rate_bench_record,
-    run_rate_sweep,
+    rate_points,
 )
-from repro.experiments.sweep import save_bench
+from repro.experiments.scenario import Scenario
+from repro.experiments.sweep import run_sweep, save_bench
 
 TINY = SimulationSettings(n_nodes=14, horizon=400, message_rate=0.004)
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    result, names = run_rate_sweep(
-        TINY,
-        profiles={"single": RATE_PROFILES["single"], "mild": RATE_PROFILES["mild"]},
-        seeds=(0, 1),
-        processes=1,
-    )
-    return result, names
+    names = ["single", "mild"]
+    scenario = Scenario(protocols=RATE_SWEEP_PROTOCOLS, seeds=(0, 1))
+    return run_sweep(scenario, rate_points(TINY, names), processes=1), names
+
+
+class TestRatePoints:
+    def test_one_point_per_profile(self):
+        points = rate_points(TINY, ["aggressive", "single"])
+        assert [p.phy for p in points] == [RATE_PROFILES["aggressive"], RATE_PROFILES["single"]]
+        assert all(p.with_(phy=TINY.phy) == TINY for p in points)
+
+    def test_unknown_profile_is_a_key_error(self):
+        with pytest.raises(KeyError, match="unknown rate profile"):
+            rate_points(TINY, ["single", "warp"])
 
 
 class TestRunRateSweep:
@@ -37,8 +45,11 @@ class TestRunRateSweep:
         assert result.points[0].with_(phy=result.points[1].phy) == result.points[1]
 
     def test_default_protocols_are_the_head_to_head(self, sweep):
+        from repro.cli import build_rate_sweep_parser
+
         result, _ = sweep
         assert tuple(result.protocols) == RATE_SWEEP_PROTOCOLS == ("LAMM", "RAM")
+        assert build_rate_sweep_parser().parse_args([]).protocols == "LAMM,RAM"
 
     def test_single_rate_point_collapses_ram_onto_lamm(self, sweep):
         """The sweep's own control cell: at the single-rate point the two
