@@ -33,7 +33,6 @@ thins out.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,6 +43,7 @@ from repro.geometry.cover import CoverGeometry, update_uncovered
 from repro.geometry.mcs import greedy_cover_set, minimum_cover_set
 from repro.mac.base import MacBase, MacRequest, MessageStatus
 from repro.mac.registry import register_protocol
+from repro.obs.codec import normalise_fields
 
 __all__ = ["LammPolicy", "LammMac"]
 
@@ -61,12 +61,10 @@ class LammPolicy:
     max_exact: int = 24
 
     def __post_init__(self):
+        normalise_fields(self)
         if self.mcs not in ("greedy", "exact"):
             raise ValueError(f"unknown MCS policy {self.mcs!r}")
-        # A member count: a bool or a float is not one, and a negative
-        # limit would silently mean "always greedy".
-        if isinstance(self.max_exact, bool) or not isinstance(self.max_exact, numbers.Integral):
-            raise ValueError(f"max_exact must be a whole number, got {self.max_exact!r}")
+        # A negative limit would silently mean "always greedy".
         if self.max_exact < 0:
             raise ValueError(f"max_exact must be >= 0, got {self.max_exact}")
 

@@ -19,6 +19,7 @@ from repro.faults.plan import FaultPlan
 from repro.mac.base import MacBase, MacConfig
 from repro.mac.contention import ContentionParams
 from repro.mac.registry import paper_protocols, protocol_info, registered_protocols
+from repro.obs.codec import normalise_fields
 from repro.phy.profile import PhyProfile
 from repro.workload.generator import TrafficMix, check_count
 
@@ -84,6 +85,7 @@ class SimulationSettings:
     phy: PhyProfile = field(default_factory=PhyProfile)
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         MacConfig.check_timeout(self.timeout_slots)
         # Checked here, not first inside a (possibly remote) sweep worker.
         check_count("n_nodes", self.n_nodes)

@@ -10,8 +10,9 @@ crash processes, perceived positions) lives in
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
+
+from repro.obs.codec import normalise_fields
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,7 @@ class GilbertElliott:
     """Frame loss probability while the chain is BAD."""
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         for name in ("p_good_bad", "p_bad_good", "loss_good", "loss_bad"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -119,6 +121,7 @@ class NodeChurn:
     """Mean slots a crashed node stays down before recovering."""
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         if self.crash_rate < 0.0:
             raise ValueError(f"NodeChurn.crash_rate must be >= 0, got {self.crash_rate!r}")
         if self.mean_downtime <= 0.0:
@@ -158,17 +161,12 @@ class FaultPlan:
     (the paper's behaviour)."""
 
     def __post_init__(self) -> None:
+        normalise_fields(self)
         # Written so NaN fails too: it would jitter every perceived
         # position into NaN.
         if not 0.0 <= self.location_sigma < math.inf:
             raise ValueError(
                 f"FaultPlan.location_sigma must be finite and >= 0, got {self.location_sigma!r}"
-            )
-        # A count of DATA rounds: a fraction or a bool is not one.
-        give_up = self.receiver_give_up
-        if isinstance(give_up, bool) or not isinstance(give_up, numbers.Integral):
-            raise ValueError(
-                f"FaultPlan.receiver_give_up must be a whole number, got {give_up!r}"
             )
         if self.receiver_give_up < 0:
             raise ValueError(

@@ -104,10 +104,6 @@ class MacRequest:
     #: (``MacConfig.receiver_give_up``) -- empty with the cap disabled.
     gave_up: set[int] = field(default_factory=set)
 
-    @property
-    def is_group(self) -> bool:
-        return self.kind is not MessageKind.UNICAST
-
     def expired(self, now: float) -> bool:
         return now >= self.deadline
 

@@ -63,11 +63,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import random
 from dataclasses import dataclass
 
 from repro.mac.nav import Nav
+from repro.obs.codec import normalise_fields
 from repro.sim.kernel import Environment
 from repro.sim.radio import Radio
 
@@ -106,13 +106,7 @@ class ContentionParams:
     resume_backoff: bool = True
 
     def __post_init__(self):
-        # DIFS and the windows count whole slots: a fractional DIFS runs
-        # off the slot grid, NaN/inf cannot be counted, and a bool is not
-        # a slot count.
-        for name in ("difs_slots", "cw_min", "cw_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be a whole number of slots, got {value!r}")
+        normalise_fields(self)
         if self.difs_slots < 1:
             raise ValueError(f"difs_slots must be >= 1, got {self.difs_slots}")
         if not 1 <= self.cw_min <= self.cw_max:

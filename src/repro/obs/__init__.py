@@ -1,7 +1,7 @@
 """repro.obs -- observability: event bus, counters, traces, manifests,
 campaign telemetry and the kernel phase profiler.
 
-Seven pieces, threaded through the whole simulator stack:
+Eight pieces, threaded through the whole simulator stack:
 
 * :mod:`repro.obs.events` -- the typed event bus on
   :class:`~repro.sim.kernel.Environment` (``env.obs``); near-zero cost
@@ -15,6 +15,8 @@ Seven pieces, threaded through the whole simulator stack:
   the trace-to-``Transmission`` adapter feeding the lane diagram;
 * :mod:`repro.obs.manifest` / :mod:`repro.obs.profile` -- run provenance
   and wall-clock phase timing;
+* :mod:`repro.obs.codec` -- the settings wire format (one lowering for
+  digests and manifests, its inverse, the value rule of every settings field);
 * :mod:`repro.obs.telemetry` -- the campaign-scale progress stream
   (schema v1) behind ``repro-mac sweep --telemetry`` / ``repro-mac
   watch``: cells done/pending, worker heartbeats, cross-worker spans;

@@ -18,54 +18,21 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
+from repro.obs.codec import build, lower
 from repro.obs.records import write_json
 
 __all__ = ["RunManifest", "settings_to_dict", "load_manifest"]
 
 
-def _jsonable(value: Any, path: str) -> Any:
-    """Recursively validate/convert one settings value.
-
-    Only JSON-native scalars, lists/tuples, str-keyed dicts and (already
-    ``asdict``-lowered) nested structures pass.  Anything else raises
-    :class:`TypeError` naming the field -- stringifying unknown objects
-    silently turns a provenance record into a lie (a ``FaultPlan`` rendered as
-    ``"FaultPlan(...)"`` cannot be reloaded or diffed).
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"{path}: dict key {key!r} is not a string")
-        return {k: _jsonable(v, f"{path}.{k}") for k, v in value.items()}
-    if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value), path)
-    raise TypeError(
-        f"{path}: cannot serialize {type(value).__name__!r} into a manifest -- "
-        "settings fields must be JSON-native or dataclasses of JSON-native values"
-    )
-
-
 def settings_to_dict(settings: Any) -> dict | None:
-    """JSON-safe dump of a settings object (dataclasses nested OK).
-
-    ``SimulationSettings`` serializes completely, including the nested
-    ``FaultPlan``/``GilbertElliott``/``NodeChurn`` legs (``asdict``
-    recursion); an unserializable field raises a clear :class:`TypeError`
-    instead of being silently stringified, so manifests never drop
-    provenance.  The result round-trips through
-    :func:`repro.store.gate.settings_from_dict`.
-    """
+    """JSON-safe dump of a settings dataclass or str-keyed dict: the
+    untagged lowering (:func:`repro.obs.codec.lower`), which raises rather
+    than stringify a field, and which
+    :func:`repro.store.gate.settings_from_dict` inverts."""
     if settings is None:
         return None
-    if is_dataclass(settings) and not isinstance(settings, type):
-        name = type(settings).__name__
-        return _jsonable(asdict(settings), name)
-    if isinstance(settings, dict):
-        return _jsonable(settings, "settings")
+    if isinstance(settings, dict) or is_dataclass(settings):
+        return lower(settings, tagged=False)
     raise TypeError(f"cannot serialize settings of type {type(settings).__name__}")
 
 
@@ -109,13 +76,6 @@ class RunManifest:
 
 
 def load_manifest(path: str | Path) -> RunManifest:
-    """Read a manifest back; unknown keys are rejected loudly (a manifest
-    that cannot round-trip is not provenance)."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: manifest must be a JSON object")
-    known = {f for f in RunManifest.__dataclass_fields__}
-    unknown = set(payload) - known
-    if unknown:
-        raise ValueError(f"{path}: unknown manifest keys {sorted(unknown)}")
-    return RunManifest(**payload)
+    """Read a manifest back through the codec's inverse: a non-object or an
+    unknown key raises (a manifest that cannot round-trip is not provenance)."""
+    return build(RunManifest, json.loads(Path(path).read_text()), str(path))

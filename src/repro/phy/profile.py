@@ -32,8 +32,9 @@ The default profile is the paper's single-rate world and is the value of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from repro.obs.codec import normalise_fields
 
 __all__ = ["PhyProfile"]
 
@@ -58,19 +59,12 @@ class PhyProfile:
     range_fractions: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
-        # Tolerate list input (e.g. a baseline JSON round-trip) by
-        # freezing to tuples before validating.  The slot checks come
-        # first: int() would raise OverflowError on infinity.  Like every
-        # range check here they are chained, so NaN fails them.
+        normalise_fields(self)  # whole slots, real fractions, tuples
         for m, slots in enumerate(self.data_slots):
-            if not 1 <= slots < math.inf:
-                raise ValueError(f"data_slots[{m}] must be finite and >= 1, got {slots}")
-        object.__setattr__(self, "data_slots", tuple(int(s) for s in self.data_slots))
-        object.__setattr__(
-            self, "range_fractions", tuple(float(f) for f in self.range_fractions)
-        )
-        if not 1 <= self.signal_slots < math.inf:
-            raise ValueError(f"signal_slots must be finite and >= 1, got {self.signal_slots}")
+            if slots < 1:
+                raise ValueError(f"data_slots[{m}] must be >= 1, got {slots}")
+        if self.signal_slots < 1:
+            raise ValueError(f"signal_slots must be >= 1, got {self.signal_slots}")
         if not self.data_slots:
             raise ValueError("data_slots must name at least one MCS")
         if len(self.data_slots) != len(self.range_fractions):

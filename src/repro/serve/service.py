@@ -5,8 +5,9 @@ so a distributed campaign goes through the *same* :func:`run_sweep` as a
 pooled one: same planning (``plan_jobs``), same store scan (committed
 cells are never recomputed -- that is the killed-coordinator resume
 story), same telemetry, same planned-job-order merge.  The backend only
-changes *how the pending jobs execute*: it pickles each
-:class:`~repro.experiments.sweep.SweepJob` into the store's lease queue,
+changes *how the pending jobs execute*: it enqueues each
+:class:`~repro.experiments.sweep.SweepJob` as JSON text
+(:func:`~repro.serve.worker.job_text`) into the store's lease queue,
 then polls -- reclaiming expired leases, folding worker telemetry
 streams into the campaign stream, and collecting committed results --
 until every pending cell is in.
@@ -31,7 +32,7 @@ from pathlib import Path
 
 from repro.experiments.sweep import DispatchBackend, DispatchContext
 from repro.obs.telemetry import load_telemetry
-from repro.serve.worker import DEFAULT_LEASE_TTL, worker_stream_dir
+from repro.serve.worker import DEFAULT_LEASE_TTL, job_text, worker_stream_dir
 from repro.store.db import StoreError
 
 __all__ = ["ServeBackend"]
@@ -75,7 +76,7 @@ class ServeBackend(DispatchBackend):
         store.enqueue_jobs(
             campaign,
             (
-                (i, ctx.point_digests[job.point], job.protocol, job.seed, job)
+                (i, ctx.point_digests[job.point], job.protocol, job.seed, job_text(job))
                 for i, job in enumerate(pending)
             ),
             fingerprint,

@@ -3,8 +3,9 @@
 A worker is deliberately dumb: it knows a store path and a campaign
 name, nothing about the grid.  The coordinator enqueued every planned
 cell with its fully-specified :class:`~repro.experiments.sweep.SweepJob`
-pickled into the lease queue, so the worker just leases a batch, runs
-each job through the same :func:`~repro.experiments.sweep.run_job` +
+as JSON text (:func:`job_text`), so the worker just leases a batch,
+rebuilds and checks each job (:func:`leased_job`), runs it through the
+same :func:`~repro.experiments.sweep.run_job` +
 :class:`~repro.workload.cache.WorldCache` path the process pool uses
 (bit-identity comes from running *the same code on the same job*, not
 from where the process lives), and commits each result **atomically with
@@ -35,6 +36,7 @@ than committing results the coordinator's addresses would mismatch.
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import time
@@ -48,13 +50,17 @@ from repro.obs.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     cell_key,
 )
-from repro.store.db import LeasedCell, ResultStore
-from repro.store.digests import code_fingerprint
+from repro.obs.codec import build
+from repro.obs.manifest import settings_to_dict
+from repro.store.db import LeasedCell, ResultStore, StoreError
+from repro.store.digests import code_fingerprint, settings_digest
 
 __all__ = [
     "WorkerReport",
     "work_campaign",
     "worker_stream_dir",
+    "job_text",
+    "leased_job",
     "DEFAULT_BATCH",
     "DEFAULT_LEASE_TTL",
 ]
@@ -77,6 +83,32 @@ def worker_stream_dir(store_path: str | Path) -> Path:
     needs no extra plumbing.
     """
     return Path(f"{store_path}.workers")
+
+
+def job_text(job) -> str:
+    """A :class:`~repro.experiments.sweep.SweepJob` as lease-queue text: the
+    JSON of its point, profile flag and untagged settings (protocol and
+    seed are the row's own columns).  No pickle crosses the store file."""
+    return json.dumps(
+        {"point": job.point, "profile": job.profile, "settings": settings_to_dict(job.settings)}
+    )
+
+
+def leased_job(cell: LeasedCell):
+    """Rebuild a leased cell's job through the settings codec's inverse;
+    :class:`~repro.store.db.StoreError` names the cell when the text does
+    not decode or its settings' digest is not the row's address."""
+    from repro.experiments.sweep import SweepJob
+
+    where = f"leased cell {cell.key} of campaign {cell.campaign!r}"
+    try:
+        doc = json.loads(cell.job)
+        job = build(SweepJob, {**doc, "protocol": cell.protocol, "seed": cell.seed}, "job")
+    except (ValueError, TypeError) as exc:
+        raise StoreError(f"{where}: job does not decode: {exc!r}") from exc
+    if settings_digest(job.settings) != cell.scenario_digest:
+        raise StoreError(f"{where}: job settings are not the row's address")
+    return job
 
 
 def default_worker_id() -> str:
@@ -256,10 +288,12 @@ def work_campaign(
                 continue
 
             report.leases_taken += 1
-            for i, cell in enumerate(cells):
+            # The whole batch decodes before any of it runs or commits.
+            jobs = [leased_job(cell) for cell in cells]
+            for i, (cell, job) in enumerate(zip(cells, jobs)):
                 # Keep every held lease alive while this cell simulates.
                 store.renew_leases(campaign, wid, lease_ttl, now=_clock())
-                res = run_job(cell.job, cache)
+                res = run_job(job, cache)
                 if on_cell is not None:
                     on_cell(cell, res)
                 t0 = time.perf_counter()
@@ -269,7 +303,7 @@ def work_campaign(
                     fingerprint,
                     wid,
                 )
-                last_cell = cell_key(cell.job.point, cell.protocol, cell.seed)
+                last_cell = cell_key(job.point, cell.protocol, cell.seed)
                 if stream is not None:
                     stream.commit_span(last_cell, time.perf_counter() - t0)
                 report.cells_done += 1

@@ -73,10 +73,6 @@ class FrameType(Enum):
     def is_control(self) -> bool:
         return self not in (FrameType.DATA, FrameType.BEACON)
 
-    @property
-    def is_management(self) -> bool:
-        return self is FrameType.BEACON
-
 
 # Observability counter keys, precomputed as plain member attributes:
 # `frame.ftype.sent_key` is two C-level attribute loads, whereas an

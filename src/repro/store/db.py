@@ -39,10 +39,11 @@ import pickle
 import sqlite3
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.store.digests import code_fingerprint
 
@@ -112,9 +113,10 @@ class LeasedCell:
     protocol: str
     seed: int
     fingerprint: str
-    #: The unpickled payload the coordinator enqueued (a
-    #: :class:`~repro.experiments.sweep.SweepJob` in the serve service).
-    job: Any
+    #: The job text as enqueued, never unpickled: in the serve service the
+    #: JSON of a :class:`~repro.experiments.sweep.SweepJob`
+    #: (:func:`repro.serve.worker.job_text`).
+    job: str
     #: Lease attempts including this grant; ``> 1`` means the cell was
     #: reclaimed or stolen from an expired lease.
     attempts: int = 1
@@ -186,15 +188,14 @@ class ResultStore:
         # connections racing to create (or upgrade) the same store file
         # serialise here, and the loser re-reads the version the winner
         # committed instead of re-running its DDL.
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            cur = self._conn.execute(
+        with self._transaction() as conn:
+            cur = conn.execute(
                 "SELECT name FROM sqlite_master WHERE type='table' AND name='meta'"
             )
             if cur.fetchone() is None:
                 version = 0
             else:
-                row = self._conn.execute(
+                row = conn.execute(
                     "SELECT value FROM meta WHERE key='schema_version'"
                 ).fetchone()
                 version = int(row[0]) if row else 0
@@ -207,18 +208,13 @@ class ResultStore:
             for step in range(version, self.SCHEMA_VERSION):
                 for statement in _MIGRATIONS[step].split(";"):
                     if statement.strip():
-                        self._conn.execute(statement)
+                        conn.execute(statement)
             if version != self.SCHEMA_VERSION:
-                self._conn.execute(
+                conn.execute(
                     "INSERT OR REPLACE INTO meta (key, value)"
                     " VALUES ('schema_version', ?)",
                     (str(self.SCHEMA_VERSION),),
                 )
-        except BaseException:
-            if self._conn.in_transaction:
-                self._conn.execute("ROLLBACK")
-            raise
-        self._conn.execute("COMMIT")
 
     def close(self) -> None:
         self._conn.close()
@@ -229,10 +225,18 @@ class ResultStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _transaction(self) -> "sqlite3.Connection":
-        """Open an IMMEDIATE transaction; caller commits/rolls back."""
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """One IMMEDIATE transaction around the block: commit on exit,
+        roll back (unless SQLite already did) and re-raise on any error."""
         self._conn.execute("BEGIN IMMEDIATE")
-        return self._conn
+        try:
+            yield self._conn
+        except BaseException:
+            if self._conn.in_transaction:
+                self._conn.execute("ROLLBACK")
+            raise
+        self._conn.execute("COMMIT")
 
     # -- the cell API ------------------------------------------------------
 
@@ -286,18 +290,13 @@ class ResultStore:
         found = self.fetch(keys, fp)
         if found:
             now = _utcnow()
-            conn = self._transaction()
-            try:
+            with self._transaction() as conn:
                 conn.executemany(
                     "UPDATE results SET hits = hits + 1, last_hit_at = ?"
                     " WHERE scenario_digest=? AND protocol=? AND seed=?"
                     " AND code_fingerprint=?",
                     ((now, digest, protocol, seed, fp) for digest, protocol, seed in found),
                 )
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-            conn.execute("COMMIT")
         return found
 
     def get(
@@ -342,10 +341,10 @@ class ResultStore:
     def enqueue_jobs(
         self,
         campaign: str,
-        entries: Iterable[tuple[int, str, str, int, Any]],
+        entries: Iterable[tuple[int, str, str, int, str]],
         fingerprint: str | None = None,
     ) -> int:
-        """Enqueue planned cells ``(job_index, digest, protocol, seed, job)``.
+        """Enqueue planned cells ``(job_index, digest, protocol, seed, job_text)``.
 
         ``INSERT OR IGNORE``: re-enqueueing after a coordinator restart
         leaves existing rows -- including ones a worker currently holds
@@ -355,8 +354,7 @@ class ResultStore:
         """
         fp = fingerprint if fingerprint is not None else code_fingerprint()
         n = 0
-        conn = self._transaction()
-        try:
+        with self._transaction() as conn:
             conn.execute("DELETE FROM meta WHERE key=?", (_collected_key(campaign),))
             for job_index, digest, protocol, seed, job in entries:
                 cur = conn.execute(
@@ -364,22 +362,9 @@ class ResultStore:
                     " (campaign, scenario_digest, protocol, seed, code_fingerprint,"
                     "  job_index, job, enqueued_at)"
                     " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        campaign,
-                        digest,
-                        protocol,
-                        int(seed),
-                        fp,
-                        int(job_index),
-                        _dumps(job),
-                        _utcnow(),
-                    ),
+                    (campaign, digest, protocol, int(seed), fp, int(job_index), job, _utcnow()),
                 )
                 n += cur.rowcount
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
         return n
 
     def lease_cells(
@@ -406,15 +391,13 @@ class ResultStore:
         """
         fp = fingerprint if fingerprint is not None else code_fingerprint()
         t = time.time() if now is None else now
-        conn = self._transaction()
-        try:
+        with self._transaction() as conn:
             available = conn.execute(
                 "SELECT COUNT(*) FROM leases WHERE campaign=? AND code_fingerprint=?"
                 " AND (state='pending' OR (state='leased' AND lease_expires_at < ?))",
                 (campaign, fp, t),
             ).fetchone()[0]
             if available == 0:
-                conn.execute("COMMIT")
                 return []
             grant = int(n) if available >= 2 * n else max(1, available // 2)
             rows = conn.execute(
@@ -425,7 +408,7 @@ class ResultStore:
                 (campaign, fp, t, grant),
             ).fetchall()
             leased = []
-            for job_index, digest, protocol, seed, blob, attempts in rows:
+            for job_index, digest, protocol, seed, job, attempts in rows:
                 conn.execute(
                     "UPDATE leases SET state='leased', worker=?, lease_expires_at=?,"
                     " attempts=attempts+1"
@@ -441,14 +424,10 @@ class ResultStore:
                         protocol=protocol,
                         seed=seed,
                         fingerprint=fp,
-                        job=_loads(blob),
+                        job=job,
                         attempts=int(attempts) + 1,
                     )
                 )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
         return leased
 
     def renew_leases(
@@ -505,8 +484,7 @@ class ResultStore:
         """
         fp = fingerprint if fingerprint is not None else code_fingerprint()
         n = 0
-        conn = self._transaction()
-        try:
+        with self._transaction() as conn:
             for digest, protocol, seed, payload in items:
                 conn.execute(
                     _INSERT_RESULT,
@@ -520,10 +498,6 @@ class ResultStore:
                     (worker, _utcnow(), campaign, digest, protocol, int(seed), fp),
                 )
                 n += 1
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
         return n
 
     def done_cells(
@@ -595,17 +569,12 @@ class ResultStore:
         exit instead of waiting for cells that will never be enqueued
         (:meth:`campaign_collected`); :meth:`enqueue_jobs` lifts it.
         """
-        conn = self._transaction()
-        try:
+        with self._transaction() as conn:
             cur = conn.execute("DELETE FROM leases WHERE campaign=?", (campaign,))
             conn.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                 (_collected_key(campaign), _utcnow()),
             )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
         return cur.rowcount
 
     def campaign_collected(self, campaign: str) -> bool:
@@ -676,16 +645,11 @@ class ResultStore:
         go with them (no current worker could ever lease them).
         """
         fp = keep_fingerprint if keep_fingerprint is not None else code_fingerprint()
-        conn = self._transaction()
-        try:
+        with self._transaction() as conn:
             cur = conn.execute(
                 "DELETE FROM results WHERE code_fingerprint != ?", (fp,)
             )
             conn.execute("DELETE FROM leases WHERE code_fingerprint != ?", (fp,))
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
         return cur.rowcount
 
     def vacuum(self) -> None:

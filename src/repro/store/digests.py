@@ -8,7 +8,8 @@ derive the same hex string, and any change to any field must change it.
 That rules out ``hash()`` (salted per process), ``repr`` (field order,
 float formatting drift) and pickle (protocol/version dependent).  Instead
 every dataclass is lowered to a canonical JSON document -- sorted keys,
-explicit type tags, no silent stringification -- and SHA-256 hashed.
+explicit type tags, no silent stringification (:mod:`repro.obs.codec`)
+-- and SHA-256 hashed.
 
 The second guard is :func:`code_fingerprint`: a digest over the
 simulation-relevant source files of the installed package.  Results are
@@ -26,9 +27,10 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any
+
+from repro.obs.codec import lower
 
 __all__ = [
     "DIGEST_VERSION",
@@ -48,37 +50,9 @@ DIGEST_VERSION = 2
 
 
 def canonical_payload(obj: Any, path: str = "settings") -> Any:
-    """Lower *obj* to a canonical JSON-safe structure.
-
-    Dataclasses become ``{"__type__": ClassName, <field>: ...}`` (the tag
-    keeps structurally identical classes from colliding), tuples become
-    lists, and dict keys must already be strings -- sorting happens at
-    dump time.  Anything else (sets, numpy scalars, arbitrary objects)
-    raises :class:`TypeError` naming the offending field, because a value
-    we cannot canonicalise would silently fork the address space.
-    """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            raise TypeError(f"{path}: non-finite float {obj!r} has no canonical JSON form")
-        return obj
-    if is_dataclass(obj) and not isinstance(obj, type):
-        out: dict[str, Any] = {"__type__": type(obj).__name__}
-        for f in fields(obj):
-            out[f.name] = canonical_payload(getattr(obj, f.name), f"{path}.{f.name}")
-        return out
-    if isinstance(obj, (list, tuple)):
-        return [canonical_payload(v, f"{path}[{i}]") for i, v in enumerate(obj)]
-    if isinstance(obj, dict):
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"{path}: dict key {key!r} is not a string")
-        return {k: canonical_payload(v, f"{path}.{k}") for k, v in obj.items()}
-    raise TypeError(
-        f"{path}: cannot canonicalise {type(obj).__name__!r} -- only dataclasses, "
-        "str/int/float/bool/None, lists/tuples and str-keyed dicts are digestable"
-    )
+    """The tagged lowering of *obj* (:func:`repro.obs.codec.lower`); a value
+    it cannot canonicalise, which would fork the address space, raises."""
+    return lower(obj, tagged=True, path=path)
 
 
 def canonical_json(obj: Any) -> str:
@@ -90,12 +64,7 @@ def canonical_json(obj: Any) -> str:
 
 def digest_of(obj: Any, kind: str) -> str:
     """SHA-256 hex of *obj*'s canonical JSON, namespaced by *kind*."""
-    doc = json.dumps(
-        {"kind": kind, "v": DIGEST_VERSION, "payload": canonical_payload(obj)},
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    doc = canonical_json({"kind": kind, "v": DIGEST_VERSION, "payload": obj})
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 

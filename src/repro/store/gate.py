@@ -31,13 +31,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.config import SimulationSettings
-from repro.faults.plan import FaultPlan, GilbertElliott, NodeChurn
-from repro.mac.contention import ContentionParams
+from repro.obs.codec import build
 from repro.obs.counters import diff_counters
 from repro.obs.records import write_json
-from repro.phy.profile import PhyProfile
 from repro.store.digests import code_stamp
-from repro.workload.generator import TrafficMix
 
 __all__ = ["GateTolerances", "settings_from_dict", "run_gate", "format_gate_report"]
 
@@ -60,44 +57,11 @@ class GateTolerances:
             raise ValueError(f"bench_min_frac must be >= 0, got {self.bench_min_frac!r}")
 
 
-def _build(cls, payload: dict, path: str):
-    known = {f for f in cls.__dataclass_fields__}
-    unknown = set(payload) - known
-    if unknown:
-        raise ValueError(
-            f"{path}: unknown {cls.__name__} fields {sorted(unknown)} -- the baseline "
-            "was written by a different schema; regenerate it"
-        )
-    return cls(**payload)
-
-
 def settings_from_dict(payload: dict) -> SimulationSettings:
-    """Inverse of :func:`repro.obs.manifest.settings_to_dict`.
-
-    Rebuilds the full nested structure (mix, contention, fault plan with
-    its burst/churn legs) and rejects unknown keys loudly -- a baseline
-    that no longer round-trips must not be silently half-applied.
-    """
-    payload = dict(payload)
-    if "mix" in payload and isinstance(payload["mix"], dict):
-        payload["mix"] = _build(TrafficMix, payload["mix"], "settings.mix")
-    if "contention" in payload and isinstance(payload["contention"], dict):
-        payload["contention"] = _build(
-            ContentionParams, payload["contention"], "settings.contention"
-        )
-    if "faults" in payload and isinstance(payload["faults"], dict):
-        fp = dict(payload["faults"])
-        if fp.get("burst") is not None:
-            fp["burst"] = _build(GilbertElliott, fp["burst"], "settings.faults.burst")
-        if fp.get("churn") is not None:
-            fp["churn"] = _build(NodeChurn, fp["churn"], "settings.faults.churn")
-        payload["faults"] = _build(FaultPlan, fp, "settings.faults")
-    if "phy" in payload and isinstance(payload["phy"], dict):
-        # PhyProfile coerces the JSON lists back to tuples itself; a
-        # baseline written before the multi-rate PHY simply has no "phy"
-        # key and gets the default single-rate profile.
-        payload["phy"] = _build(PhyProfile, payload["phy"], "settings.phy")
-    return _build(SimulationSettings, payload, "settings")
+    """Inverse of :func:`repro.obs.manifest.settings_to_dict`
+    (:func:`repro.obs.codec.build`): unknown keys raise, and a key the
+    baseline lacks (``phy`` before the multi-rate PHY) takes its default."""
+    return build(SimulationSettings, payload)
 
 
 @dataclass

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mac.base import MessageKind
+from repro.obs.codec import normalise_fields
 from repro.sim.network import Network
 
 __all__ = ["TrafficMix", "TrafficGenerator", "ScheduledMessage", "ARRIVAL_BLOCK", "check_count"]
@@ -60,6 +61,7 @@ class TrafficMix:
     broadcast: float = 0.4
 
     def __post_init__(self):
+        normalise_fields(self)
         # Written so that NaN fails both checks.
         total = self.unicast + self.multicast + self.broadcast
         if not abs(total - 1.0) <= 1e-9:

@@ -14,7 +14,7 @@ from repro.cli import (
     build_watch_parser,
     main,
 )
-from repro.experiments.config import SIMULATED_PROTOCOLS
+from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings
 from repro.experiments.figures import FigureResult, figure5, table1
 from repro.experiments.report import (
     format_counters,
@@ -220,6 +220,17 @@ class TestSweepSubcommand:
     def test_rejects_unknown_axis(self):
         with pytest.raises(SystemExit):
             build_sweep_parser().parse_args(["--axis", "frobnicate"])
+
+    def test_default_timeout_grid_starts_at_the_table2_address(self):
+        """``--axis timeout`` without ``--values`` spells TIMEOUT_SWEEP's
+        ints; its first point is the Table-2 point and must share its
+        store address (and so its cells) with Figure 7."""
+        from repro.cli import _axis_grid
+        from repro.store.digests import settings_digest
+
+        values, points = _axis_grid(build_sweep_parser().parse_args(["--axis", "timeout"]))
+        assert values[0] == 100
+        assert settings_digest(points[0]) == settings_digest(SimulationSettings())
 
     def test_sweep_smoke(self, tmp_path, capsys):
         """End-to-end: tiny grid, table + result/manifest/bench files."""

@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.config import SimulationSettings
 from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import plan_jobs
+from repro.serve.worker import job_text
 from repro.store.digests import code_fingerprint, settings_digest
 
 SMALL = SimulationSettings(n_nodes=8, horizon=300, message_rate=0.003)
@@ -31,10 +32,10 @@ def planned_jobs():
 
 
 def enqueue_plan(store, campaign, jobs, digests, fingerprint):
-    """What ServeBackend.run does: pickle every planned job into the queue."""
+    """What ServeBackend.run does: enqueue every planned job as its JSON text."""
     return store.enqueue_jobs(
         campaign,
-        ((i, digests[j.point], j.protocol, j.seed, j) for i, j in enumerate(jobs)),
+        ((i, digests[j.point], j.protocol, j.seed, job_text(j)) for i, j in enumerate(jobs)),
         fingerprint,
     )
 

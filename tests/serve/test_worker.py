@@ -8,12 +8,14 @@ from repro.obs.telemetry import load_telemetry
 from repro.serve.worker import (
     WorkerReport,
     default_worker_id,
+    job_text,
+    leased_job,
     work_campaign,
     worker_stream_dir,
 )
-from repro.store.db import ResultStore
+from repro.store.db import ResultStore, StoreError
 
-from tests.serve.conftest import N_CELLS, enqueue_plan
+from tests.serve.conftest import N_CELLS, SMALL, enqueue_plan
 
 
 class _Clock:
@@ -145,6 +147,40 @@ class TestKillDiscipline:
         with pytest.raises(RuntimeError):
             work_campaign(queued, "c", worker_id="victim", on_cell=die_on_third)
         assert len(queued.done_cells("c", fingerprint)) == 2
+
+
+class TestLeasedJobs:
+    def test_leased_jobs_are_the_planned_jobs(self, queued, planned_jobs, fingerprint):
+        cells = queued.lease_cells("c", "w1", N_CELLS, 60, fingerprint)
+        assert cells
+        assert [leased_job(c) for c in cells] == planned_jobs[: len(cells)]
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("not json {", "does not decode"),
+            (json.dumps({"point": 1, "profile": False}), "does not decode"),
+            (json.dumps({"point": 1, "profile": False, "settings": {"warp": 9}}), "does not decode"),
+            (None, "not the row's address"),
+        ],
+        ids=["garbage", "no-settings", "unknown-field", "other-settings"],
+    )
+    def test_tampered_job_raises_and_commits_nothing(
+        self, queued, planned_jobs, fingerprint, text, match
+    ):
+        """A row whose job text does not decode, or decodes to settings of
+        another address, stops the worker before any cell of its batch runs."""
+        if text is None:  # a well-formed job of another point
+            other = planned_jobs[1]
+            text = job_text(type(other)(1, other.protocol, other.seed, SMALL.with_(n_nodes=9)))
+        queued._conn.execute(
+            "UPDATE leases SET job=? WHERE campaign='c' AND job_index=1", (text,)
+        )
+        cell = rf"'{planned_jobs[1].protocol}', {planned_jobs[1].seed}\) of campaign 'c'"
+        with pytest.raises(StoreError, match=rf"{cell}: job.*{match}"):
+            work_campaign(queued, "c", worker_id="w1", poll_s=0.01)
+        assert queued.done_cells("c", fingerprint) == []
+        assert queued.stats()["n_results"] == 0
 
 
 class TestWorkerTelemetry:

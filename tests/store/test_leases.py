@@ -6,7 +6,7 @@ synthetic payloads and an injected clock (every lease operation takes
 lives in ``tests/serve/``.
 """
 
-import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
@@ -18,21 +18,10 @@ OTHER_FP = "0" * 64
 C = "campaign"
 
 
-@dataclasses.dataclass(frozen=True)
-class _Job:
-    """Stand-in for a SweepJob: picklable, equality-comparable."""
-
-    point: int
-    protocol: str
-    seed: int
-
-
 def _entries(n, protocol="BMMM"):
-    """n planned queue entries over one digest."""
-    return [
-        (i, "d" * 64, protocol, i, _Job(point=0, protocol=protocol, seed=i))
-        for i in range(n)
-    ]
+    """n planned queue entries over one digest, each job a JSON text
+    (the store keeps job text as it is)."""
+    return [(i, "d" * 64, protocol, i, json.dumps({"point": 0, "seed": i})) for i in range(n)]
 
 
 def _queue(store, n=6, campaign=C):
@@ -87,7 +76,15 @@ class TestLeaseGrants:
             cells = store.lease_cells(C, "w1", 4, 60, FP, now=0.0)
             assert [c.job_index for c in cells] == [0, 1, 2, 3]
             assert all(c.attempts == 1 for c in cells)
-            assert cells[0].job == _Job(point=0, protocol="BMMM", seed=0)
+            assert json.loads(cells[0].job) == {"point": 0, "seed": 0}
+
+    def test_empty_grant_closes_its_transaction(self, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            assert store.lease_cells(C, "w1", 4, 60, FP, now=0.0) == []
+            assert not store._conn.in_transaction
+            _queue(store, 1)
+            assert len(store.lease_cells(C, "w1", 4, 60, FP, now=0.0)) == 1
+            assert not store._conn.in_transaction
 
     def test_fingerprint_guard(self, tmp_path):
         """A worker running different code gets nothing -- it must never
@@ -371,7 +368,7 @@ def test_any_interleaving_yields_the_serial_merge(ops, n_cells):
     drained queue yields every planned cell exactly once, in planned-job
     order, with the deterministic payload a serial run would produce.
     """
-    compute = lambda cell: {"cell": cell.key, "job": cell.job.seed}  # noqa: E731
+    compute = lambda cell: {"cell": cell.key, "job": json.loads(cell.job)["seed"]}  # noqa: E731
     with ResultStore(":memory:") as store:
         store.enqueue_jobs(C, _entries(n_cells), FP)
         clock = 0.0
