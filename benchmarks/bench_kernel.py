@@ -3,8 +3,8 @@
 pytest-benchmark wrapper around :mod:`repro.experiments.benchkernel`: the
 same cases `repro-mac bench-kernel` records in ``BENCH_kernel.json``, so a
 perf regression caught locally by pytest and one caught in CI by the
-bench record point at the same fast path (kernel dispatch, timeout
-pooling, idle-slot skipping, vectorized reception).
+bench record point at the same fast path (kernel dispatch, idle-slot
+skipping, vectorized reception).
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.experiments.benchkernel import (
     NETWORK_CASES,
     bench_network_case,
     bench_observer_overhead,
-    bench_sleep_churn,
     bench_timeout_churn,
 )
 
@@ -21,17 +20,9 @@ CHURN_EVENTS = 100_000
 
 
 def test_timeout_churn(benchmark):
-    """Raw kernel dispatch: freshly allocated Timeout per event."""
+    """Raw kernel dispatch: one timeout per event."""
     result = benchmark.pedantic(
         lambda: bench_timeout_churn(CHURN_EVENTS), rounds=3, iterations=1
-    )
-    assert result["events"] == CHURN_EVENTS
-
-
-def test_sleep_churn(benchmark):
-    """Pooled dispatch: `env.sleep` recycling retired timeouts."""
-    result = benchmark.pedantic(
-        lambda: bench_sleep_churn(CHURN_EVENTS), rounds=3, iterations=1
     )
     assert result["events"] == CHURN_EVENTS
 

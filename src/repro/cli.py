@@ -688,14 +688,14 @@ def build_bench_kernel_parser() -> argparse.ArgumentParser:
         prog="repro-mac bench-kernel",
         description=(
             "Micro-benchmark the simulation substrate, one fast path per "
-            "case (kernel timeout churn, pooled sleep churn, idle / sparse "
-            "/ dense network runs) and write a provenance-stamped "
+            "case (kernel timeout churn, idle / sparse / dense network "
+            "runs) and write a provenance-stamped "
             "BENCH_<name>.json record (see docs/simulator.md)."
         ),
     )
     parser.add_argument(
         "--churn-events", type=int, default=200_000, metavar="N",
-        help="events dispatched by the kernel churn cases (default 200000)",
+        help="events dispatched by the kernel churn case (default 200000)",
     )
     parser.add_argument(
         "--protocol", default="BMMM", metavar="NAME",

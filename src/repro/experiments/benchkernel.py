@@ -5,12 +5,8 @@ throughput; this module pins the *substrate* underneath it, one fast path
 per case, so a regression can be attributed to the layer that caused it:
 
 ``timeout_churn``
-    Raw event dispatch through freshly allocated :class:`Timeout` objects
-    -- the kernel's unpooled slow path (events/sec).
-``sleep_churn``
-    The same churn through :meth:`Environment.sleep`, which recycles
-    retired timeouts from a bounded pool -- the allocation-diet fast path
-    (events/sec).  The gap between the two is the diet's win.
+    Raw event dispatch: one :meth:`Environment.timeout` per event through
+    one process (events/sec).
 ``idle_network``
     A zero-traffic network: idle-slot skipping plus the event-driven
     kernel must make untrafficked simulated time almost free (slots/sec).
@@ -72,7 +68,6 @@ from repro.store.digests import code_stamp
 
 __all__ = [
     "bench_timeout_churn",
-    "bench_sleep_churn",
     "bench_network_case",
     "bench_observer_overhead",
     "kernel_bench_record",
@@ -88,7 +83,7 @@ def _timed(fn: Callable[[], object]) -> tuple[object, float]:
 
 
 def bench_timeout_churn(n_events: int = 200_000) -> dict:
-    """Dispatch *n_events* freshly allocated timeouts through one process."""
+    """Dispatch *n_events* timeouts through one process."""
 
     def run() -> float:
         env = Environment()
@@ -96,28 +91,6 @@ def bench_timeout_churn(n_events: int = 200_000) -> dict:
         def proc():
             for _ in range(n_events):
                 yield env.timeout(1)
-
-        env.process(proc())
-        env.run()
-        return env.now
-
-    _, wall = _timed(run)
-    return {
-        "events": n_events,
-        "wall_clock_s": wall,
-        "events_per_sec": n_events / wall if wall > 0 else None,
-    }
-
-
-def bench_sleep_churn(n_events: int = 200_000) -> dict:
-    """Dispatch *n_events* pooled ``sleep`` timeouts through one process."""
-
-    def run() -> float:
-        env = Environment()
-
-        def proc():
-            for _ in range(n_events):
-                yield env.sleep(1)
 
         env.process(proc())
         env.run()
@@ -281,7 +254,6 @@ def kernel_bench_record(
     """
     cases: dict[str, dict] = {
         "timeout_churn": _best_of(lambda: bench_timeout_churn(churn_events), repeat),
-        "sleep_churn": _best_of(lambda: bench_sleep_churn(churn_events), repeat),
     }
     for case in NETWORK_CASES:
         cases[case] = _best_of(

@@ -87,6 +87,14 @@ class SimulationSettings:
     def __post_init__(self) -> None:
         normalise_fields(self)
         MacConfig.check_timeout(self.timeout_slots)
+        if not math.isfinite(self.timeout_slots):
+            # MacConfig and MacBase.submit still take inf; a campaign point
+            # cannot, since its settings digest needs a finite float.
+            raise ValueError(
+                f"timeout_slots must be finite, got {self.timeout_slots!r}: an infinite "
+                "request lifetime has no canonical JSON form, so the point has no "
+                "store address"
+            )
         # Checked here, not first inside a (possibly remote) sweep worker.
         check_count("n_nodes", self.n_nodes)
         check_count("horizon", self.horizon)

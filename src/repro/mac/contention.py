@@ -34,19 +34,19 @@ interferer whose ``busy_until`` goes up) and :meth:`Nav.set`
 *waiters* of the radio or NAV it changed, and every in-phase contender
 is a waiter on its own radio and NAV.
 
-So on an idle sample the contender makes one sample-lane sleep
-(:meth:`Environment.sample_sleep`) to its final pre-transmit sample,
-``now + needed`` (the rest of the DIFS run plus the whole remaining
-backoff).  Until a writer calls it, every elided sample would read the
-same idle medium.  When one does, :meth:`Contender._poke` pulls the
-pending wake to the first sample point at or after the write
+So on an idle sample the contender makes one ranked wait
+(:meth:`Environment.timeout` with its ``rank``) to its final
+pre-transmit sample, ``now + needed`` (the rest of the DIFS run plus the
+whole remaining backoff).  Until a writer calls it, every elided sample
+would read the same idle medium.  When one does, :meth:`Contender._poke`
+pulls the pending wake to the first sample point at or after the write
 (:meth:`Environment.expedite_sample`).  On waking, the contender counts
 the samples it slept through toward DIFS and backoff and evaluates the
-landing sample for real.  Busy samples skip straight
-to the next sample point after the known-busy span, exactly as the
-reference machine does; the final pre-transmit sleep stays in the main
-lane because it *is* the commit.  The ordering-safety argument is
-written out in docs/simulator.md, "Idle-slot skipping".
+landing sample for real.  Busy samples skip straight to the next sample
+point after the known-busy span, exactly as the reference machine does;
+the final pre-transmit wait is an ordinary (rank-0) timeout because it
+*is* the commit.  The ordering-safety argument is written out in
+docs/simulator.md, "Idle-slot skipping".
 
 The RNG discipline is untouched (one backoff draw per phase; in
 ``resume_backoff=False`` mode one redraw per busy sample, exactly as
@@ -138,8 +138,8 @@ class Contender:
         self.params = params or ContentionParams()
         #: Orders this contender's sample wake-ups among same-instant peers.
         self._rank = next(_ranks)
-        #: The pending sleep of an idle run (None outside one), the sample
-        #: that began the run and the instant the sleep is due.
+        #: The pending wait of an idle run (None outside one), the sample
+        #: that began the run and the instant the wait is due.
         self._wake = None
         self._begin = 0.0
         self._wake_at = 0.0
@@ -197,15 +197,14 @@ class Contender:
         window = params.window(attempt)
         randrange = self.rng.randrange
         slot_was_busy = self._slot_was_busy
-        sleep = env.sleep
-        sample_sleep = env.sample_sleep
+        timeout = env.timeout
         rank = self._rank
         radio = self.radio
         resume_backoff = params.resume_backoff
 
         # Align to the next mid-slot sampling point.
         frac = env.now - math.floor(env.now)
-        yield sleep((0.5 - frac) % 1.0)
+        yield timeout((0.5 - frac) % 1.0)
 
         backoff = randrange(window)
         if obs.backoff:
@@ -241,7 +240,7 @@ class Contender:
                                 window=window,
                                 backoff=backoff,
                             )
-                    yield sample_sleep(self._next_sample_point(), rank)
+                    yield timeout(self._next_sample_point(), rank=rank)
                     continue
 
                 # Idle samples still required before the station may
@@ -250,8 +249,8 @@ class Contender:
                 needed = (difs_slots - idle_run) + backoff
                 if needed == 0:
                     # Final check passed: transmit at the next slot
-                    # boundary.  Main lane: this wake commits.
-                    yield sleep(0.5)
+                    # boundary.  Rank 0: this wake commits.
+                    yield timeout(0.5)
                     break
 
                 begin = env.now
@@ -260,15 +259,15 @@ class Contender:
                     # medium as idle.  That verdict also changes when
                     # frames end, which no writer reports: step one
                     # sample, as the reference does.
-                    yield sample_sleep(1.0, rank)
+                    yield timeout(1.0, rank=rank)
                     batch = 1
                 else:
-                    # Sleep to the final check sample; a writer pulls the
+                    # Wait for the final check sample; a writer pulls the
                     # wake earlier (_poke).  Every sample slept through
                     # read this idle medium.
                     self._begin = begin
                     self._wake_at = begin + needed
-                    self._wake = sample_sleep(float(needed), rank)
+                    self._wake = timeout(float(needed), rank=rank)
                     yield self._wake
                     self._wake = None
                     batch = int(env.now - begin)

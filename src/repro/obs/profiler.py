@@ -8,8 +8,7 @@ goes -- only become visible with per-phase accounting.  This module
 provides exactly that, as a pure event-bus subscriber:
 
 * :class:`KernelPhaseProfiler` subscribes to the four phase-starting
-  event types on ``env.obs`` (and hangs itself off ``env.profile`` so
-  layered code can find it).  Between two of those events the MAC phase
+  event types on ``env.obs``.  Between two of those events the MAC phase
   does not change, so the wall clock consumed between consecutive
   phase-starting events is attributed to the *MAC phase the preceding
   one started*:
@@ -100,7 +99,7 @@ class KernelPhaseProfiler:
     Usage (what ``run_raw(..., profile=True)`` does)::
 
         profiler = KernelPhaseProfiler()
-        profiler.attach(env)          # subscribes + sets env.profile
+        profiler.attach(env)          # subscribes to env.obs
         ...                           # simulate
         profiler.finish(simulate_wall_s)
         profiler.phase_seconds        # {"difs_backoff": ..., "data": ...}
@@ -126,22 +125,18 @@ class KernelPhaseProfiler:
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, env) -> "KernelPhaseProfiler":
-        """Subscribe to *env*'s phase-starting events and register as
-        ``env.profile``."""
+        """Subscribe to *env*'s phase-starting events."""
         if self._env is not None:
             raise RuntimeError("profiler is already attached")
         env.obs.subscribe(self, types=_PHASE_STARTERS)
-        env.profile = self
         self._env = env
         return self
 
     def detach(self) -> None:
-        """Unsubscribe and clear ``env.profile`` (idempotent)."""
+        """Unsubscribe (idempotent)."""
         if self._env is None:
             return
         self._env.obs.unsubscribe(self)
-        if getattr(self._env, "profile", None) is self:
-            self._env.profile = None
         self._env = None
 
     # -- the subscriber ------------------------------------------------------

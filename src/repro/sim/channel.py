@@ -56,7 +56,7 @@ PRUNE_MIN_LEN = 8
 
 #: Reception losses counted per receiver, in its radio's slice of the
 #: per-node counters; :meth:`Channel.finalize_counters` sums the totals.
-LOSS_KEYS = ("collisions", "captures", "half_duplex_losses")
+LOSS_KEYS = ("collisions", "captures", "half_duplex_losses", "preamble_misses")
 
 
 @dataclass(slots=True, eq=False)
@@ -275,7 +275,8 @@ class Channel:
         dict increment each); the ``frames_sent.*`` and
         ``frames_delivered.*`` totals are summed over the nodes, and so
         are the :data:`LOSS_KEYS` (``collisions``, ``captures``,
-        ``half_duplex_losses``), each written only when nonzero: a loss
+        ``half_duplex_losses``, ``preamble_misses``), each written only
+        when nonzero: a loss
         that never happened leaves its key absent.  Idempotent;
         :class:`~repro.sim.network.Network` calls it after every
         ``run()``, so code reading ``channel.counters`` after a
@@ -615,6 +616,7 @@ class Channel:
         # was attached mid-flight: then it never heard the preamble and
         # cannot decode.  Otherwise k counts tx among the audible frames.
         if rid not in tx.hearers:
+            counts["preamble_misses"] = counts.get("preamble_misses", 0) + 1
             return
 
         if k == 1:

@@ -28,13 +28,15 @@ Design notes
   every process joined on it; if nobody joins, it is re-raised from
   :meth:`Environment.run` -- a simulation bug must never be silently
   swallowed.
-* **Allocation diet.**  The dominant kernel idiom is ``yield env.timeout(d)``
-  inside a hot loop; :meth:`Environment.sleep` serves it from a small free
-  list of recycled :class:`Timeout` objects instead of allocating a fresh
-  event per wait.  A recycled timeout is indistinguishable from a new one to
-  the scheduler (events are ordered by ``(time, priority, eid)``, never by
-  object identity), so pooling changes allocation pressure only, never
-  results.  Every event class carries ``__slots__`` (pinned by a test) and
+* **One heap.**  Every scheduled event sits in one heap keyed
+  ``(time, priority, rank, eid)``.  Ordinary events have rank 0; a
+  contender's carrier-sense samples carry its creation rank (>= 1), so at
+  one ``(time, priority)`` every ordinary event runs before any sample and
+  same-instant samples run in rank order whatever their scheduling
+  history (see docs/simulator.md, "Same-instant order").  The event id
+  *eid* is one counter shared by every event, so it breaks all remaining
+  ties by insertion order.  :meth:`Environment.timeout` is the only way a
+  :class:`Timeout` is built, every event class carries ``__slots__``, and
   :meth:`Environment.run` pops and dispatches each event in one inlined
   loop.
 """
@@ -130,26 +132,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers *delay* time units after creation."""
+    """An event that triggers *delay* time units after creation.
 
-    __slots__ = ("delay", "_recycle")
+    Built only by :meth:`Environment.timeout`.
+    """
 
-    def __init__(
-        self,
-        env: "Environment",
-        delay: float,
-        value: Any = None,
-        priority: int = PRIORITY_NORMAL,
-    ):
-        if not delay >= 0:
-            raise ValueError(f"invalid delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._value = value
-        #: Set only by :meth:`Environment.sleep`: after this timeout's
-        #: callbacks have run, the scheduler may return it to the free list.
-        self._recycle = False
-        self.env._schedule(self, priority, delay)
+    __slots__ = ("delay",)
 
 
 class Process(Event):
@@ -213,32 +201,16 @@ class Process(Event):
 class Environment:
     """The simulation clock and event queue (time starts at 0)."""
 
-    #: Upper bound on the recycled-timeout free list; beyond this, retired
-    #: timeouts are simply dropped for the garbage collector.
-    _POOL_MAX = 256
-
     def __init__(self):
         self._now = 0
-        self._queue: list[tuple[float, int, int, Event]] = []
-        #: The sample lane: carrier-sense wake-ups scheduled via
-        #: :meth:`sample_sleep`, ordered by ``(time, priority, rank)`` so
-        #: same-instant samples run in their owners' rank order whatever
-        #: their scheduling history.  Both lanes share one ``_eid``
-        #: counter; cross-lane ties go to the main queue.
-        self._sample_queue: list[tuple[float, int, int, int, Event]] = []
+        #: The one event heap, entries ``(time, priority, rank, eid, event)``.
+        self._queue: list[tuple[float, int, int, int, Event]] = []
         self._eid = 0
         self._unhandled: BaseException | None = None
-        #: Free list of retired :meth:`sleep` timeouts awaiting reuse.
-        self._timeout_pool: list[Timeout] = []
         #: Observability event bus (see :mod:`repro.obs.events`).  Created
         #: once per environment and never replaced, so instrumented layers
         #: may cache the reference.
         self.obs = EventBus(self)
-        #: Opt-in kernel phase profiler
-        #: (:class:`repro.obs.profiler.KernelPhaseProfiler`); ``None`` by
-        #: default.  Set by ``profiler.attach(env)`` -- the profiler is a
-        #: plain bus subscriber, so a profiled run stays bit-identical.
-        self.profile = None
 
     @property
     def now(self) -> float:
@@ -251,96 +223,56 @@ class Environment:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None, priority: int = PRIORITY_NORMAL) -> Timeout:
-        """Create a :class:`Timeout` firing after *delay*."""
-        return Timeout(self, delay, value, priority)
+    def timeout(
+        self,
+        delay: float,
+        value: Any = None,
+        priority: int = PRIORITY_NORMAL,
+        rank: int = 0,
+    ) -> Timeout:
+        """Create a :class:`Timeout` firing after *delay* with *value*.
 
-    def sleep(self, delay: float, priority: int = PRIORITY_NORMAL) -> Timeout:
-        """A pooled :class:`Timeout` for the ``yield env.sleep(d)`` idiom.
-
-        Semantically identical to :meth:`timeout` (same scheduling, same
-        eid sequence, value ``None``), but the returned event is recycled
-        into a free list once its callbacks have run.  Callers must
-        therefore yield it immediately and never keep a reference past the
-        wait -- exactly the pattern of every hot wait loop in the MAC
-        layer.  For timeouts that are stored, shared or inspected after
-        firing, use :meth:`timeout`.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if not delay >= 0:
-                raise ValueError(f"invalid delay {delay}")
-            timeout = pool.pop()
-            timeout.callbacks = []
-            timeout._value = None
-            timeout._exception = None
-            timeout._scheduled = False
-            timeout.defused = False
-            timeout.delay = delay
-            self._schedule(timeout, priority, delay)
-            return timeout
-        timeout = Timeout(self, delay, None, priority)
-        timeout._recycle = True
-        return timeout
-
-    def sample_sleep(self, delay: float, rank: int, priority: int = PRIORITY_NORMAL) -> Timeout:
-        """A pooled timeout scheduled into the *sample lane*.
-
-        Same clock as :meth:`sleep`, but same-instant sample wake-ups are
-        ordered by *rank* -- a stable per-owner key (the contender's
-        creation order) -- instead of by scheduling history.  Rank
-        ordering is what pins same-instant commit order: contenders tying
-        on a commit instant all schedule their commit timeouts from their
-        final samples at ``T - 0.5``, so those commits inherit the rank
-        order however each contender slept its way there.  Main-queue
-        events win cross-lane ties at equal (time, priority), so a sample
-        sees every same-instant delivery and commit already applied.
-
-        Reserved for carrier-sense sample wake-ups, whose callbacks only
-        read the medium and schedule further waits (see docs/simulator.md,
-        "Idle-slot skipping").  :meth:`expedite_sample` pulls a pending
-        wake earlier.
+        *rank* orders same-``(time, priority)`` events after the ordinary
+        ones (rank 0).  Only carrier-sense sample wake-ups pass one: their
+        contender's creation rank (>= 1), so same-instant samples -- and the
+        commits they schedule -- run in rank order however each contender
+        slept its way there, and every sample sees the same-instant
+        deliveries and commits already applied.  Such a sample's callbacks
+        only read the medium and schedule further waits (see
+        docs/simulator.md, "Idle-slot skipping"); :meth:`expedite_sample`
+        pulls a pending one earlier.
         """
         if not delay >= 0:
             raise ValueError(f"invalid delay {delay}")
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout.callbacks = []
-            timeout._value = None
-            timeout._exception = None
-            timeout.defused = False
-            timeout.delay = delay
-        else:
-            timeout = Timeout.__new__(Timeout)
-            Event.__init__(timeout, self)
-            timeout._value = None
-            timeout.delay = delay
-            timeout._recycle = True
+        # Built inline (no __init__ chain): the hottest allocation in a run.
+        timeout = Timeout.__new__(Timeout)
+        timeout.env = self
+        timeout.callbacks = []
+        timeout._value = value
+        timeout._exception = None
         timeout._scheduled = True
+        timeout.defused = False
+        timeout.delay = delay
         self._eid += 1
-        heappush(
-            self._sample_queue,
-            (self._now + delay, priority, rank, self._eid, timeout),
-        )
+        heappush(self._queue, (self._now + delay, priority, rank, self._eid, timeout))
         return timeout
 
     def expedite_sample(self, wake: Timeout, delay: float) -> None:
-        """Move the pending sample-lane *wake* earlier, to *delay* from now.
+        """Move the pending ranked sample *wake* earlier, to *delay* from now.
 
         The wake keeps its rank, priority and event id -- it is the same
         event, due sooner -- so this schedules nothing new and leaves no
         stale entry behind: the heap entry is re-keyed in place and
         sifted toward the root.  Raises :class:`ValueError` for a later
-        instant and :class:`RuntimeError` for anything not pending in the
-        sample lane.
+        instant and :class:`RuntimeError` for anything not a pending
+        ranked timeout.
         """
-        squeue = self._sample_queue
-        for pos, entry in enumerate(squeue):
-            if entry[4] is wake:
+        queue = self._queue
+        for pos, entry in enumerate(queue):
+            if entry[4] is wake and entry[2]:
                 break
         else:
-            raise RuntimeError(f"{wake!r} is not pending in the sample lane")
+            raise RuntimeError(f"{wake!r} is not a pending sample")
         when = self._now + delay
         if not self._now <= when <= entry[0]:
             raise ValueError(f"cannot move a wake due at {entry[0]} to {when}")
@@ -348,12 +280,12 @@ class Environment:
         entry = (when,) + entry[1:]
         while pos:
             parent = (pos - 1) >> 1
-            if entry < squeue[parent]:
-                squeue[pos] = squeue[parent]
+            if entry < queue[parent]:
+                queue[pos] = queue[parent]
                 pos = parent
             else:
                 break
-        squeue[pos] = entry
+        queue[pos] = entry
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
         """Start *generator* as a :class:`Process`."""
@@ -361,17 +293,17 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, priority: int, delay: float = 0) -> None:
+    def _schedule(self, event: Event, priority: int) -> None:
         if event._scheduled:
             raise RuntimeError(f"{event!r} scheduled twice")
         event._scheduled = True
         self._eid += 1
-        heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now, priority, 0, self._eid, event))
 
     # -- execution -----------------------------------------------------------
 
     def run(self, until: float | None = None) -> None:
-        """Run until time *until*, or until both queues are empty.
+        """Run until time *until*, or until the queue is empty.
 
         The clock is advanced exactly to *until* even if no event is
         scheduled there.  Events at exactly *until* are left for a later
@@ -385,35 +317,16 @@ class Environment:
                 raise ValueError(f"until={deadline} is not at or after now={self._now}")
 
         queue = self._queue
-        squeue = self._sample_queue
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
-        while queue or squeue:
-            # Merge the two lanes on (time, priority); cross-lane ties go
-            # to the main queue (samples must see same-instant deliveries
-            # and commits already applied), and same-instant sample ties
-            # order by rank (see sample_sleep).  With the sample lane
-            # empty -- every workload without in-phase contenders -- the
-            # merge costs one falsy check per event.
-            if squeue and (
-                not queue
-                or (squeue[0][0], squeue[0][1]) < (queue[0][0], queue[0][1])
-            ):
-                lane = squeue
-            else:
-                lane = queue
-            entry = lane[0]
+        while queue:
+            entry = queue[0]
             when = entry[0]
             if when >= deadline:
                 break
-            heappop(lane)
-            event = entry[-1]
+            heappop(queue)
             self._now = when
-            event._run_callbacks()
+            entry[4]._run_callbacks()
             if self._unhandled is not None:
                 exc, self._unhandled = self._unhandled, None
                 raise exc
-            if type(event) is Timeout and event._recycle and len(pool) < pool_max:
-                pool.append(event)
         if deadline != float("inf"):
             self._now = deadline

@@ -1,7 +1,10 @@
 """Tests for simulation settings and the protocol registry."""
 
+import math
+
 import pytest
 
+import repro
 from repro.core.bmmm import BmmmMac
 from repro.core.lamm import LammMac
 from repro.experiments.config import (
@@ -10,6 +13,7 @@ from repro.experiments.config import (
     SimulationSettings,
     protocol_class,
 )
+from repro.experiments.scenario import Scenario
 
 
 class TestSimulationSettings:
@@ -33,13 +37,25 @@ class TestSimulationSettings:
         with pytest.raises(Exception):
             SimulationSettings().n_nodes = 5
 
-    @pytest.mark.parametrize("timeout", [-5.0, -1e-9, float("nan"), float("-inf")])
-    def test_rejects_negative_or_nan_timeout(self, timeout):
+    @pytest.mark.parametrize(
+        "timeout", [-5.0, -1e-9, float("nan"), float("-inf"), float("inf")]
+    )
+    def test_rejects_negative_nan_or_infinite_timeout(self, timeout):
         with pytest.raises(ValueError, match="timeout"):
             SimulationSettings(timeout_slots=timeout)
 
-    @pytest.mark.parametrize("timeout", [0.0, 250.0, float("inf")])
-    def test_accepts_finite_and_infinite_timeouts(self, timeout):
+    def test_run_with_an_infinite_timeout_raises_value_error(self):
+        with pytest.raises(ValueError, match=r"timeout_slots must be finite.*no store address"):
+            repro.run(
+                Scenario(
+                    settings=SimulationSettings(n_nodes=8, horizon=200, timeout_slots=math.inf),
+                    protocols="BMMM",
+                    seeds=0,
+                )
+            )
+
+    @pytest.mark.parametrize("timeout", [0.0, 250.0])
+    def test_accepts_finite_timeouts(self, timeout):
         assert SimulationSettings(timeout_slots=timeout).timeout_slots == timeout
 
     @pytest.mark.parametrize("threshold", [2.0, -1.0, 1.0 + 1e-9, float("nan")])

@@ -69,6 +69,11 @@ class TestSubmitValidation:
         req = net.mac(0).submit(MessageKind.BROADCAST)
         assert req.deadline == float("inf") and not req.expired(1e12)
 
+    def test_submit_accepts_an_infinite_timeout(self):
+        assert MacConfig.check_timeout(float("inf")) == float("inf")
+        req = star_net().mac(0).submit(MessageKind.BROADCAST, timeout=float("inf"))
+        assert req.deadline == float("inf") and not req.expired(1e12)
+
 
 class TestDcfUnicast:
     def test_clean_unicast_completes_with_full_handshake(self):

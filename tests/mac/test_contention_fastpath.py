@@ -1,7 +1,7 @@
 """Side-by-side property tests for the idle-slot-skipping contention phase.
 
 The fast path in :meth:`Contender.contention_phase` sleeps through an
-idle run in one sample-lane wait, which a medium writer (a transmission
+idle run in one ranked wait, which a medium writer (a transmission
 or ``Nav.set``) pulls earlier through the contender's poke, instead of
 stepping once per slot.  ``Nav.clear`` pokes nobody, and the NAV-clear
 pulses below check that it need not.  These tests drive random busy/idle
@@ -66,8 +66,8 @@ class ReferenceContender(Contender):
 
     A literal copy of the pre-fast-path loop -- one kernel event per
     DIFS/backoff slot, no waiters, no batching -- except that its
-    mid-slot sample waits go through the kernel's sample lane with the
-    contender's rank, exactly like the fast machine's.  That shares the
+    mid-slot sample waits carry the contender's rank, exactly like the
+    fast machine's.  That shares the
     one semantic pin both machines rely on (same-instant sample wake-ups
     and the commits they schedule order by contender rank, not by
     scheduling history), which is what makes N-contender equivalence a
@@ -94,10 +94,10 @@ class ReferenceContender(Contender):
                     idle_run = 0
                     if not params.resume_backoff:
                         backoff = self.rng.randrange(params.window(attempt))
-                    yield env.sample_sleep(self._next_sample_point(), rank)
+                    yield env.timeout(self._next_sample_point(), rank=rank)
                 else:
                     idle_run += 1
-                    yield env.sample_sleep(1.0, rank)
+                    yield env.timeout(1.0, rank=rank)
 
             # -- backoff countdown, frozen by activity ---------------------
             frozen = False
@@ -106,7 +106,7 @@ class ReferenceContender(Contender):
                     frozen = True
                     break
                 backoff -= 1
-                yield env.sample_sleep(1.0, rank)
+                yield env.timeout(1.0, rank=rank)
             if frozen:
                 continue
 

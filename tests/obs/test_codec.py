@@ -15,6 +15,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.experiments.config import SimulationSettings
 from repro.faults.plan import FaultPlan, GilbertElliott, NodeChurn
+from repro.mac.base import MacConfig
 from repro.mac.contention import ContentionParams
 from repro.obs.codec import build, lower
 from repro.obs.manifest import settings_to_dict
@@ -239,7 +240,9 @@ class TestLowerAndBuild:
         assert settings_from_dict(payload) == SimulationSettings(n_nodes=9)
 
     def test_only_the_tagged_form_refuses_non_finite_floats(self):
-        s = SimulationSettings(timeout_slots=float("inf"))
-        assert settings_to_dict(s)["timeout_slots"] == float("inf")
+        # SimulationSettings refuses an infinite timeout up front; the MAC
+        # config still takes one.
+        config = MacConfig(timeout_slots=float("inf"))
+        assert lower(config, tagged=False)["timeout_slots"] == float("inf")
         with pytest.raises(TypeError, match=r"settings\.timeout_slots: non-finite"):
-            canonical_payload(s)
+            lower(config, tagged=True)

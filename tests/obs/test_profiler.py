@@ -6,8 +6,9 @@ from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings, pr
 from repro.experiments.runner import run_raw
 from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import run_sweep
-from repro.obs.events import SimEvent
+from repro.obs.events import EVENT_TYPES, SimEvent
 from repro.obs.profiler import (
+    _PHASE_STARTERS,
     PROFILE_PHASES,
     KernelPhaseProfiler,
     format_phase_profile,
@@ -24,13 +25,16 @@ def _event(etype, t=0.0, node=None, **data):
 
 
 class TestAttachDetach:
-    def test_attach_registers_env_profile(self):
+    def test_attach_subscribes_to_the_phase_starters(self):
         env = Environment()
         profiler = KernelPhaseProfiler().attach(env)
-        assert env.profile is profiler
+        assert env.obs.n_subscribers == 1
+        for etype in EVENT_TYPES:
+            expected = (profiler,) if etype in _PHASE_STARTERS else ()
+            assert getattr(env.obs, etype) == expected, etype
         assert env.obs.active
         profiler.detach()
-        assert env.profile is None
+        assert env.obs.n_subscribers == 0
         assert not env.obs.active
 
     def test_double_attach_raises(self):
@@ -50,7 +54,7 @@ class TestAttachDetach:
         env = Environment()
         profiler = KernelPhaseProfiler().attach(env)
         profiler.finish()
-        assert env.profile is None
+        assert env.obs.n_subscribers == 0
 
 
 class TestAttribution:

@@ -109,7 +109,9 @@ class ReferenceChannel(Channel):
             return
         overlaps = [t for t in self.audible[rid] if tx.overlaps(t)]
         if tx not in overlaps:
-            return  # moved into range, or attached, after the preamble
+            # Moved into range, or attached, after the preamble.
+            self.counters.inc("preamble_misses", node=rid)
+            return
         k = len(overlaps)
         clean = k == 1
         if not clean:

@@ -217,7 +217,7 @@ def test_fallback_frames_take_receive_at(case):
     if case == "mcs":
         assert totals["rate_losses"] == 1 and stats["data_receipts"] == {7: {1}}
     if case == "moved":
-        assert stats["data_receipts"] == {7: {1}}
+        assert totals["preamble_misses"] == 1 and stats["data_receipts"] == {7: {1}}
 
 
 @pytest.mark.parametrize("name", ["BMMM", "LAMM", "BSMA"])
@@ -237,6 +237,8 @@ def test_mobility_matches_overlap_lists(name):
         out = assert_same(name, settings, seed=4, mobility_speed=0.004)
     assert out["moves"] > 200
     assert missed and out["counters"][0]["collisions"] > 0
+    # assert_same compared the count with the reference channel's.
+    assert out["counters"][0]["preamble_misses"] > 0
 
 
 def _mid_flight_attach(channel_cls):
@@ -271,6 +273,7 @@ def test_radio_attached_mid_flight():
     # Node 1 heard the DATA collide with the RTS; node 3 is not in it.
     assert stats["data_receipts"] == {}
     assert totals["collisions"] == 2  # node 1: DATA and RTS (capture off)
+    assert totals["preamble_misses"] == 1  # node 3: the DATA
     assert (log, stats, totals) == _mid_flight_attach(ReferenceChannel)
 
 

@@ -322,8 +322,8 @@ class TestBusyTracking:
         done = ch.transmit(radios[0], rts(0))
         assert env._eid - eid0 == 1
         assert len(env._queue) - queued0 == 1
-        assert not env._sample_queue
-        assert env._queue[0][3] is done and done.delay == 1
+        assert all(entry[2] == 0 for entry in env._queue)  # no ranked sample
+        assert env._queue[0][4] is done and done.delay == 1
         assert env._queue[0][0] == 1  # the airtime end is the next event
 
     def test_transmit_pokes_waiters_whose_busy_until_rises(self):

@@ -91,21 +91,21 @@ class TestTimeout:
         with pytest.raises(ValueError):
             env.timeout(float("nan"))
         with pytest.raises(ValueError):
-            env.sleep(float("nan"))
+            env.timeout(float("nan"), priority=PRIORITY_DELIVERY)
         with pytest.raises(ValueError):
-            env.sample_sleep(float("nan"), rank=1)
+            env.timeout(float("nan"), rank=1)
         seen = []
 
         def proc():
             yield env.timeout(3)
             seen.append(env.now)
             with pytest.raises(ValueError):
-                env.sleep(float("nan"))  # pooled path: a retired sleep exists
-            yield env.sleep(1)
+                env.timeout(float("nan"))  # after events have been dispatched
+            yield env.timeout(1)
             seen.append(env.now)
 
         env.process(proc())
-        env.sleep(1)  # retires into the pool at t=1
+        env.timeout(1)  # dispatched at t=1
         env.run()
         assert seen == [3, 4] and env.now == 4
 
@@ -369,8 +369,7 @@ class TestPublicSurface:
             return {name for name in dir(obj) if not name.startswith("_")}
 
         assert public(Environment()) == {
-            "now", "event", "timeout", "sleep", "sample_sleep", "expedite_sample",
-            "process", "run", "obs", "profile",
+            "now", "event", "timeout", "expedite_sample", "process", "run", "obs",
         }
         event_api = {"succeed", "triggered", "processed", "callbacks", "env", "defused"}
         assert public(Event) == event_api

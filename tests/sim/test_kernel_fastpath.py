@@ -1,7 +1,7 @@
-"""Tests pinning the kernel allocation diet: pooled ``sleep`` timeouts,
-``__slots__`` on the whole event hierarchy, and the inlined ``run()``
-dispatch loop staying equivalent to dispatching one event at a time with
-the reference :func:`step` below."""
+"""Tests pinning the kernel's one heap: ``__slots__`` on the whole event
+hierarchy, ranked sample wake-ups moved in place by ``expedite_sample``,
+and the inlined ``run()`` dispatch loop staying equivalent to dispatching
+one event at a time with the reference :func:`step` below."""
 
 from __future__ import annotations
 
@@ -20,13 +20,8 @@ from repro.sim.kernel import (
 def step(env: Environment) -> None:
     """Dispatch the single next event of *env*, the way ``Environment.run``
     does once per loop iteration."""
-    queue = env._queue
-    squeue = env._sample_queue
-    # Cross-lane ties at equal (time, priority) go to the main queue.
-    if squeue and (not queue or (squeue[0][0], squeue[0][1]) < (queue[0][0], queue[0][1])):
-        entry = heappop(squeue)
-    else:
-        entry = heappop(queue)
+    # Ordinary events (rank 0) win same-(time, priority) ties over samples.
+    entry = heappop(env._queue)
     when = entry[0]
     event = entry[-1]
     if when < env._now:
@@ -36,96 +31,77 @@ def step(env: Environment) -> None:
     if env._unhandled is not None:
         exc, env._unhandled = env._unhandled, None
         raise exc
-    if type(event) is Timeout and event._recycle and len(env._timeout_pool) < env._POOL_MAX:
-        env._timeout_pool.append(event)
 
 
 def next_time(env: Environment) -> float:
-    """Time of the next event in either lane (``inf`` when both are empty)."""
-    heads = [lane[0][0] for lane in (env._queue, env._sample_queue) if lane]
-    return min(heads, default=float("inf"))
+    """Time of the next event (``inf`` when the heap is empty)."""
+    return env._queue[0][0] if env._queue else float("inf")
 
 
-class TestSleepPooling:
-    def test_sleep_delivers_none_at_the_right_time(self):
+class TestOneTimeout:
+    """``Environment.timeout`` is the only timeout constructor, ranked or
+    not; these pin what the retired pooled ``sleep`` path used to cover."""
+
+    def test_ranked_timeout_delivers_its_value_at_the_right_time(self):
         env = Environment()
         log = []
 
         def proc():
-            yield env.sleep(3)
+            yield env.timeout(3, rank=1)
             log.append(env.now)
-            value = yield env.sleep(2.5)
+            value = yield env.timeout(2.5, rank=2)
+            log.append((env.now, value))
+            value = yield env.timeout(1, "v", rank=1)
             log.append((env.now, value))
 
         env.process(proc())
         env.run()
-        assert log == [3, (5.5, None)]
+        assert log == [3, (5.5, None), (6.5, "v")]
 
-    def test_retired_sleep_timeout_is_reused(self):
+    @pytest.mark.parametrize("rank", [0, 1, 7])
+    def test_negative_or_nan_delay_rejected_at_every_rank(self, rank):
         env = Environment()
-        seen = []
+        for delay in (-1, -1e-9, float("nan")):
+            with pytest.raises(ValueError):
+                env.timeout(delay, rank=rank)
+        # A refused timeout schedules nothing and takes no event id.
+        assert env._queue == []
+        assert env._eid == 0
+
+    def test_a_fired_timeout_is_never_reused(self):
+        env = Environment()
+        held = []
 
         def proc():
-            for _ in range(5):
-                t = env.sleep(1)
-                seen.append(id(t))
+            for i in range(5):
+                t = env.timeout(1, value=i, rank=i % 2)
+                held.append(t)
                 yield t
 
         env.process(proc())
         env.run()
-        # After the first sleep retires, the pool serves the same object.
-        assert len(set(seen)) == 1 or len(set(seen)) < len(seen)
-        assert len(env._timeout_pool) >= 1
+        # Every wait was its own object, and each keeps its state after
+        # firing: a reference held past dispatch never sees a later wait.
+        assert len({id(t) for t in held}) == 5
+        assert [t._value for t in held] == [0, 1, 2, 3, 4]
+        assert all(t.processed and t.delay == 1 for t in held)
+        fresh = env.timeout(4)
+        assert all(fresh is not t for t in held)
+        assert fresh.callbacks == [] and fresh._exception is None
+        assert fresh.defused is False
 
-    def test_recycled_timeout_state_is_reset(self):
+    def test_run_until_leaves_ranked_events_at_the_boundary(self):
         env = Environment()
-
-        def proc():
-            yield env.sleep(1)
-
-        env.process(proc())
+        fired = []
+        for rank in (0, 2, 1):
+            env.timeout(5, rank=rank).callbacks.append(
+                lambda _e, rank=rank: fired.append((env.now, rank))
+            )
+        env.run(until=5)
+        assert fired == []
+        assert env.now == 5
         env.run()
-        assert env._timeout_pool
-        t = env.sleep(4)
-        assert t.callbacks == []
-        assert t.delay == 4
-        assert t._exception is None
-        assert t.defused is False
-        env.run()
-
-    def test_plain_timeout_is_never_pooled(self):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(1)
-
-        env.process(proc())
-        env.run()
-        assert env._timeout_pool == []
-
-    def test_negative_delay_rejected_on_both_paths(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            env.sleep(-1)  # fresh-allocation path
-        def proc():
-            yield env.sleep(1)
-        env.process(proc())
-        env.run()
-        assert env._timeout_pool
-        with pytest.raises(ValueError):
-            env.sleep(-1)  # pooled path
-
-    def test_pool_is_bounded(self):
-        env = Environment()
-
-        def sleeper():
-            yield env.sleep(1)
-
-        # More simultaneous sleeps than _POOL_MAX; all retire at once.
-        for _ in range(Environment._POOL_MAX + 50):
-            env.process(sleeper())
-        env.run()
-        assert len(env._timeout_pool) == Environment._POOL_MAX
+        assert fired == [(5, 0), (5, 1), (5, 2)]
 
 
 class TestSlots:
@@ -137,8 +113,8 @@ class TestSlots:
 
         instances = [
             Event(env),
-            Timeout(env, 1),
-            env.sleep(1),
+            env.timeout(1),
+            env.timeout(1, rank=1),
             Process(env, gen()),
         ]
         for obj in instances:
@@ -153,13 +129,13 @@ class TestRunLoopEquivalence:
     def scenario(env, log):
         def worker(tag, delay):
             for i in range(3):
-                yield env.sleep(delay)
+                yield env.timeout(delay)
                 log.append((env.now, tag, i))
 
         def sampler(rank):
-            # Sample-lane wake-ups tie with worker "a" at t=2, 4 and 6.
+            # Ranked wake-ups tie with worker "a" at t=2, 4 and 6.
             for i in range(3):
-                yield env.sample_sleep(2, rank)
+                yield env.timeout(2, rank=rank)
                 log.append((env.now, "sampler", rank, i))
 
         def failer():
@@ -198,26 +174,6 @@ class TestRunLoopEquivalence:
         assert env_a.now == env_b.now == 9
         assert env_a._eid == env_b._eid
 
-    def test_run_until_event_still_works_with_pooling(self):
-        # A process whose waits are all pooled still hands its return value
-        # to a joiner.
-        env = Environment()
-
-        def proc():
-            yield env.sleep(3)
-            return "done"
-
-        p = env.process(proc())
-        got = []
-
-        def joiner():
-            got.append((yield p))
-
-        env.process(joiner())
-        env.run()
-        assert got == ["done"]
-        assert env.now == 3
-
 
 class TestExpediteSample:
     def test_moved_wake_fires_earlier_as_the_same_event(self):
@@ -225,7 +181,7 @@ class TestExpediteSample:
         log = []
 
         def proc():
-            wake = env.sample_sleep(10, rank=1)
+            wake = env.timeout(10, rank=1)
             env.timeout(3).callbacks.append(lambda _e: env.expedite_sample(wake, 0.5))
             got = yield wake
             log.append((env.now, got))
@@ -235,14 +191,14 @@ class TestExpediteSample:
         assert log == [(3.5, None)]
         # One event, re-keyed in place: no new id, no stale entry left.
         assert env._eid == 4  # process start, the wake, the timeout, process exit
-        assert env._sample_queue == []
+        assert env._queue == []
 
     def test_heap_order_survives_moves(self):
         env = Environment()
         fired = []
         wakes = {}
         for rank, delay in enumerate([9.5, 4.5, 7.5, 12.5, 6.5, 10.5, 8.5], start=1):
-            wake = env.sample_sleep(delay, rank)
+            wake = env.timeout(delay, rank=rank)
             wake.callbacks.append(lambda _e, rank=rank: fired.append((env.now, rank)))
             wakes[rank] = wake
         env.expedite_sample(wakes[4], 5.5)
@@ -255,13 +211,13 @@ class TestExpediteSample:
 
     def test_later_instant_and_non_pending_wakes_are_rejected(self):
         env = Environment()
-        wake = env.sample_sleep(2, rank=1)
+        wake = env.timeout(2, rank=1)
         with pytest.raises(ValueError):
             env.expedite_sample(wake, 3)
         with pytest.raises(ValueError):
             env.expedite_sample(wake, -1)
         with pytest.raises(RuntimeError):
-            env.expedite_sample(env.sleep(1), 0.5)  # main lane
+            env.expedite_sample(env.timeout(1), 0.5)  # rank 0: not a sample
         env.run()
         with pytest.raises(RuntimeError):
             env.expedite_sample(wake, 0)  # already fired
